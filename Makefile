@@ -4,7 +4,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-all bench-smoke bench-shard-smoke bigcluster-smoke congestion-smoke serving-smoke fault-matrix fault-matrix-shard snapshot-smoke examples clean
+.PHONY: install test bench bench-all bench-smoke bigcluster-smoke congestion-smoke serving-smoke fault-matrix snapshot-smoke examples clean
 
 install:
 	@$(PYTHON) -m pip install -e . 2>/dev/null || ( \
@@ -29,15 +29,6 @@ bench-all:
 bench-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_engine_throughput.py
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_table3_latency.py --benchmark-only -s
-
-# Sharded-engine pulse: the multiprocess PDES scaling bench at 1 and 2
-# workers on the 2-machine grid (short duration -- this is a CI smoke,
-# not the recorded scaling figure), then the like-for-like regression
-# gate over BENCH_engine.json.
-bench-shard-smoke:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_engine_throughput.py --shards 1 --machines 2 --duration 0.1 --reps 1
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_engine_throughput.py --shards 2 --machines 2 --duration 0.1 --reps 1
-	$(PYTHON) tools/check_bench_regression.py
 
 # Control-plane scale smoke: a ~100-guest delta-discovery cluster under
 # churn; asserts O(changes) control messages per scan (announce mode
@@ -66,19 +57,13 @@ serving-smoke:
 fault-matrix:
 	PYTHONPATH=src $(PYTHON) -m repro faults
 
-# The same sweep with each cell split across two shard processes, so
-# fault injection and recovery are exercised across the null-message
-# protocol boundary.
-fault-matrix-shard:
-	PYTHONPATH=src $(PYTHON) -m repro faults --shards 2
-
-# Checkpoint/warm-start smoke: snapshot mechanics + fork-equivalence
-# goldens, then a save -> digest-verified fork round trip through the
-# CLI (the time-travel path for replaying a failing fault cell).
+# Checkpoint smoke: snapshot mechanics + replay-equivalence goldens,
+# then a save -> digest-verified replay round trip through the CLI (the
+# time-travel path for replaying a failing fault cell).
 snapshot-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/sim/test_snapshot.py tests/integration/test_snapshot_fork.py -q
 	PYTHONPATH=src $(PYTHON) -m repro snapshot save --cell notify_drop --out /tmp/repro-snapshot-smoke.json
-	PYTHONPATH=src $(PYTHON) -m repro snapshot fork /tmp/repro-snapshot-smoke.json --cell notify_drop --runs 2
+	PYTHONPATH=src $(PYTHON) -m repro snapshot replay /tmp/repro-snapshot-smoke.json --cell notify_drop --runs 2
 	rm -f /tmp/repro-snapshot-smoke.json
 
 examples:

@@ -90,92 +90,6 @@ def _detect_data_path(serialization: dict) -> str:
     return "fifo" if serialization.get("fifo_bytes_in", 0) > 0 else "xennet-ring"
 
 
-def _append_entry(
-    entry: dict, workload: dict, output: pathlib.Path, stats: dict
-) -> list[dict]:
-    history = _load_history(output)
-    history.append(entry)
-    output.write_text(
-        json.dumps({"workload": workload, "history": history}, indent=2) + "\n"
-    )
-    print(report.format_engine_stats(stats))
-    return history
-
-
-def _result_fields(result) -> dict:
-    return {
-        "bytes_received": result.bytes_received,
-        "mbps": result.mbps,
-        "messages_sent": result.messages_sent,
-        "drops": result.drops,
-    }
-
-
-def _measure_warm_start(
-    scenario: str,
-    msg_size: int,
-    duration: float,
-    data_path: str,
-    *,
-    reps: int,
-    cold_wall: float,
-    cold_result,
-) -> dict:
-    """The checkpoint/fork figure: build (+warmup) once, fork per rep.
-
-    Each rep's wall is measured in the parent around the whole fork
-    (fork + stream + result pickling included), so the speedup vs the
-    cold wall (build + warmup + stream per rep) is honest.  The forked
-    simulated result must be bit-identical to the cold one.
-    """
-    from repro.sim.snapshot import HAS_FORK, SimSnapshot
-
-    if not HAS_FORK:
-        return {"supported": False, "reason": "os.fork unavailable"}
-
-    t0 = time.perf_counter()
-    scn = scenarios.build(scenario)
-    if data_path == "fifo":
-        scn.warmup()
-    snap = SimSnapshot.capture(scn, label=f"bench {scenario} warm-start")
-    capture_wall = time.perf_counter() - t0
-
-    def rep(cluster):
-        WIRE_STATS.reset()  # child-process copies; the parent's are untouched
-        NOTIFY_STATS.reset()
-        return _result_fields(
-            netperf.udp_stream(cluster, msg_size=msg_size, duration=duration)
-        )
-
-    warm_wall = None
-    warm_result = None
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        res = snap.fork(rep)
-        wall = time.perf_counter() - t0
-        if warm_wall is None or wall < warm_wall:
-            warm_wall, warm_result = wall, res
-
-    cold = _result_fields(cold_result)
-    if warm_result != cold:
-        raise RuntimeError(
-            f"warm-start fork diverged from cold run: {warm_result} != {cold}"
-        )
-    speedup = round(cold_wall / warm_wall, 2) if warm_wall > 0 else None
-    print(
-        f"warm-start: cold {cold_wall * 1e3:.1f} ms -> fork "
-        f"{warm_wall * 1e3:.1f} ms per rep ({speedup}x), results identical"
-    )
-    return {
-        "supported": True,
-        "cold_wall_s": round(cold_wall, 4),
-        "capture_wall_s": round(capture_wall, 4),
-        "warm_wall_s": round(warm_wall, 4),
-        "speedup": speedup,
-        "identical": True,
-    }
-
-
 def run(
     scenario: str = "xenloop",
     msg_size: int = 4096,
@@ -183,7 +97,6 @@ def run(
     output: pathlib.Path = DEFAULT_OUTPUT,
     reps: int = 3,
     data_path: str = "auto",
-    warm_start: bool = False,
 ) -> dict:
     """Run the fixed workload, print and append the engine stats.
 
@@ -198,15 +111,6 @@ def run(
     shared-FIFO path; serialization/notify counters are reset after the
     warmup, so they describe the stream only.  The default leaves the
     workload on the xennet ring and annotates the entry accordingly.
-
-    ``warm_start=True`` additionally measures the checkpoint/fork mode:
-    the scenario is built (and, on the fifo path, warmed) ONCE, captured
-    as a :class:`~repro.sim.snapshot.SimSnapshot`, and each rep forks
-    the snapshot and runs only the stream.  The forked result is checked
-    bit-identical to the cold result, and the entry gains a
-    ``warm_start`` block with both walls and the measured speedup; the
-    primary ``wall_s`` stays the cold figure so the history (and the
-    regression gate) keeps one consistent meaning.
     """
     # Untimed warmup pass: a short run of the same workload on a throwaway
     # scenario triggers every lazy import and warms the interpreter.  The
@@ -253,101 +157,14 @@ def run(
     }
     if data_path == "fifo" and entry["data_path"] != "fifo":
         raise RuntimeError("fifo bench variant did not exercise the FIFO path")
-
-    if warm_start:
-        entry["warm_start"] = _measure_warm_start(
-            scenario, msg_size, duration, data_path,
-            reps=max(1, reps), cold_wall=_wall, cold_result=result,
-        )
-        stats["warm_start"] = entry["warm_start"]
     workload = {"scenario": scenario, "msg_size": msg_size, "duration": duration}
-    history = _append_entry(entry, workload, output, stats)
-    print(f"simulated: {result.mbps:,.1f} Mbit/s, {result.drops} drops")
-    print(f"wrote {output} ({len(history)} history entries)")
-    return entry
-
-
-def run_sharded_bench(
-    shards: int = 2,
-    machines: int = 2,
-    msg_size: int = 4096,
-    duration: float = 0.5,
-    output: pathlib.Path = DEFAULT_OUTPUT,
-    reps: int = 3,
-) -> dict:
-    """Sharded scaling bench: the per-machine PDES mode of
-    :mod:`repro.sim.pdes` on a grid of ``machines`` Xen machines, each
-    running its own co-resident ``udp_stream`` pair.
-
-    ``shards`` is 1 (single worker, plain build -- the scaling baseline)
-    or ``machines``.  Wall-clock is measured in the parent around the
-    whole :func:`~repro.sim.pdes.run_sharded` call, fork+build included,
-    so the 1-shard and N-shard figures pay the same fixed costs and
-    their ratio is an honest speedup.  The entry records the shard
-    count, machine count, and null-message counters next to the merged
-    engine stats.
-    """
-    from repro.sim import pdes
-
-    spec = pdes.bench_grid_spec(machines, 2, msg_size, duration)
-    # Untimed warmup: fork/import/build once on a short variant.
-    pdes.run_sharded(pdes.bench_grid_spec(machines, 2, msg_size, 0.01), shards=shards)
-
-    best = None
-    for _ in range(max(1, reps)):
-        t0 = time.perf_counter()
-        sharded = pdes.run_sharded(spec, shards=shards)
-        wall = time.perf_counter() - t0
-        if best is None or wall < best[0]:
-            best = (wall, sharded)
-    wall, sharded = best
-    stats = dict(sharded.stats)
-    stats["wall_s"] = wall
-    stats["events_per_sec"] = stats["events"] / wall if wall > 0 else 0.0
-    agg = {"bytes_received": 0, "mbps": 0.0, "messages_sent": 0, "drops": 0}
-    for res in sharded.results:
-        for key in agg:
-            agg[key] += res["result"][key]
-    entry = {
-        "sha": _git_sha(),
-        "date": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "reps": max(1, reps),
-        "shards": shards,
-        "machines": machines,
-        "data_path": _detect_data_path(stats["serialization"]),
-        "events": stats["events"],
-        "sim_time": stats["sim_time"],
-        "wall_s": round(wall, 4),
-        "events_per_sec": round(stats["events_per_sec"], 1),
-        "result": agg,
-        "pdes": stats["pdes"],
-        "serialization": stats["serialization"],
-        "notify": stats["notify"],
-    }
-    workload = {
-        "scenario": spec.name,
-        "msg_size": msg_size,
-        "duration": duration,
-        "shards": shards,
-    }
-    history = _append_entry(entry, workload, output, stats)
-    print(f"simulated: {agg['mbps']:,.1f} Mbit/s total, {agg['drops']} drops")
-    baseline = next(
-        (
-            e
-            for e in reversed(history[:-1])
-            if e.get("shards") == 1
-            and e.get("machines") == machines
-            and e.get("data_path") == entry["data_path"]
-        ),
-        None,
+    history = _load_history(output)
+    history.append(entry)
+    output.write_text(
+        json.dumps({"workload": workload, "history": history}, indent=2) + "\n"
     )
-    if shards > 1 and baseline is not None:
-        speedup = entry["events_per_sec"] / baseline["events_per_sec"]
-        print(
-            f"speedup vs 1-shard baseline ({baseline['sha']}): {speedup:.2f}x "
-            f"at {shards} shards"
-        )
+    print(report.format_engine_stats(stats))
+    print(f"simulated: {result.mbps:,.1f} Mbit/s, {result.drops} drops")
     print(f"wrote {output} ({len(history)} history entries)")
     return entry
 
@@ -369,39 +186,15 @@ def main() -> None:
     parser.add_argument("--output", type=pathlib.Path, default=DEFAULT_OUTPUT)
     parser.add_argument("--reps", type=int, default=3, help="timed reps; best wall-clock is recorded")
     parser.add_argument(
-        "--shards", type=int, default=0,
-        help="0 (default): the classic single-simulator bench; N>=1: the "
-        "sharded multi-machine scaling bench with N workers (1 or --machines)",
-    )
-    parser.add_argument(
-        "--machines", type=int, default=2,
-        help="machine count for the sharded bench grid (default: 2)",
-    )
-    parser.add_argument(
         "--data-path", choices=("auto", "fifo"), default="auto",
         help="'fifo' warms XenLoop channels up so the measured stream rides "
-        "the shared-FIFO path (classic bench only)",
-    )
-    parser.add_argument(
-        "--warm-start", action="store_true",
-        help="also measure the checkpoint/fork mode (build once, fork per "
-        "rep) and record the speedup in the entry (classic bench only)",
+        "the shared-FIFO path",
     )
     args = parser.parse_args()
-    if args.shards > 0:
-        if args.data_path != "auto":
-            parser.error("--data-path is only supported on the classic bench (--shards 0)")
-        if args.warm_start:
-            parser.error("--warm-start is only supported on the classic bench (--shards 0)")
-        run_sharded_bench(
-            args.shards, args.machines, args.msg_size, args.duration,
-            args.output, reps=args.reps,
-        )
-    else:
-        run(
-            args.scenario, args.msg_size, args.duration, args.output,
-            reps=args.reps, data_path=args.data_path, warm_start=args.warm_start,
-        )
+    run(
+        args.scenario, args.msg_size, args.duration, args.output,
+        reps=args.reps, data_path=args.data_path,
+    )
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ Usage::
     python -m repro bypass              # future-work socket bypass
     python -m repro faults              # fault-injection matrix sweep
     python -m repro snapshot save ...   # checkpoint a built simulator
-    python -m repro snapshot fork ...   # replay a checkpoint N times
+    python -m repro snapshot replay ... # replay a checkpoint N times
 """
 
 from __future__ import annotations
@@ -137,9 +137,7 @@ def cmd_faults(args) -> int:
     """Run the fault-injection matrix; nonzero exit on any failed cell."""
     from repro.scenarios.fault_matrix import run_fault_matrix
 
-    results = run_fault_matrix(
-        seed=args.seed, shards=args.shards, warm=not args.cold
-    )
+    results = run_fault_matrix(seed=args.seed)
     print(report.format_fault_matrix(results))
     return 0 if all(r["ok"] for r in results) else 1
 
@@ -166,16 +164,17 @@ def _snapshot_recipe(args) -> dict:
 
 
 def cmd_snapshot(args) -> int:
-    """Checkpoint tooling: save/restore/fork/inspect a built simulator.
+    """Checkpoint tooling: save/restore/replay/inspect a built simulator.
 
     ``save`` builds from a recipe (a scenario or the fault-matrix pair)
     and writes the digest-carrying manifest; ``restore`` replays the
-    recipe and verifies the digest; ``fork`` replays and then forks N
-    bit-identical children (running the named fault cell, or a short UDP
-    probe) -- the time-travel loop for debugging a failing cell; and
-    ``inspect`` prints the captured state summary without rebuilding.
+    recipe and verifies the digest; ``replay`` restores N times and runs
+    the named fault cell (or a short UDP probe) on each digest-verified
+    replay, checking the runs are bit-identical -- the time-travel loop
+    for debugging a failing cell; and ``inspect`` prints the captured
+    state summary without rebuilding.
     """
-    from repro.sim.snapshot import HAS_FORK, SimSnapshot
+    from repro.sim.snapshot import SimSnapshot
 
     if args.action == "save":
         recipe = _snapshot_recipe(args)
@@ -193,16 +192,13 @@ def cmd_snapshot(args) -> int:
         print(snap.inspect())
         return 0
 
-    snap.restore()
-    print(f"restore OK: digest {snap.digest[:16]}... verified by replay")
     if args.action == "restore":
+        snap.restore()
+        print(f"restore OK: digest {snap.digest[:16]}... verified by replay")
         print(snap.inspect())
         return 0
 
-    # fork: N children off the restored image, results must be identical.
-    if not HAS_FORK:
-        print("snapshot fork requires os.fork (unavailable on this platform)")
-        return 1
+    # replay: N digest-verified restores, probe results must be identical.
     recipe = snap.recipe or {}
     seed = recipe.get("seed", 0)
     if recipe.get("kind") == "fault_pair":
@@ -245,13 +241,14 @@ def cmd_snapshot(args) -> int:
 
         what = "udp_stream probe"
 
-    runs = [snap.fork(probe) for _ in range(args.runs)]
+    runs = [probe(snap.restore()) for _ in range(args.runs)]
+    print(f"restore OK: digest {snap.digest[:16]}... verified by {args.runs} replays")
     for i, r in enumerate(runs):
         print(f"run {i}: {r}")
     if all(r == runs[0] for r in runs[1:]):
-        print(f"{args.runs} forked runs of the {what}: bit-identical")
+        print(f"{args.runs} replayed runs of the {what}: bit-identical")
         return 0
-    print(f"DIVERGENCE across forked runs of the {what}")
+    print(f"DIVERGENCE across replayed runs of the {what}")
     return 1
 
 
@@ -272,18 +269,8 @@ def main(argv: list[str] | None = None) -> int:
     tr.add_argument("scenario", nargs="?", choices=list(scenarios.SCENARIO_BUILDERS))
     flt = sub.add_parser("faults", help="fault-injection matrix sweep")
     flt.add_argument("--seed", type=int, default=0)
-    flt.add_argument(
-        "--shards", type=int, default=1, choices=(1, 2),
-        help="2: run each cell under the two-shard PDES mode "
-        "(fault recovery across the process boundary)",
-    )
-    flt.add_argument(
-        "--cold", action="store_true",
-        help="build every cell from scratch instead of forking the warm "
-        "pair snapshot (results are identical either way)",
-    )
     snp = sub.add_parser(
-        "snapshot", help="checkpoint tooling: save/restore/fork/inspect"
+        "snapshot", help="checkpoint tooling: save/restore/replay/inspect"
     )
     snp_sub = snp.add_subparsers(dest="action", required=True)
     save = snp_sub.add_parser("save", help="build from a recipe and checkpoint it")
@@ -299,12 +286,12 @@ def main(argv: list[str] | None = None) -> int:
     save.add_argument("--out", required=True, help="manifest path to write")
     for action, hlp in (
         ("restore", "replay the recipe and verify the digest"),
-        ("fork", "replay, then fork N bit-identical runs off the image"),
+        ("replay", "restore N times and check the runs are bit-identical"),
         ("inspect", "print the captured state summary"),
     ):
         p = snp_sub.add_parser(action, help=hlp)
         p.add_argument("path", help="manifest written by 'snapshot save'")
-        if action == "fork":
+        if action == "replay":
             p.add_argument("--runs", type=int, default=2)
             p.add_argument("--cell", default=None,
                            help="fault cell to replay (fault-pair snapshots)")

@@ -130,8 +130,7 @@ class Bridge:
             return
         self.frames_flooded += 1
         # 802.1D: frames to the 01:80:c2 link-local block must not leave
-        # the bridge via the uplink (or any inter-machine face wrapped in
-        # a NicBridgePort, e.g. the sharded-mode ShardLink).
+        # the bridge via the uplink.
         link_local = eth.dst.is_link_local
         for port in list(self.ports):
             if port is in_port:

@@ -26,39 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.packet import Packet
     from repro.net.stack import NetworkStack
 
-__all__ = ["LoopbackDevice", "NetDevice", "decode_frame", "encode_frame"]
-
-
-def encode_frame(packet: "Packet") -> tuple:
-    """Serialize an ethernet frame for transport to another shard.
-
-    Cross-shard traffic is bridged ethernet frames only, so the wire
-    image is all that has to survive the process boundary: the ethernet
-    header plus either the L3 bytes (IP frames -- reusing the
-    serialization cache, so a forwarded frame packs at most once) or the
-    raw payload (ARP / XenLoop discovery frames, which carry their
-    serialized body in ``payload``).  ``meta`` is diagnostic-only
-    (trace timestamps, "via" tags) and is deliberately dropped.
-    """
-    eth = packet.eth
-    eth_bytes = eth.to_bytes() if eth is not None else None
-    if packet.ip is not None:
-        return (eth_bytes, True, packet.to_l3_bytes())
-    return (eth_bytes, False, packet.payload)
-
-
-def decode_frame(blob: tuple) -> "Packet":
-    """Rebuild a :func:`encode_frame` blob into a fresh Packet."""
-    from repro.net.packet import EthHeader, Packet
-
-    eth_bytes, is_ip, body = blob
-    if is_ip:
-        packet = Packet.from_l3_bytes(body)
-    else:
-        packet = Packet(payload=body)
-    if eth_bytes is not None:
-        packet.eth = EthHeader.from_bytes(eth_bytes)
-    return packet
+__all__ = ["LoopbackDevice", "NetDevice"]
 
 
 class NetDevice:

@@ -13,12 +13,12 @@ from typing import Callable, Optional
 
 from repro.calibration import CostModel
 from repro.net.addr import MacAddr
-from repro.net.devices import NetDevice, encode_frame
+from repro.net.devices import NetDevice
 from repro.net.packet import Packet
 from repro.sim.engine import Event, Simulator
 from repro.sim.resources import Store
 
-__all__ = ["EthernetSwitch", "PhysNIC", "ShardLink"]
+__all__ = ["EthernetSwitch", "PhysNIC"]
 
 TXQ_CAPACITY = 1024
 
@@ -152,95 +152,3 @@ class EthernetSwitch:
             if port is not in_port:
                 port.egress.put(packet)
 
-
-class ShardLink(EthernetSwitch):
-    """The shard-local face of the cluster switch in a sharded run.
-
-    Each shard (one per physical machine, see :mod:`repro.sim.pdes`)
-    builds its machines against a ShardLink instead of the shared
-    :class:`EthernetSwitch`.  Local traffic behaves exactly like the
-    plain switch; frames for a MAC learned on another shard are
-    serialized and exported through the shard runtime with their full
-    arrival timestamp (switch latency + output serialization + NIC
-    interrupt latency) precomputed, and imported frames are delivered
-    straight to the local NICs at that timestamp.
-
-    Fidelity note: the one thing the sharded link does *not* model is
-    egress-port queueing contention at the switch -- two frames bound
-    for the same remote machine serialize back-to-back on the real
-    switch's output port, but export independently here.  The bench and
-    fault-matrix workloads keep inter-machine traffic sparse (discovery
-    broadcasts + ARP), where the difference is nil.
-    """
-
-    def __init__(self, sim: Simulator, costs: CostModel, runtime, name: str = "shardlink"):
-        super().__init__(sim, costs, name)
-        #: the PDES shard runtime; needs ``send_frame(dest_shard_or_None,
-        #: t_send, arrival, blob)``.
-        self.runtime = runtime
-        self._remote: dict[MacAddr, int] = {}
-        self.frames_exported = 0
-        self.frames_imported = 0
-
-    def forget(self, mac: MacAddr) -> None:
-        super().forget(mac)
-        self._remote.pop(mac, None)
-
-    def _export(self, packet: Packet, dest: Optional[int]) -> None:
-        costs = self.costs
-        now = self.sim.now
-        arrival = (
-            now
-            + costs.switch_latency
-            + costs.wire_time(packet.wire_len)
-            + costs.nic_rx_latency
-        )
-        self.frames_exported += 1
-        self.runtime.send_frame(dest, now, arrival, encode_frame(packet))
-
-    def ingress(self, from_nic: PhysNIC, packet: Packet) -> None:
-        """Learn the source locally, then forward, flood, or export."""
-        in_port = self._ports[from_nic]
-        eth = packet.eth
-        if eth is None:
-            return
-        self._fdb[eth.src] = in_port
-        # A MAC seen on a local port is no longer remote (migration-in).
-        self._remote.pop(eth.src, None)
-        dst = eth.dst
-        if not dst.is_broadcast and not dst.is_multicast:
-            out = self._fdb.get(dst)
-            if out is not None:
-                if out is not in_port:
-                    self.frames_forwarded += 1
-                    out.egress.put(packet)
-                return
-            shard = self._remote.get(dst)
-            if shard is not None:
-                self._export(packet, shard)
-                return
-            # Unknown unicast: flood locally AND export to every peer.
-        self.frames_flooded += 1
-        for port in self._ports.values():
-            if port is not in_port:
-                port.egress.put(packet)
-        self._export(packet, None)
-
-    def import_frame(self, src_shard: int, packet: Packet) -> None:
-        """Deliver a frame imported from ``src_shard`` at the current
-        simulation time (the export already baked in every latency term,
-        so this maps to :meth:`PhysNIC._deliver`, not ``receive``)."""
-        eth = packet.eth
-        if eth is None:
-            return
-        self._remote[eth.src] = src_shard
-        self._fdb.pop(eth.src, None)
-        self.frames_imported += 1
-        dst = eth.dst
-        if not dst.is_broadcast and not dst.is_multicast:
-            out = self._fdb.get(dst)
-            if out is not None:
-                out.nic._deliver(packet)
-                return
-        for port in self._ports.values():
-            port.nic._deliver(packet)

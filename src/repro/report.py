@@ -133,17 +133,6 @@ def format_engine_stats(stats: Mapping[str, float]) -> str:
             f"dup_acks={tcp['dup_acks']:,}  dup_segs={tcp['dup_segments']:,}  "
             f"rst={tcp['rsts_sent']:,}  backlog_drops={tcp['backlog_drops']:,}"
         )
-    warm = stats.get("warm_start")
-    if warm is not None:
-        if warm.get("supported", True):
-            lines.append(
-                "warm-start: "
-                f"cold={warm['cold_wall_s']:.3f}s  warm={warm['warm_wall_s']:.3f}s  "
-                f"capture={warm['capture_wall_s']:.3f}s  "
-                f"speedup={warm['speedup']}x (fork per rep, results identical)"
-            )
-        else:
-            lines.append(f"warm-start: unsupported ({warm.get('reason', '?')})")
     channels = stats.get("channels")
     if channels:
         for ch in channels:
@@ -186,32 +175,6 @@ def format_engine_stats(stats: Mapping[str, float]) -> str:
             f"cancelled={tmr['cancelled']:,} ({cancel_rate:.1f}%)  "
             f"cascades={tmr['cascades']:,}"
         )
-    pdes = stats.get("pdes")
-    if pdes:
-        lines.append(
-            "pdes: "
-            f"shards={pdes.get('shards', '?')}  "
-            f"nulls={pdes.get('null_sent', 0):,} sent/"
-            f"{pdes.get('null_recv', 0):,} recv  "
-            f"frames={pdes.get('frames_out', 0):,} out/"
-            f"{pdes.get('frames_in', 0):,} in  "
-            f"blocked={pdes.get('blocked_s', 0.0):.3f}s"
-        )
-    shards = stats.get("shards")
-    if shards:
-        for sh in shards:
-            wall = sh.get("wall_s")
-            rate = sh.get("events_per_sec")
-            blocked = sh.get("blocked_s")
-            parts = [f"events={sh['events']:,}"]
-            if wall is not None:
-                parts.append(f"wall={wall:.3f}s")
-            if rate is not None:
-                parts.append(f"rate={rate:,.0f}/s")
-            if blocked is not None and wall:
-                parts.append(f"blocked={blocked:.3f}s ({100.0 * blocked / wall:.0f}%)")
-            machine = sh.get("machine") or "-"
-            lines.append(f"  shard {sh['shard']} ({machine}): " + "  ".join(parts))
     return "\n".join(lines)
 
 
@@ -221,24 +184,12 @@ def format_fault_matrix(results: Sequence[Mapping[str, object]]) -> str:
     Each result mapping needs ``cell`` (the swept {frame type x phase x
     fault kind} point), ``ok``, and the plan's ``injected`` /
     ``recovered`` / ``degraded`` counter dicts; failures carry a
-    ``detail`` string with the violated invariant.  A ``run`` column
-    shows how each cell executed: ``fork`` (warm fork of the pair
-    snapshot), ``2sh`` (two-shard PDES), ``1sh!`` (requested sharded but
-    fell back to the single simulator -- footnoted), or ``cold``.
+    ``detail`` string with the violated invariant.
     """
-    header = ["cell", "ok", "run", "injected", "recovered", "degraded", "detail"]
+    header = ["cell", "ok", "injected", "recovered", "degraded", "detail"]
 
     def _counts(d: Mapping[str, int]) -> str:
         return ",".join(f"{k}={v}" for k, v in sorted(d.items())) or "-"
-
-    def _run_mode(res: Mapping[str, object]) -> str:
-        if res.get("sharded_fallback"):
-            return "1sh!"
-        if res.get("shards", 1) > 1:
-            return f"{res['shards']}sh"
-        if res.get("warm_fork"):
-            return "fork"
-        return "cold"
 
     body = []
     for res in results:
@@ -246,7 +197,6 @@ def format_fault_matrix(results: Sequence[Mapping[str, object]]) -> str:
             [
                 str(res["cell"]),
                 "PASS" if res["ok"] else "FAIL",
-                _run_mode(res),
                 _counts(res.get("injected", {})),
                 _counts(res.get("recovered", {})),
                 _counts(res.get("degraded", {})),
@@ -262,12 +212,6 @@ def format_fault_matrix(results: Sequence[Mapping[str, object]]) -> str:
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
     npass = sum(1 for r in results if r["ok"])
     lines.append(f"{npass}/{len(results)} cells converged")
-    fallbacks = [str(r["cell"]) for r in results if r.get("sharded_fallback")]
-    if fallbacks:
-        lines.append(
-            "1sh! = sharded run requested but unsupported for this cell "
-            f"(ran unsharded): {', '.join(fallbacks)}"
-        )
     return "\n".join(lines)
 
 

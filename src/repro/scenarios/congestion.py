@@ -29,7 +29,6 @@ from repro import topology
 from repro.calibration import DEFAULT_COSTS, CostModel
 from repro.faults import PKT_LOSS, FaultPlan, FaultRule
 from repro.scenarios.registry import scenario
-from repro.topology import Cluster
 
 __all__ = [
     "loss_plan",
@@ -64,7 +63,7 @@ def xenloop_incast(
     seed: int = 0,
     n_senders: int = 4,
     data_path: str = "fifo",
-) -> Cluster:
+) -> topology.Cluster:
     """N-to-1 incast: ``n_senders`` source guests and one sink guest,
     co-resident on one Xen machine."""
     module = _module_for(data_path)
@@ -87,7 +86,7 @@ def xenloop_fairness(
     n_elephants: int = 2,
     n_mice: int = 3,
     data_path: str = "fifo",
-) -> Cluster:
+) -> topology.Cluster:
     """Elephant/mice fairness: long streams and short bursts sharing
     one sink guest on one Xen machine."""
     module = _module_for(data_path)
@@ -110,7 +109,7 @@ def loss_plan(loss: float, seed: int = 0, machine: str = "xenhost") -> FaultPlan
     return FaultPlan([rule], seed=seed)
 
 
-def _summarize(scn: Cluster, result, extra: dict) -> dict:
+def _summarize(scn: topology.Cluster, result, extra: dict) -> dict:
     from repro import trace
 
     stats = trace.engine_stats(scn.sim)

@@ -30,10 +30,7 @@ __all__ = [
     "MatrixCell",
     "fault_matrix",
     "matrix_cells",
-    "pair_snapshot",
     "run_cell",
-    "run_cell_forked",
-    "run_cell_sharded",
     "run_fault_matrix",
 ]
 
@@ -335,8 +332,8 @@ def _run_cell_on(cluster: topology.Cluster, cell: MatrixCell, seed: int) -> dict
     """Fault, drive, settle, unload, check one cell on a pre-built pair.
 
     The plan binds *after* the build, so a cell runs identically on a
-    cold build and on a fork of a post-build snapshot -- that is the
-    warm-start equivalence the fork path relies on.
+    fresh build and on a pair restored from a post-build snapshot
+    (``python -m repro snapshot replay`` relies on this).
     """
     plan = faults.FaultPlan(cell.rules, seed=seed).bind(cluster)
     received = _exercise_cell(cluster, cell)
@@ -359,159 +356,15 @@ def _run_cell_on(cluster: topology.Cluster, cell: MatrixCell, seed: int) -> dict
 
 
 def run_cell(cell: MatrixCell, costs: CostModel = MATRIX_COSTS, seed: int = 0) -> dict:
-    """Build, fault, drive, settle, unload, check one cell (cold)."""
+    """Build, fault, drive, settle, unload, check one cell."""
     cluster = _build_pair(costs, seed, machines=cell.machines, pin_mac=cell.pin_mac)
     return _run_cell_on(cluster, cell, seed)
 
 
-def pair_snapshot(
-    costs: CostModel = MATRIX_COSTS,
-    seed: int = 0,
-    machines: int = 1,
-    pin_mac: bool = False,
-):
-    """Capture the post-build pair as a forkable, recipe-backed
-    :class:`~repro.sim.snapshot.SimSnapshot` (the warm-start image every
-    cell with the same ``(machines, pin_mac)`` build forks from)."""
-    from repro.sim.snapshot import SimSnapshot, fault_pair_recipe
-
-    recipe = fault_pair_recipe(
-        costs=costs, seed=seed, machines=machines, pin_mac=pin_mac
-    )
-    cluster = _build_pair(costs, seed, machines=machines, pin_mac=pin_mac)
-    return SimSnapshot.capture(
-        cluster,
-        recipe=recipe,
-        label=f"fault-pair machines={machines} pin_mac={pin_mac} seed={seed}",
-    )
-
-
-def run_cell_forked(cell: MatrixCell, snapshot, seed: int = 0) -> dict:
-    """Run one cell against a fork of a :func:`pair_snapshot`.
-
-    The child is a copy-on-write image of the already-built pair, so the
-    per-cell build cost is paid once per snapshot instead of once per
-    cell; results are bit-identical to :func:`run_cell` (same seed, same
-    event stream) and carry ``warm_fork: True``.
-    """
-    result = snapshot.fork(lambda cluster: _run_cell_on(cluster, cell, seed))
-    result["warm_fork"] = True
-    return result
-
-
-#: sim-time horizon the guestless peer shard idles out to under the
-#: sharded matrix.  Comfortably past the traffic shard's completion
-#: (~4.5 s with fault delays); cheap to overshoot -- the traffic shard's
-#: FIN lifts the peer's horizon to infinity and it fast-forwards.
-_SHARD_HORIZON = N_DATAGRAMS * GAP + SETTLE + 4.5
-
-
-def run_cell_sharded(cell: MatrixCell, costs: CostModel = MATRIX_COSTS, seed: int = 0) -> dict:
-    """One cell under the 2-shard PDES mode of :mod:`repro.sim.pdes`.
-
-    The pair topology always gets the second (guestless, discovery-only)
-    machine here, and the two machines run as separate shard processes:
-    fault injection, recovery, and the leak invariants are exercised
-    with the conservative null-message protocol between them.  The
-    traffic shard (the one holding vm1/vm2) runs the same drive /
-    settle / unload sequence as :func:`run_cell`; the peer shard idles
-    its Dom0 discovery out to a fixed horizon and then runs the same
-    invariant checks on its side.
-
-    ``migrate:*`` cells fall back to :func:`run_cell`: live migration
-    across shard processes would move a guest between simulators, which
-    the sharded mode rejects by design.
-    """
-    from repro.sim import pdes
-
-    if any(rule.kind == faults.MIGRATE for rule in cell.rules):
-        result = run_cell(cell, costs, seed=seed)
-        result["shards"] = 1
-        result["sharded_fallback"] = True
-        result["detail"] = (
-            result["detail"] or "cross-shard migration unsupported; ran unsharded"
-        )
-        return result
-
-    spec = _pair_spec(machines=2, pin_mac=cell.pin_mac)
-
-    def script(cluster: topology.Cluster) -> dict:
-        if "vm1" in cluster.guests:
-            received = _exercise_cell(cluster, cell)
-            problems = _check_invariants(cluster, received, N_DATAGRAMS, cell)
-            return {"received": received, "problems": problems}
-        # Guestless peer shard: keep Dom0 discovery alive (and the
-        # null-message protocol promising) past the traffic shard's
-        # lifetime, then run the leak checks on this side too.
-        cluster.sim.run(until=_SHARD_HORIZON)
-        problems = _check_invariants(cluster, 0, 0, cell)
-        return {"received": None, "problems": problems}
-
-    sharded = pdes.run_sharded(
-        spec,
-        shards=2,
-        costs=costs,
-        seed=seed,
-        script=script,
-        fault_rules=cell.rules,
-        fault_seed=seed,
-    )
-    problems = [p for res in sharded.results for p in res["problems"]]
-    received = next(
-        res["received"] for res in sharded.results if res["received"] is not None
-    )
-    snap = sharded.stats.get("faults") or {"injected": {}, "recovered": {}, "degraded": {}}
-    return {
-        "cell": cell.name,
-        "ok": not problems,
-        "detail": "; ".join(problems),
-        "injected": snap["injected"],
-        "recovered": snap["recovered"],
-        "degraded": snap["degraded"],
-        "received": received,
-        "sent": N_DATAGRAMS,
-        "events": sharded.stats["events"],
-        "shards": 2,
-    }
-
-
-def run_fault_matrix(
-    costs: CostModel = MATRIX_COSTS,
-    seed: int = 0,
-    shards: int = 1,
-    warm: bool = True,
-) -> list[dict]:
-    """Run every cell of the sweep; returns one result dict per cell.
-
-    The default (``shards=1, warm=True``) builds the two-guest pair
-    ONCE per distinct ``machines`` count, snapshots it, and forks every
-    cell from the warm image (:func:`run_cell_forked`) -- results are
-    bit-identical to the cold path, the build cost is amortised across
-    the sweep.  ``warm=False`` (or a platform without ``os.fork``)
-    restores the classic cold build per cell; ``shards=2`` runs each
-    cell under the two-shard PDES mode (see :func:`run_cell_sharded`),
-    where each shard rebuilds its own slice and warm forking does not
-    apply.
-    """
-    if shards > 1:
-        return [run_cell_sharded(cell, costs, seed=seed) for cell in matrix_cells()]
-
-    from repro.sim.snapshot import HAS_FORK
-
-    if not (warm and HAS_FORK):
-        return [run_cell(cell, costs, seed=seed) for cell in matrix_cells()]
-
-    snapshots: dict[tuple, object] = {}
-    results = []
-    for cell in matrix_cells():
-        key = (cell.machines, cell.pin_mac)
-        snap = snapshots.get(key)
-        if snap is None:
-            snap = snapshots[key] = pair_snapshot(
-                costs, seed=seed, machines=cell.machines, pin_mac=cell.pin_mac
-            )
-        results.append(run_cell_forked(cell, snap, seed=seed))
-    return results
+def run_fault_matrix(costs: CostModel = MATRIX_COSTS, seed: int = 0) -> list[dict]:
+    """Run every cell of the sweep (a fresh pair per cell); returns one
+    result dict per cell."""
+    return [run_cell(cell, costs, seed=seed) for cell in matrix_cells()]
 
 
 @scenario(description="Two XenLoop guests with a recoverable fault plan bound.")

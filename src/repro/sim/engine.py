@@ -456,8 +456,7 @@ class Simulator:
         RNG bit-generator state, and a summary of the pending calendar
         (sizes plus the (time, seq, kind) triple of every entry).  Live
         coroutines cannot be serialized -- process continuation relies
-        on :meth:`repro.sim.snapshot.SimSnapshot.fork` (OS-level fork)
-        or deterministic replay; this dict is the *identity* of the
+        on deterministic replay; this dict is the *identity* of the
         simulator state, used for digests, inspection, and drift checks.
         """
         from repro.sim.rng import rng_state
@@ -636,63 +635,6 @@ class Simulator:
         finally:
             self._event_count += count
         self.now = until
-
-    def run_bounded(self, limit: float, stop: Optional[Process] = None) -> bool:
-        """Process every event with ``time <= limit``; never advances
-        ``now`` past the last processed event.
-
-        This is the shard-aware inner loop used by the conservative-PDES
-        layer (:mod:`repro.sim.pdes`): a shard may only execute events up
-        to its current safe-time horizon, so unlike :meth:`run` the clock
-        is left at the last event processed -- the caller owns the
-        decision to advance ``now`` to the horizon (or inject imported
-        events first).  With ``stop`` given, processing also halts the
-        moment that process completes (checked before each pop, exactly
-        like :meth:`run_until_complete`).  Returns True iff ``stop``
-        completed.  Same pop-then-restore structure as :meth:`run`.
-        """
-        ready = self._ready
-        queue = self._queue
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        popleft = ready.popleft
-        pending = PENDING
-        wheel = self._wheel
-        count = 0
-        try:
-            while True:
-                if stop is not None and stop._state != pending:
-                    return True
-                if wheel is None:
-                    wheel = self._wheel
-                whead = wheel.head() if (wheel is not None and wheel._live) else None
-                if whead is not None and whead.time > limit:
-                    whead = None
-                entry = None
-                if ready and (not queue or ready[0] < queue[0]):
-                    if whead is None or not (whead.key < ready[0]):
-                        entry = popleft()
-                        if entry[0] > limit:
-                            ready.appendleft(entry)
-                            break
-                elif queue:
-                    if whead is None or not (whead.key < queue[0]):
-                        entry = heappop(queue)
-                        if entry[0] > limit:
-                            heappush(queue, entry)
-                            break
-                elif whead is None:
-                    break
-                count += 1
-                if entry is not None:
-                    self.now = entry[0]
-                    entry[2]._process()
-                else:
-                    self.now = whead.time
-                    wheel.pop_head()._process()
-        finally:
-            self._event_count += count
-        return stop is not None and stop._state != pending
 
     def run_until_complete(self, process: Process, timeout: Optional[float] = None) -> Any:
         """Run until ``process`` finishes and return its value.

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["make_rng", "make_shard_seeds", "rng_state", "set_rng_state"]
+__all__ = ["make_rng", "rng_state", "set_rng_state"]
 
 DEFAULT_SEED = 0x5EED
 
@@ -45,31 +45,6 @@ def make_rng(seed=None) -> np.random.Generator:
     """Return a numpy Generator seeded deterministically.
 
     ``None`` maps to the project-wide default seed (not OS entropy) --
-    simulations must be reproducible by default.  ``seed`` may also be a
-    :class:`numpy.random.SeedSequence` (the per-shard streams handed out
-    by :func:`make_shard_seeds`).
+    simulations must be reproducible by default.
     """
     return np.random.default_rng(DEFAULT_SEED if seed is None else seed)
-
-
-def make_shard_seeds(seed: int | None, n_shards: int) -> list:
-    """Derive one independent seed per simulation shard.
-
-    A sharded run (:mod:`repro.sim.pdes`) gives every shard its own RNG
-    stream.  Two properties matter:
-
-    * ``n_shards == 1`` returns ``[seed]`` unchanged, so the one-shard
-      path seeds its simulator exactly like an unsharded run and stays
-      bit-identical to the pinned goldens.
-    * ``n_shards > 1`` spawns children from a single
-      :class:`numpy.random.SeedSequence` rooted at ``seed``.  Spawned
-      sequences are collision-free by construction (each child extends
-      the parent's entropy with a unique spawn key), so no two shards --
-      for any shard count -- ever draw the same stream.
-    """
-    if n_shards < 1:
-        raise ValueError(f"need at least one shard, not {n_shards}")
-    base = DEFAULT_SEED if seed is None else seed
-    if n_shards == 1:
-        return [base]
-    return list(np.random.SeedSequence(base).spawn(n_shards))

@@ -1,39 +1,30 @@
-"""Checkpoint/warm-start forking of simulator state.
+"""Checkpoints of simulator state: capture, persist, replay.
 
-Every fault-matrix cell, bench repetition, and sweep point used to pay
-the full cluster warmup (discovery, handshake, ARP, channel bootstrap)
-from scratch.  This module makes that a one-time cost: build and warm a
-cluster once, :meth:`SimSnapshot.capture` it, then :meth:`~SimSnapshot.fork`
-it into as many independent experiments as needed -- the gem5
-checkpoint trick, adapted to a generator-coroutine engine.
+A snapshot pins down exactly where a simulation stands so a failing
+fault cell or a surprising bench result can be replayed bit for bit
+later, in another process or on another day.
 
-Two layers, because the engine's processes are live Python generators
-(which CPython cannot pickle or deep-copy):
+The engine's processes are live Python generators, which CPython cannot
+pickle or deep-copy, so a snapshot stores the *recipe* that built the
+simulator rather than the live objects:
 
-**Live forking** (:meth:`SimSnapshot.fork`)
-    ``os.fork()`` duplicates the whole interpreter image -- generator
-    frames, calendar heap, FIFO pages, everything -- so the child IS
-    the captured simulator, bit for bit, at zero serialization cost.
-    The child runs a caller-supplied function against the cluster and
-    returns its (picklable) result over a pipe; the parent's copy is
-    never touched, so one snapshot forks any number of identical
-    children.  A guard digest of ``(now, seq, event_count)`` refuses to
-    fork from a parent that ran past the capture point.
+* :meth:`SimSnapshot.capture` walks every subsystem's
+  ``snapshot_state()`` into one canonical-JSON tree with a sha256
+  digest.  Capturing is read-only, so the cluster keeps running exactly
+  as it would have.
+* :meth:`~SimSnapshot.save` / :meth:`~SimSnapshot.load` persist a
+  versioned JSON manifest holding the build recipe (scenario name or
+  fault-pair shape, cost model, seed, warm steps), the state tree and
+  its digest.
+* :meth:`~SimSnapshot.restore` re-executes the recipe -- deterministic
+  replay -- then re-captures and verifies the digest, so code drift or
+  nondeterminism since the save surfaces as :class:`SnapshotMismatch`
+  instead of silently different results.
 
-**Persistent manifests** (:meth:`~SimSnapshot.save` / :meth:`~SimSnapshot.load`
-/ :meth:`~SimSnapshot.restore`)
-    A versioned JSON document holding the build *recipe* (scenario name
-    or fault-pair shape, cost model, seed, warm steps), the captured
-    state tree (every subsystem's ``snapshot_state()``), and a sha256
-    digest over that tree.  ``restore()`` re-executes the recipe --
-    deterministic replay -- then re-captures and verifies the digest,
-    so code drift or nondeterminism since the save surfaces as
-    :class:`SnapshotMismatch` instead of silently different results.
-
-Determinism contract: a child forked from a post-warmup snapshot, run
-with the same seed and workload, is bit-identical to a cold run that
-warmed up and continued in one process -- pinned against the golden
-counters in ``tests/integration/test_snapshot_fork.py``.
+Determinism contract: a restored cluster, run with the same seed and
+workload, is bit-identical to one that was built and continued in one
+process -- pinned against the golden counters in
+``tests/integration/test_snapshot_fork.py``.
 """
 
 from __future__ import annotations
@@ -41,19 +32,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
-import pickle
-import traceback
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 __all__ = [
-    "HAS_FORK",
     "SNAPSHOT_FORMAT",
     "SimSnapshot",
     "SnapshotError",
-    "SnapshotForkError",
     "SnapshotMismatch",
-    "SnapshotStale",
     "build_from_recipe",
     "capture_state",
     "fault_pair_recipe",
@@ -65,26 +50,12 @@ __all__ = [
 #: shape so a stale manifest fails loudly instead of digest-mismatching.
 SNAPSHOT_FORMAT = 1
 
-#: live forking needs a POSIX fork (the PDES shard runner already does;
-#: platforms without it can still save/restore/inspect manifests).
-HAS_FORK = hasattr(os, "fork")
-
-
 class SnapshotError(RuntimeError):
     """Base error for the snapshot subsystem."""
 
 
 class SnapshotMismatch(SnapshotError):
     """Deterministic replay of the recipe reached a different state."""
-
-
-class SnapshotStale(SnapshotError):
-    """The live simulator ran past the capture point; forking from it
-    would not reproduce the snapshot."""
-
-
-class SnapshotForkError(SnapshotError):
-    """A forked child raised; carries the child's traceback text."""
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +84,7 @@ def capture_state(cluster) -> dict:
 
     Strictly read-only: nothing is scheduled, run, or mutated, so
     capturing is safe at any quiescent point (between ``run`` calls)
-    and a forked child continues exactly as the parent would have.
+    and the cluster continues exactly as it would have uncaptured.
     """
     state: dict = {"sim": cluster.sim.snapshot_state()}
 
@@ -281,50 +252,6 @@ def build_from_recipe(recipe: dict):
 
 
 # ---------------------------------------------------------------------------
-# Live forking
-# ---------------------------------------------------------------------------
-
-def _fork_call(fn: Callable[[], Any]) -> Any:
-    """Run ``fn`` in a forked child; return its pickled result.
-
-    The child exits with ``os._exit`` so the parent's buffered output,
-    atexit hooks, and pytest machinery never run twice.  Exceptions in
-    the child come back as :class:`SnapshotForkError` with the child's
-    traceback text.
-    """
-    if not HAS_FORK:
-        raise SnapshotError("live forking needs os.fork (POSIX only)")
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # child
-        os.close(read_fd)
-        code = 0
-        try:
-            payload = pickle.dumps((True, fn()))
-        except BaseException:
-            code = 1
-            try:
-                payload = pickle.dumps((False, traceback.format_exc()))
-            except Exception:
-                payload = pickle.dumps((False, "child failed; traceback unpicklable"))
-        try:
-            with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write(payload)
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    with os.fdopen(read_fd, "rb") as pipe:
-        data = pipe.read()
-    os.waitpid(pid, 0)
-    if not data:
-        raise SnapshotForkError("forked child died before returning a result")
-    ok, result = pickle.loads(data)
-    if not ok:
-        raise SnapshotForkError(f"forked child raised:\n{result}")
-    return result
-
-
-# ---------------------------------------------------------------------------
 # The snapshot object
 # ---------------------------------------------------------------------------
 
@@ -332,9 +259,9 @@ def _fork_call(fn: Callable[[], Any]) -> Any:
 class SimSnapshot:
     """A captured simulator: state tree + digest + rebuild recipe.
 
-    Holding a live ``cluster`` reference enables :meth:`fork`; a
-    snapshot loaded from disk has no live cluster until :meth:`restore`
-    replays the recipe (and verifies the digest).
+    ``cluster`` is the live cluster the snapshot was captured from; a
+    snapshot loaded from disk has none until :meth:`restore` replays
+    the recipe (and verifies the digest).
     """
 
     state: dict
@@ -350,8 +277,7 @@ class SimSnapshot:
     # -- capture ---------------------------------------------------------
     @classmethod
     def capture(cls, cluster, recipe: Optional[dict] = None, label: str = "") -> "SimSnapshot":
-        """Capture a live cluster (read-only; the cluster keeps running
-        as the fork parent)."""
+        """Capture a live cluster (read-only; the cluster keeps running)."""
         state = capture_state(cluster)
         sim = cluster.sim
         return cls(
@@ -364,38 +290,6 @@ class SimSnapshot:
             label=label,
             cluster=cluster,
         )
-
-    # -- live forking ----------------------------------------------------
-    def _live_cluster(self):
-        cluster = self.cluster
-        if cluster is None:
-            cluster = self.restore()
-        sim = cluster.sim
-        live = (sim.now, sim._seq, sim.event_count)
-        captured = (self.sim_time, self.seq, self.event_count)
-        if live != captured:
-            raise SnapshotStale(
-                f"parent simulator moved past the capture point: "
-                f"(now, seq, events) {live} != captured {captured}"
-            )
-        return cluster
-
-    def fork(self, fn: Callable[[Any], Any]) -> Any:
-        """Run ``fn(cluster)`` against a forked copy of the snapshot.
-
-        The parent's simulator is untouched; every call forks the same
-        captured state, so N calls yield N independent, bit-identical
-        replays.  ``fn``'s return value must be picklable.
-        """
-        cluster = self._live_cluster()
-        return _fork_call(lambda: fn(cluster))
-
-    def fork_many(self, fns) -> list:
-        """Fork one child per callable, sequentially, returning their
-        results in order (sequential keeps output deterministic and
-        suits the single-core container; children are independent, so a
-        parallel variant only changes wall time, never results)."""
-        return [self.fork(fn) for fn in fns]
 
     # -- persistence -----------------------------------------------------
     def manifest(self) -> dict:

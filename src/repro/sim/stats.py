@@ -10,7 +10,7 @@ of requests per run, so percentile machinery has to be O(1) per sample
 with bounded memory.  :class:`LogHistogram` is the HDR-histogram-shaped
 answer: fixed log-spaced buckets (128 sub-buckets per power of two),
 O(1) ``record``, O(buckets) ``percentile``, exact count/mean/min/max,
-and element-wise mergeable across shards and forked reps.  The bucket
+and element-wise mergeable across probes and reps.  The bucket
 index is a pure function of the value, so goldens can pin *bucket
 indices* (exactly stable across platforms) rather than floats.
 
@@ -106,8 +106,8 @@ class LogHistogram:
     * count/total/min/max are tracked exactly: ``mean`` is exact, and
       ``percentile(0)`` / ``percentile(100)`` return the exact min/max.
     * two histograms merge by element-wise bucket addition
-      (:meth:`merge` is associative and commutative), so shards and
-      forked reps combine without precision loss.
+      (:meth:`merge` is associative and commutative), so probes and
+      reps combine without precision loss.
     """
 
     #: documented relative-error bound of percentile() vs an exact

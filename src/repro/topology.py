@@ -35,6 +35,7 @@ Example -- eight guests across two Xen machines with a workload::
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -47,7 +48,7 @@ from repro.net.nic import EthernetSwitch, PhysNIC
 from repro.net.node import Node
 from repro.net.stack import NetworkStack
 from repro.sim.engine import Simulator
-from repro.xen.machine import Machine, XenMachine, reset_guest_mac_counter
+from repro.xen.machine import Machine, XenMachine
 
 __all__ = [
     "ChurnAction",
@@ -56,8 +57,6 @@ __all__ = [
     "GuestSpec",
     "MachineSpec",
     "WorkloadSpec",
-    "build_shard",
-    "shard_guest_mac_offset",
 ]
 
 #: OUI base for auto-assigned physical NIC MACs (matches the paper
@@ -159,7 +158,8 @@ class ChurnAction:
 
 
 # Import here to avoid a cycle at module-import time: scenarios.base
-# imports nothing from topology, but scenarios/__init__ re-exports both.
+# imports nothing from topology, but importing it runs scenarios/__init__,
+# whose builder modules refer to ``topology.Cluster`` only at call time.
 from repro.scenarios.base import Scenario  # noqa: E402
 
 
@@ -196,13 +196,13 @@ class Cluster(Scenario):
             for m in endpoint_modules
         )
 
-    # -- checkpoint / warm-start ---------------------------------------
+    # -- checkpoint / replay -------------------------------------------
     def snapshot(self, recipe: Optional[dict] = None, label: str = "") -> "object":
         """Capture this cluster as a :class:`~repro.sim.snapshot.SimSnapshot`.
 
-        The returned snapshot can ``fork()`` live copies (same-seed runs
-        are bit-identical to a cold build) and, when built from a
-        ``recipe``, ``save()``/``restore()`` across processes.
+        The capture is read-only: the cluster keeps running exactly as it
+        would have.  When built from a ``recipe``, the snapshot can
+        ``save()``/``restore()`` across processes (digest-verified replay).
         """
         from repro.sim.snapshot import SimSnapshot
 
@@ -391,56 +391,32 @@ class ClusterSpec:
         return (names[0], names[1]) if len(names) > 1 else (names[0], names[0])
 
     # -- construction --------------------------------------------------
-    def build(
-        self,
-        costs: CostModel = DEFAULT_COSTS,
-        seed: int = 0,
-        *,
-        _sim: Optional[Simulator] = None,
-        _switch: Optional[EthernetSwitch] = None,
-        _local: Optional[set] = None,
-        _phys_mac_base: int = _PHYS_MAC_BASE,
-        _guest_mac_base: int = 1,
-    ) -> Cluster:
-        """Materialise the cluster (fixed phase order; see module doc).
-
-        The underscored keywords are the sharded-build hooks used by
-        :func:`build_shard` (never by user code): ``_sim`` injects a
-        pre-made simulator, ``_switch`` a pre-made uplink (the
-        :class:`~repro.net.nic.ShardLink`), ``_local`` restricts
-        construction to the named machines, and ``_phys_mac_base``
-        offsets auto-assigned physical MACs so a shard allocates exactly
-        the addresses its machines would have received in the unsharded
-        build, and ``_guest_mac_base`` rebases the auto guest-MAC
-        counter the same way.  All default to the historical behaviour,
-        so the ordinary path is byte-for-byte unchanged.
-        """
-        # Rebase the process-global guest MAC counter so same-seed builds
-        # are bit-identical no matter how many clusters this process has
-        # already built (snapshot digests depend on this).
-        reset_guest_mac_counter(_guest_mac_base)
-        sim = Simulator(seed=seed) if _sim is None else _sim
-        if _switch is not None:
-            switch = _switch
-        else:
-            switch = EthernetSwitch(sim, costs) if self.needs_switch() else None
+    def build(self, costs: CostModel = DEFAULT_COSTS, seed: int = 0) -> Cluster:
+        """Materialise the cluster (fixed phase order; see module doc)."""
+        sim = Simulator(seed=seed)
+        switch = EthernetSwitch(sim, costs) if self.needs_switch() else None
+        # Auto guest MACs are numbered per cluster, across all machines,
+        # so same-seed builds are bit-identical whatever this process
+        # built before (snapshot digests depend on this).
+        guest_macs = itertools.count(1)
 
         # Phase 1: machine shells (constructors spawn no processes).
         machines: list[tuple[MachineSpec, object]] = []
         for mspec in self.machines:
-            if _local is not None and mspec.name not in _local:
-                continue
-            cls = XenMachine if mspec.kind == "xen" else Machine
-            machines.append((mspec, cls(sim, costs, mspec.name, n_cores=mspec.n_cores)))
+            if mspec.kind == "xen":
+                machine = XenMachine(
+                    sim, costs, mspec.name, n_cores=mspec.n_cores, guest_macs=guest_macs
+                )
+            else:
+                machine = Machine(sim, costs, mspec.name, n_cores=mspec.n_cores)
+            machines.append((mspec, machine))
 
         # Phase 2: network attachment, per machine in declaration order.
         # Xen machines join the switch through Dom0's bridge; native
         # machines get their host nodes, stacks and (switched) NICs here.
-        # IPs are allocated from the FULL spec even under ``_local``:
-        # a guest keeps its global 10.0.0.<n> address in every shard.
         ips = {gspec.name: ip for gspec, ip in _ip_allocator(self)}
         guests: dict[str, Node] = {}
-        next_phys_mac = _phys_mac_base
+        next_phys_mac = _PHYS_MAC_BASE
 
         def _phys_mac(override: Optional[str]) -> MacAddr:
             nonlocal next_phys_mac
@@ -514,32 +490,19 @@ class ClusterSpec:
                 )
 
         end_a, end_b = self.resolved_endpoints()
-        if _local is not None and (end_a not in guests or end_b not in guests):
-            # Shard build without the declared endpoints: aim both at
-            # the first local guest (workload views re-aim per pair), or
-            # at nothing for a guestless shard (discovery-only Dom0).
-            local_names = list(guests)
-            end_a = end_b = local_names[0] if local_names else None
-        if end_a is None:
-            node_a = node_b = ip_a = ip_b = None
-            expect_channels = True
-        else:
-            node_a, node_b = guests[end_a], guests[end_b]
-            ip_a, ip_b = ips[end_a], ips[end_b]
-            expect_channels = self._resolve_expect_channels(modules, end_a, end_b)
         return Cluster(
             name=self.name,
             sim=sim,
             costs=costs,
-            node_a=node_a,
-            node_b=node_b,
-            ip_a=ip_a,
-            ip_b=ip_b,
+            node_a=guests[end_a],
+            node_b=guests[end_b],
+            ip_a=ips[end_a],
+            ip_b=ips[end_b],
             machines=[m for _, m in machines],
             switch=switch,
             modules=modules,
             discovery=discoveries[0] if discoveries else None,
-            expect_channels=expect_channels,
+            expect_channels=self._resolve_expect_channels(modules, end_a, end_b),
             spec=self,
             guests=guests,
             machines_by_name={mspec.name: m for mspec, m in machines},
@@ -573,65 +536,6 @@ def _module_class(kind: str):
 
         return SocketBypassModule
     raise ValueError(f"unknown guest module {kind!r}")
-
-
-def shard_guest_mac_offset(spec: ClusterSpec, shard_index: int) -> int:
-    """Auto guest MACs consumed before ``machines[shard_index]`` builds.
-
-    The unsharded build creates Xen guests in global declaration order,
-    consuming one auto-MAC each (spec-pinned MACs never touch the
-    counter); a shard rebases the process-global counter by this offset
-    so every guest gets the same MAC it would have had unsharded (see
-    :func:`build_shard`)."""
-    return sum(
-        1
-        for mspec in spec.machines[:shard_index]
-        if mspec.kind == "xen"
-        for gspec in mspec.guests
-        if gspec.mac is None
-    )
-
-
-def _phys_mac_consumed(spec: ClusterSpec, shard_index: int) -> int:
-    """Auto physical-NIC MACs consumed before ``machines[shard_index]``.
-
-    Mirrors Phase 2 of :meth:`ClusterSpec.build`: one per Xen machine,
-    one per guest of a native machine, skipping explicit ``nic_mac``
-    overrides (which never touch the allocator)."""
-    count = 0
-    for mspec in spec.machines[:shard_index]:
-        if mspec.nic_mac is not None:
-            continue
-        count += 1 if mspec.kind == "xen" else len(mspec.guests)
-    return count
-
-
-def build_shard(
-    spec: ClusterSpec,
-    shard_index: int,
-    costs: CostModel,
-    sim: Simulator,
-    uplink: EthernetSwitch,
-) -> Cluster:
-    """Build the shard-local slice of ``spec``: machine
-    ``machines[shard_index]`` only, wired to ``uplink`` (a
-    :class:`~repro.net.nic.ShardLink`) in place of the cluster switch.
-
-    Address identity is preserved against the unsharded build -- same
-    IPs (global-position allocator), same guest MACs (counter rebased by
-    global guest position), same physical MACs (base offset by the
-    machines built on earlier shards) -- so traces and ARP/discovery
-    behaviour are comparable across shard counts.
-    """
-    mspec = spec.machines[shard_index]
-    return spec.build(
-        costs,
-        _sim=sim,
-        _switch=uplink,
-        _local={mspec.name},
-        _phys_mac_base=_PHYS_MAC_BASE + _phys_mac_consumed(spec, shard_index),
-        _guest_mac_base=shard_guest_mac_offset(spec, shard_index) + 1,
-    )
 
 
 def _ip_allocator(spec: ClusterSpec):

@@ -30,7 +30,6 @@ __all__ = [
     "engine_stats",
     "hops",
     "mark",
-    "merge_shard_stats",
     "traced_ping",
     "traced_ping_by_name",
 ]
@@ -173,78 +172,6 @@ def engine_stats(sim, wall_s: Optional[float] = None) -> dict:
     if wheel is not None and wheel.scheduled:
         stats["timers"] = wheel.counters()
     return stats
-
-
-def _sum_dicts(dicts: list) -> dict:
-    """Key-wise sum of numeric counter dicts (keys unioned, order kept)."""
-    out: dict = {}
-    for d in dicts:
-        for key, value in d.items():
-            if isinstance(value, (int, float)):
-                out[key] = out.get(key, 0) + value
-            elif isinstance(value, dict):
-                out[key] = _sum_dicts([out.get(key, {}), value])
-    return out
-
-
-def merge_shard_stats(entries: list, wall_s: Optional[float] = None) -> dict:
-    """Merge per-shard worker entries from a sharded run into one
-    :func:`engine_stats`-shaped dict.
-
-    ``entries`` are the per-shard dicts produced by
-    :func:`repro.sim.pdes.run_sharded` (each carries ``stats`` -- an
-    engine_stats snapshot taken inside the worker -- plus optional
-    ``pdes`` synchronization counters).  Events and all
-    serialization/notify/fault counters sum across shards; ``sim_time``
-    is the max (shards advance to the same horizon, but a guestless
-    shard may stop earlier).  ``wall_s`` defaults to the slowest shard's
-    wall clock (the parallel-region critical path); pass the parent's
-    measured wall to include fork/build overhead.  The returned dict
-    adds ``pdes`` (summed null/frame/stall counters) and ``shards``
-    (per-shard one-line summaries) sub-dicts.
-    """
-    stats_list = [e["stats"] for e in entries]
-    events = sum(s["events"] for s in stats_list)
-    if wall_s is None:
-        walls = [s.get("wall_s") for s in stats_list if s.get("wall_s") is not None]
-        wall_s = max(walls) if walls else None
-    merged: dict = {
-        "events": events,
-        "sim_time": max(s["sim_time"] for s in stats_list),
-    }
-    if wall_s is not None:
-        merged["wall_s"] = wall_s
-        merged["events_per_sec"] = events / wall_s if wall_s > 0 else 0.0
-    merged["serialization"] = _sum_dicts([s.get("serialization", {}) for s in stats_list])
-    merged["notify"] = _sum_dicts([s.get("notify", {}) for s in stats_list])
-    channels = [ch for s in stats_list for ch in s.get("channels", ())]
-    if channels:
-        merged["channels"] = channels
-    faults = [s["faults"] for s in stats_list if "faults" in s]
-    if faults:
-        merged["faults"] = _sum_dicts(faults)
-    for key in ("serving", "timers"):
-        subs = [s[key] for s in stats_list if key in s]
-        if subs:
-            merged[key] = _sum_dicts(subs)
-    pdes_list = [e["pdes"] for e in entries if e.get("pdes")]
-    merged["pdes"] = _sum_dicts(
-        [{k: v for k, v in p.items() if k != "shard"} for p in pdes_list]
-    )
-    merged["pdes"]["shards"] = len(entries)
-    merged["shards"] = [
-        {
-            "shard": e["shard"],
-            "machine": e.get("machine"),
-            "events": e["stats"]["events"],
-            "sim_time": e["stats"]["sim_time"],
-            "wall_s": e["stats"].get("wall_s"),
-            "events_per_sec": e["stats"].get("events_per_sec"),
-            **{k: v for k, v in (e.get("pdes") or {}).items() if k != "shard"},
-        }
-        for e in entries
-    ]
-    return merged
 
 
 def traced_ping(scenario: "Scenario", size: int = 56) -> list[tuple[str, float]]:

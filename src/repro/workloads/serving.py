@@ -69,7 +69,7 @@ class ServingProbe:
             self.deadline = Deadline(self.slo, name=self.name)
 
     def counters(self) -> dict:
-        """Flat numeric summary (sums cleanly across shards/forks)."""
+        """Flat numeric summary (sums cleanly across probes)."""
         return {
             "offered": self.offered,
             "completed": self.completed,

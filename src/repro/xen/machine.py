@@ -9,8 +9,7 @@ split-driver network wiring.
 from __future__ import annotations
 
 import itertools
-
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.calibration import CostModel
 from repro.net.addr import IPv4Addr, MacAddr
@@ -25,26 +24,6 @@ from repro.xen.hypervisor import Hypervisor
 from repro.xen.xenstore import XenStore
 
 __all__ = ["Machine", "XenMachine"]
-
-#: global counter for auto-assigned guest MACs -- they must be unique
-#: across *machines* (xend randomizes within the Xen OUI; a collision
-#: would confuse every bridge and ARP cache on the segment).
-_mac_counter = itertools.count(1)
-
-
-def reset_guest_mac_counter(start: int = 1) -> None:
-    """Rebase the auto-assigned guest MAC counter.
-
-    The counter is process-global, so a forked shard worker inherits
-    whatever state the parent left behind.  Each worker rebases it to
-    its shard's global guest-position offset before building (see
-    :func:`repro.topology.build_shard`): every guest then gets the same
-    MAC it would have received in the equivalent unsharded build, and
-    workers can never collide with each other.
-    """
-    global _mac_counter
-    _mac_counter = itertools.count(start)
-
 
 class Machine:
     """Bare hardware: CPU cores and a name."""
@@ -62,7 +41,14 @@ class Machine:
 class XenMachine(Machine):
     """A machine running the Xen hypervisor with Dom0 and a software bridge."""
 
-    def __init__(self, sim: Simulator, costs: CostModel, name: str, n_cores: int = 2):
+    def __init__(
+        self,
+        sim: Simulator,
+        costs: CostModel,
+        name: str,
+        n_cores: int = 2,
+        guest_macs: Optional[Iterator[int]] = None,
+    ):
         super().__init__(sim, costs, name, n_cores)
         self.hypervisor = Hypervisor(sim, costs)
         self.xenstore = XenStore()
@@ -70,6 +56,12 @@ class XenMachine(Machine):
         self.hypervisor.register_domain(self.dom0)
         self.bridge = Bridge(self.dom0, name=f"{name}.xenbr0")
         self.nic: Optional[PhysNIC] = None
+        #: source of auto-assigned guest MAC suffixes.  Guest MACs must be
+        #: unique across every machine on the segment (xend randomizes
+        #: within the Xen OUI; a collision would confuse every bridge and
+        #: ARP cache), so machines sharing a segment share one counter;
+        #: a machine given none numbers its own guests.
+        self.guest_macs = itertools.count(1) if guest_macs is None else guest_macs
 
     @property
     def domains(self) -> dict[int, Domain]:
@@ -113,7 +105,7 @@ class XenMachine(Machine):
         self.xenstore.write(0, f"/local/domain/{domid}/name", name)
         if ip is not None:
             if mac is None:
-                mac = MacAddr(0x00163E000000 + next(_mac_counter))  # Xen OUI
+                mac = MacAddr(0x00163E000000 + next(self.guest_macs))  # Xen OUI
             guest.mac = mac
             guest.ip = ip
             NetworkStack(guest, ip, prefix_len=prefix_len)

@@ -57,7 +57,7 @@ class XenStore:
 
     def snapshot_state(self) -> dict:
         """The full tree as nested ``{value, children}`` dicts, plus the
-        watch count (callbacks are live objects; fork preserves them)."""
+        watch count (callbacks are live objects; a restore rebuilds them by replay)."""
 
         def _node(node: _TreeNode) -> dict:
             return {

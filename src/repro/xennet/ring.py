@@ -69,7 +69,7 @@ class SlottedRing:
     def snapshot_state(self) -> dict:
         """Ring occupancy, counters, and notify-arming flags for the
         snapshot manifest (slot payloads are live objects owned by
-        netfront/netback and are preserved by process-level fork)."""
+        netfront/netback; a restore rebuilds them by replay)."""
         return {
             "size": self.size,
             "queued_requests": len(self._requests),

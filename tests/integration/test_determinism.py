@@ -3,7 +3,6 @@
 import pytest
 
 from repro import scenarios
-from repro.sim import pdes
 from repro.workloads import netperf, pingpong
 
 FAST = scenarios.DEFAULT_COSTS.replace(discovery_period=0.2, bootstrap_timeout=0.01)
@@ -37,39 +36,6 @@ def mesh_measure(seed):
     )
 
 
-def _mesh_script(cluster):
-    """The mesh_measure workload, run inside a 1-shard worker process."""
-    cluster.warmup(max_wait=10.0)
-    r12 = netperf.udp_stream(cluster.view("vm1", "vm2"), duration=0.02, msg_size=8192)
-    r34 = netperf.udp_stream(cluster.view("vm3", "vm4"), duration=0.02, msg_size=8192)
-    return [
-        (r12.bytes_received, r12.mbps, r12.messages_sent, r12.drops),
-        (r34.bytes_received, r34.mbps, r34.messages_sent, r34.drops),
-    ]
-
-
-def _sharded_fingerprint(seed):
-    """Every simulation-derived observable of a 2-shard grid run."""
-    spec = pdes.bench_grid_spec(2, 2, 8192, 0.02)
-    run = pdes.run_sharded(spec, shards=2, costs=FAST, seed=seed)
-    per_shard = tuple(
-        (
-            e["shard"],
-            e["machine"],
-            e["stats"]["events"],
-            e["stats"]["sim_time"],
-            e["pdes"]["frames_out"],
-            e["pdes"]["frames_in"],
-        )
-        for e in run.shards
-    )
-    results = tuple(
-        (r["client"], r["server"], tuple(sorted(r["result"].items())))
-        for r in run.results
-    )
-    return per_shard, run.stats["events"], results
-
-
 class TestDeterminism:
     def test_same_seed_identical_results(self):
         assert measure(seed=3) == measure(seed=3)
@@ -90,32 +56,6 @@ class TestDeterminism:
     def test_mesh_golden(self):
         """The 4-guest mesh (built via ClusterSpec) is pinned bit-for-bit."""
         assert mesh_measure(seed=7) == GOLDEN_MESH
-
-    def test_sharded_same_seed_identical_results(self):
-        """Two shards, run twice: the conservative protocol must yield the
-        same event stream regardless of wall-clock pipe timing.  Only
-        simulation-derived values are compared -- wall_s, blocked_s, and
-        null-message counts legitimately vary with OS scheduling."""
-        assert _sharded_fingerprint(seed=7) == _sharded_fingerprint(seed=7)
-
-    def test_one_shard_matches_inprocess_build(self):
-        """shards=1 routes through the ordinary build in a single worker
-        process, so its results and event count are bit-identical to
-        running the same spec in this process."""
-        spec = pdes.bench_grid_spec(2, 2, 8192, 0.02)
-        run = pdes.run_sharded(spec, shards=1, costs=FAST, seed=7)
-        cluster = spec.build(FAST, seed=7)
-        baseline = pdes.run_local_workloads(cluster)
-        assert run.results == baseline
-        assert run.stats["events"] == cluster.sim.event_count
-        assert run.stats["sim_time"] == cluster.sim.now
-
-    def test_one_shard_mesh_matches_golden(self):
-        """The 1-shard sharded path replays the pinned unsharded mesh
-        golden bit for bit (same spec, same seed, same event stream)."""
-        spec = scenarios.xenloop_mesh(4, FAST, seed=7).spec
-        run = pdes.run_sharded(spec, shards=1, costs=FAST, seed=7, script=_mesh_script)
-        assert tuple(tuple(r) for r in run.results) == GOLDEN_MESH
 
     def test_zero_jitter_removes_all_randomness(self):
         costs = FAST.replace(virq_jitter=0.0)

@@ -1,35 +1,40 @@
-"""Fork-equivalence goldens: a child forked from a warm snapshot must
-reproduce a cold run bit for bit.
+"""Fork-equivalence goldens for the checkpoint subsystem.
 
-This is the determinism contract the whole checkpoint/warm-start
-feature rests on: ``os.fork`` duplicates the live simulator (generator
-frames and all), so running the same workload in the child yields
-exactly the event stream -- results, wire counters, notify counters --
-that a never-forked process would have produced.  Pinned against the
-same goldens as ``test_fastpath_determinism.py``.
+A *fork* of a snapshot is an independent cluster rebuilt from it by
+:meth:`SimSnapshot.restore` (recipe replay, then digest check).  The
+contracts the snapshot feature rests on:
+
+* a fork of a warm cluster, run with the same workload, reproduces the
+  pinned goldens of ``test_fastpath_determinism.py`` -- results, wire
+  counters, notify counters;
+* forks are deterministic -- N forks give N identical replays;
+* capturing and forking are read-only for the parent, which continues
+  exactly as it would have uncaptured;
+* a fault cell run on a fork of a saved pair equals the same cell on a
+  fresh build, processed-event count included.
 """
-
-import pytest
 
 import importlib
 
-from repro import scenarios
+import pytest
 
-# The scenarios package re-exports the fault_matrix *builder function*,
-# shadowing the submodule attribute -- import the module explicitly.
-fm = importlib.import_module("repro.scenarios.fault_matrix")
+from repro import scenarios
 from repro.net.packet import WIRE_STATS
-from repro.sim.snapshot import HAS_FORK, SimSnapshot
+from repro.sim.snapshot import SimSnapshot, fault_pair_recipe, scenario_recipe
 from repro.workloads.netperf import udp_stream
+from repro.xen.event_channel import NOTIFY_STATS
 from tests.integration.test_fastpath_determinism import (
     FAST,
     GOLDEN_NOTIFY_COUNTERS,
     GOLDEN_UDP_WARM_XENLOOP,
     GOLDEN_WIRE_COUNTERS,
 )
-from repro.xen.event_channel import NOTIFY_STATS
 
-pytestmark = pytest.mark.skipif(not HAS_FORK, reason="needs os.fork")
+# The scenarios package re-exports the fault_matrix *builder function*,
+# shadowing the submodule attribute -- import the module explicitly.
+fm = importlib.import_module("repro.scenarios.fault_matrix")
+
+WARM = {"max_wait": 20.0}
 
 
 def _stream_with_counters(cluster):
@@ -43,75 +48,63 @@ def _stream_with_counters(cluster):
     )
 
 
+def _warm_parent():
+    """A warm xenloop cluster and a snapshot of it that can be forked."""
+    scn = scenarios.build("xenloop", FAST, seed=7)
+    scn.warmup(max_wait=WARM["max_wait"])
+    recipe = scenario_recipe("xenloop", FAST, seed=7, warm=WARM)
+    return scn, SimSnapshot.capture(scn, recipe=recipe, label="warm xenloop seed=7")
+
+
 @pytest.fixture(scope="module")
 def warm_snap():
-    scn = scenarios.build("xenloop", FAST, seed=7)
-    scn.warmup(max_wait=20.0)
-    return SimSnapshot.capture(scn, label="warm xenloop seed=7")
+    return _warm_parent()[1]
 
 
 class TestForkEquivalence:
     def test_fork_replays_warm_goldens(self, warm_snap):
-        """One forked run reproduces the pinned warm-xenloop goldens:
+        """One fork reproduces the pinned warm-xenloop goldens:
         simulated result AND serialization AND notify counters."""
-        result, wire, notify = warm_snap.fork(_stream_with_counters)
+        result, wire, notify = _stream_with_counters(warm_snap.restore())
         assert result == GOLDEN_UDP_WARM_XENLOOP
         assert wire == GOLDEN_WIRE_COUNTERS
         assert notify == GOLDEN_NOTIFY_COUNTERS
 
     def test_repeated_forks_identical(self, warm_snap):
         """N forks of one snapshot are N bit-identical replays."""
-        a = warm_snap.fork(_stream_with_counters)
-        b = warm_snap.fork(_stream_with_counters)
+        a = _stream_with_counters(warm_snap.restore())
+        b = _stream_with_counters(warm_snap.restore())
         assert a == b
 
-    def test_parent_untouched_by_forks(self, warm_snap):
-        before = (
-            warm_snap.cluster.sim.now,
-            warm_snap.cluster.sim.event_count,
-        )
-        warm_snap.fork(_stream_with_counters)
-        assert (
-            warm_snap.cluster.sim.now,
-            warm_snap.cluster.sim.event_count,
-        ) == before
+    def test_parent_untouched_by_forks(self):
+        """Capturing and forking leave the parent's clock and event count
+        alone, and the parent then continues to the same goldens."""
+        parent, snap = _warm_parent()
+        before = (parent.sim.now, parent.sim.event_count)
+        assert (snap.sim_time, snap.event_count) == before
+        fork = snap.restore()
+        assert fork is not parent
+        _stream_with_counters(fork)
+        assert (parent.sim.now, parent.sim.event_count) == before
 
-    def test_fork_propagates_child_errors(self, warm_snap):
-        from repro.sim.snapshot import SnapshotForkError
-
-        def boom(_cluster):
-            raise RuntimeError("child exploded")
-
-        with pytest.raises(SnapshotForkError, match="child exploded"):
-            warm_snap.fork(boom)
+        result, wire, notify = _stream_with_counters(parent)
+        assert result == GOLDEN_UDP_WARM_XENLOOP
+        assert wire == GOLDEN_WIRE_COUNTERS
+        assert notify == GOLDEN_NOTIFY_COUNTERS
 
 
 class TestFaultMatrixForking:
-    def test_forked_cell_equals_cold_cell(self):
-        """Fork-per-cell reproduces the cold per-cell result exactly,
-        including the processed-event count (the determinism check)."""
+    def test_forked_cell_equals_cold_cell(self, tmp_path):
+        """A fault cell run on two forks of a saved pair snapshot
+        reproduces :func:`run_cell` exactly, including the
+        processed-event count (the determinism check)."""
         cell = next(c for c in fm.matrix_cells() if c.name == "drop:CreateChannel")
-        snap = fm.pair_snapshot(seed=0, machines=cell.machines)
-        forked = fm.run_cell_forked(cell, snap, seed=0)
+        recipe = fault_pair_recipe(costs=fm.MATRIX_COSTS, machines=cell.machines)
+        cluster = fm._build_pair(fm.MATRIX_COSTS, 0, machines=cell.machines)
+        path = tmp_path / "pair.json"
+        SimSnapshot.capture(cluster, recipe=recipe).save(path)
+
+        snap = SimSnapshot.load(path)
+        forked = [fm._run_cell_on(snap.restore(), cell, 0) for _ in range(2)]
         cold = fm.run_cell(cell, seed=0)
-        assert forked.pop("warm_fork") is True
-        assert forked == cold
-
-    def test_full_matrix_warm_forked(self):
-        """The default sweep runs every cell as a fork and converges."""
-        results = fm.run_fault_matrix()
-        assert len(results) == len(fm.matrix_cells())
-        assert all(r["ok"] for r in results), [
-            (r["cell"], r["detail"]) for r in results if not r["ok"]
-        ]
-        assert all(r.get("warm_fork") for r in results)
-
-    def test_matrix_warm_equals_cold(self):
-        """Cell-for-cell bit equality between the warm-forked sweep and
-        the cold sweep (events included)."""
-        warm = fm.run_fault_matrix()
-        cold = fm.run_fault_matrix(warm=False)
-        for w, c in zip(warm, cold):
-            w = dict(w)
-            assert w.pop("warm_fork") is True
-            assert w == c
+        assert forked == [cold, cold]

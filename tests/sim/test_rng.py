@@ -1,18 +1,14 @@
-"""Seeded-RNG helpers: state save/restore and per-shard seed derivation.
+"""Seeded-RNG helpers: state save/restore.
 
-The snapshot subsystem leans on two contracts proven here: a captured
-generator state restores bit-identically mid-stream, and shard seed
-derivation is collision-free while keeping the one-shard path seeded
-exactly like an unsharded run.
+The snapshot subsystem leans on the contract proven here: a captured
+generator state restores bit-identically mid-stream.
 """
 
 import numpy as np
-import pytest
 
 from repro.sim.rng import (
     DEFAULT_SEED,
     make_rng,
-    make_shard_seeds,
     rng_state,
     set_rng_state,
 )
@@ -54,35 +50,3 @@ class TestRngState:
         rng_state(rng)
         rng_state(rng)
         assert rng.random() == twin.random()
-
-
-class TestShardSeeds:
-    def test_one_shard_is_passthrough(self):
-        """n=1 must hand back the base seed unchanged so the one-shard
-        path seeds its simulator exactly like an unsharded run."""
-        assert make_shard_seeds(123, 1) == [123]
-        assert make_shard_seeds(None, 1) == [DEFAULT_SEED]
-
-    def test_zero_shards_rejected(self):
-        with pytest.raises(ValueError):
-            make_shard_seeds(0, 0)
-
-    def test_spawned_streams_are_distinct(self):
-        """No two shards may draw the same stream, for any shard count."""
-        for n in (2, 3, 8, 32):
-            seeds = make_shard_seeds(0, n)
-            assert len(seeds) == n
-            first_draws = [make_rng(s).integers(0, 1 << 62, size=4) for s in seeds]
-            for i in range(n):
-                for j in range(i + 1, n):
-                    assert not np.array_equal(first_draws[i], first_draws[j])
-
-    def test_spawn_is_deterministic(self):
-        a = [rng_state(make_rng(s)) for s in make_shard_seeds(17, 4)]
-        b = [rng_state(make_rng(s)) for s in make_shard_seeds(17, 4)]
-        assert a == b
-
-    def test_different_base_seeds_differ(self):
-        a = make_rng(make_shard_seeds(1, 2)[0]).integers(0, 1 << 62, size=4)
-        b = make_rng(make_shard_seeds(2, 2)[0]).integers(0, 1 << 62, size=4)
-        assert not np.array_equal(a, b)

@@ -1,9 +1,10 @@
 """Unit coverage for the checkpoint subsystem: capture determinism,
-digest verification, persistence, and the stale-parent guard.
+digest verification, and persistence.
 
-The fork-equivalence goldens (a forked child reproduces a cold run bit
-for bit) live in ``tests/integration/test_snapshot_fork.py``; this file
-covers the snapshot mechanics themselves.
+The replay-equivalence goldens (capture is read-only; a restored pair
+runs a fault cell exactly like a fresh build) live in
+``tests/integration/test_snapshot_fork.py``; this file covers the
+snapshot mechanics themselves.
 """
 
 import json
@@ -16,7 +17,6 @@ from repro.sim.snapshot import (
     SimSnapshot,
     SnapshotError,
     SnapshotMismatch,
-    SnapshotStale,
     build_from_recipe,
     capture_state,
     fault_pair_recipe,
@@ -114,15 +114,6 @@ class TestPersistence:
     def test_unknown_recipe_kind_rejected(self):
         with pytest.raises(SnapshotError):
             build_from_recipe({"kind": "nonsense"})
-
-
-class TestStaleGuard:
-    def test_fork_refuses_after_parent_ran(self):
-        scn = build_from_recipe(_warm_recipe())
-        snap = SimSnapshot.capture(scn)
-        scn.sim.run(until=scn.sim.now + 1.0)  # parent moves past capture
-        with pytest.raises(SnapshotStale):
-            snap.fork(lambda cluster: None)
 
 
 class TestClusterApi:

@@ -183,15 +183,6 @@ class TestEngineIntegration:
         sim.step()
         assert sim.now == 0.125 and fired == [True]
 
-    def test_run_bounded_stops_at_limit(self):
-        sim = Simulator()
-        fired = []
-        sim.wheel.call_after(0.1, lambda: fired.append(1))
-        sim.wheel.call_after(0.3, lambda: fired.append(2))
-        sim.run_bounded(0.2)
-        # run_bounded leaves the clock at the last processed event.
-        assert fired == [1] and sim.now == 0.1
-
     def test_run_until_complete_timeout_via_wheel(self):
         sim = Simulator()
 

@@ -114,6 +114,20 @@ class TestBuildSemantics:
         assert len(cluster.discoveries) == 2
         assert cluster.discovery is cluster.discoveries[0]
 
+    def test_restart_mac_independent_of_other_builds(self):
+        """Auto guest MACs are numbered per cluster: a restarted guest's
+        fresh MAC does not depend on what else this process built."""
+
+        def restarted_mac(build_between: bool) -> str:
+            cluster = scenarios.build("xenloop")
+            cluster.guests["vm2"].crash()
+            if build_between:
+                scenarios.xenloop_mesh(4)
+            return str(cluster.restart_guest("vm2").mac)
+
+        assert restarted_mac(False) == "00:16:3e:00:00:03"
+        assert restarted_mac(True) == "00:16:3e:00:00:03"
+
 
 class TestClusterEndToEnd:
     def test_eight_guests_two_machines_warmup_and_udp(self):

@@ -17,7 +17,7 @@ COSTS = DEFAULT_COSTS.replace(migration_duration=0.5, migration_downtime=0.1)
 def world(sim):
     switch = EthernetSwitch(sim, COSTS)
     ma = XenMachine(sim, COSTS, "ma", n_cores=2)
-    mb = XenMachine(sim, COSTS, "mb", n_cores=2)
+    mb = XenMachine(sim, COSTS, "mb", n_cores=2, guest_macs=ma.guest_macs)
     ma.attach_network(switch, MacAddr("00:02:b3:00:00:0a"))
     mb.attach_network(switch, MacAddr("00:02:b3:00:00:0b"))
     vm = mb.create_guest("guest", ip=IPv4Addr("10.0.0.9"))

@@ -100,34 +100,6 @@ def notify_breakdown(messages: int) -> str:
     return "\n".join(lines)
 
 
-def shard_breakdown(entries: list) -> str:
-    """Per-shard table for a sharded run: events, wall, throughput, null
-    messages sent/received, frames exported/imported, and time blocked
-    waiting on the conservative horizon -- the view that makes lookahead
-    stalls visible instead of showing up as unexplained scaling loss."""
-    header = (
-        f"{'shard':>5}  {'machine':<10}  {'events':>10}  {'wall_s':>7}  "
-        f"{'ev/s':>9}  {'nulls out/in':>13}  {'frames out/in':>13}  "
-        f"{'blocked_s':>9}  {'blk%':>5}"
-    )
-    lines = ["per-shard breakdown:", header, "-" * len(header)]
-    for e in entries:
-        stats = e["stats"]
-        pdes = e.get("pdes") or {}
-        wall = stats.get("wall_s") or 0.0
-        blocked = pdes.get("blocked_s", 0.0)
-        lines.append(
-            f"{e['shard']:>5}  {(e.get('machine') or '-'):<10}  "
-            f"{stats['events']:>10,}  {wall:>7.3f}  "
-            f"{stats.get('events_per_sec') or 0.0:>9,.0f}  "
-            f"{pdes.get('null_sent', 0):>6,}/{pdes.get('null_recv', 0):<6,}  "
-            f"{pdes.get('frames_out', 0):>6,}/{pdes.get('frames_in', 0):<6,}  "
-            f"{blocked:>9.3f}  "
-            f"{100.0 * blocked / wall if wall else 0.0:>4.0f}%"
-        )
-    return "\n".join(lines)
-
-
 #: (bucket, filename substring): where a serving run's tottime lands --
 #: the arrival generator + workers, the timer wheel, the network stack,
 #: and the engine's calendar loop.
@@ -195,33 +167,6 @@ def profile_serving(args) -> None:
         print(f"raw profile written to {args.output}")
 
 
-def profile_sharded(args) -> None:
-    """The sharded variant: run the PDES scaling grid and print the
-    per-shard breakdown.  cProfile does not cross fork(), so the
-    function-level profile is skipped here -- profile one shard's
-    workload with ``--shards 0`` instead."""
-    from repro.sim import pdes
-
-    spec = pdes.bench_grid_spec(args.machines, 2, args.msg_size, args.duration)
-    t0 = time.perf_counter()
-    sharded = pdes.run_sharded(spec, shards=args.shards)
-    wall = time.perf_counter() - t0
-    stats = sharded.stats
-    total_mbps = sum(r["result"]["mbps"] for r in sharded.results)
-    print(
-        f"{spec.name} udp_stream msg_size={args.msg_size} "
-        f"duration={args.duration} shards={args.shards}: "
-        f"{total_mbps:,.1f} Mbit/s simulated"
-    )
-    print(
-        f"{stats['events']:,} events in {wall:.2f}s wall "
-        f"= {stats['events'] / wall if wall else 0.0:,.0f} events/s "
-        f"(sum of per-shard engines)\n"
-    )
-    print(shard_breakdown(sharded.shards))
-    print("\n(function-level cProfile skipped: child processes are not profiled)")
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scenario", default="xenloop")
@@ -237,15 +182,6 @@ def main() -> None:
         "stream; the warmup wall lands in the setup share of the split",
     )
     parser.add_argument("-o", "--output", help="also dump raw pstats to this file")
-    parser.add_argument(
-        "--shards", type=int, default=0,
-        help="0 (default): profile the classic single-simulator workload; "
-        "N>=1: run the sharded grid and print the per-shard breakdown",
-    )
-    parser.add_argument(
-        "--machines", type=int, default=2,
-        help="machine count for the sharded grid (default: 2)",
-    )
     parser.add_argument(
         "--serving", action="store_true",
         help="profile an open-loop xenloop_serving cell instead of the "
@@ -263,9 +199,6 @@ def main() -> None:
 
     if args.serving:
         profile_serving(args)
-        return
-    if args.shards > 0:
-        profile_sharded(args)
         return
 
     WIRE_STATS.reset()
@@ -290,8 +223,8 @@ def main() -> None:
         f"{stats['events']:,} events in {wall:.2f}s wall "
         f"= {stats['events_per_sec']:,.0f} events/s"
     )
-    # Setup vs measured split: the setup share is what checkpoint/fork
-    # warm-starting (repro.sim.snapshot) can amortize across repetitions.
+    # Setup vs measured split: how much of the wall is build (+warmup)
+    # rather than the measured stream.
     measured_wall = wall - setup_wall
     setup_what = "build+warmup" if args.warm else "build"
     print(
