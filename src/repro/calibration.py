@@ -171,10 +171,6 @@ class CostModel:
     #: downtime window and from bridge-path drops injected through the
     #: fault plan (``faults.PKT_LOSS``); the RTO recovers both.
     tcp_rto: float = 0.2
-    #: congestion-control mode: ``"rfc"`` (slow start, AIMD, dup-ACK
-    #: fast retransmit / NewReno-style fast recovery) or ``"fixed"``
-    #: (the pre-congestion fixed-window sender: go-back-N on RTO only).
-    tcp_congestion: str = "rfc"
     #: initial congestion window in MSS units (RFC 6928's IW10 would be
     #: 10).  0 -- the calibrated default -- starts cwnd wide open at
     #: ``tcp_window`` bytes, so on lossless paths cwnd never binds and

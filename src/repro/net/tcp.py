@@ -1,5 +1,5 @@
 """Simplified TCP: handshake, reliable byte stream, GSO-sized segments,
-immediate ACKs, go-back-N retransmission, RFC-shaped congestion control.
+immediate ACKs, RTO and fast retransmission, RFC-shaped congestion control.
 
 Scope (documented in DESIGN.md): the FIFO falls back to netfront when
 full and rings apply backpressure, but packets *can* be lost -- frames
@@ -12,11 +12,11 @@ scenarios that extend them) depend on it:
   virtual/loopback devices vs. MSS-sized segments on the physical NIC),
 * flow control via the advertised receive window (this is what causes
   the large-message back-pressure effects in Figs. 8-9),
-* a fixed-RTO retransmit timer: go-back-N in ``tcp_congestion="fixed"``
-  mode; head-of-line resend plus ACK-clocked recovery in ``"rfc"`` mode,
-* congestion control (``tcp_congestion="rfc"``): slow start, AIMD
-  congestion avoidance, dup-ACK fast retransmit and NewReno-style fast
-  recovery.  ``cwnd`` composes with the peer's advertised window in
+* a fixed-RTO retransmit timer: an RTO resends the unacked head that
+  the collapsed window covers, and ACK-clocked recovery resends the rest,
+* congestion control: slow start, AIMD congestion avoidance, dup-ACK
+  fast retransmit and NewReno-style fast recovery.  ``cwnd`` composes
+  with the peer's advertised window in
   :meth:`TcpConnection._window_avail`; with the calibrated default
   ``tcp_initial_cwnd=0`` the window starts wide open at ``tcp_window``,
   so lossless paths never see cwnd bind and replay the pre-congestion
@@ -78,9 +78,6 @@ ESTABLISHED = "ESTABLISHED"
 FIN_WAIT = "FIN_WAIT"
 CLOSE_WAIT = "CLOSE_WAIT"
 LAST_ACK = "LAST_ACK"
-
-#: congestion-control mode string enabling the RFC machinery.
-CC_RFC = "rfc"
 
 #: bound on the per-connection cwnd trace (oldest entries roll off).
 _CWND_TRACE_MAX = 256
@@ -159,7 +156,6 @@ class TcpConnection:
         # retransmit).  With tcp_initial_cwnd=0 the window starts wide
         # open at tcp_window, so cwnd never binds on a lossless path.
         costs = layer.stack.node.costs
-        self._cc_enabled = costs.tcp_congestion == CC_RFC
         self._cwnd_cap = costs.tcp_window
         if costs.tcp_initial_cwnd > 0:
             self.cwnd = costs.tcp_initial_cwnd * costs.mss
@@ -360,34 +356,26 @@ class TcpConnection:
             while self._retx_buf and self.state != CLOSED:
                 wait = self._retx_deadline - sim.now
                 if wait > 0:
-                    # RTO sleeps live on the timer wheel: same (time, seq)
-                    # an engine Timeout would get, so firing order is
-                    # unchanged, but a serving-scale flood of short-lived
-                    # RTO re-arms stays off the O(log n) heap.
-                    yield sim.wheel.timeout(wait)
+                    yield sim.timeout(wait)
                     continue
-                # RTO expired.  In "fixed" mode: classic go-back-N,
-                # resend everything unacked with the original segment
-                # boundaries (the receiver's out-of-order buffer absorbs
-                # duplicates).  In "rfc" mode the timeout is a
-                # congestion signal (RFC 5681 s3.1): collapse cwnd to
-                # one segment, fall back to slow start, and resend only
-                # what the collapsed window covers -- the cumulative ACK
-                # it elicits usually jumps past everything the receiver
-                # already buffered.
+                # RTO expired.  The timeout is a congestion signal
+                # (RFC 5681 s3.1): collapse cwnd to one segment, fall
+                # back to slow start, and resend only what the collapsed
+                # window covers (with the original segment boundaries)
+                # -- the cumulative ACK it elicits usually jumps past
+                # everything the receiver already buffered.
                 self.rto_retransmits += 1
-                if self._cc_enabled:
-                    mss = self._eff_mss()
-                    flight = self.snd_nxt - self.snd_una
-                    self.ssthresh = max(flight // 2, 2 * mss)
-                    self._in_fast_recovery = False
-                    self.dup_acks = 0
-                    self._recover_seq = self.snd_nxt
-                    self._set_cwnd(mss)
+                mss = self._eff_mss()
+                flight = self.snd_nxt - self.snd_una
+                self.ssthresh = max(flight // 2, 2 * mss)
+                self._in_fast_recovery = False
+                self.dup_acks = 0
+                self._recover_seq = self.snd_nxt
+                self._set_cwnd(mss)
                 for seq, data, flags in list(self._retx_buf):
                     if self.state == CLOSED:
                         return
-                    if self._cc_enabled and seq + len(data) > self.snd_una + self.cwnd:
+                    if seq + len(data) > self.snd_una + self.cwnd:
                         break
                     hdr = self._make_header(flags, seq=seq)
                     self.retransmissions += 1
@@ -519,8 +507,7 @@ class TcpConnection:
                     yield from self._resend_head()
                     self._retx_deadline = node.sim.now + costs.tcp_rto
             elif (
-                self._cc_enabled
-                and hdr.ack == self.snd_una
+                hdr.ack == self.snd_una
                 and self.snd_nxt > self.snd_una
                 and not data
                 and not hdr.flags & (TCP_SYN | TCP_FIN)
@@ -579,8 +566,7 @@ class TcpConnection:
         return True
 
     # ------------------------------------------------------------------
-    # Congestion control (RFC 5681/6582 shaped; active when
-    # costs.tcp_congestion == "rfc")
+    # Congestion control (RFC 5681/6582 shaped)
     # ------------------------------------------------------------------
     def _set_cwnd(self, value: int) -> None:
         value = max(1, min(int(value), self._cwnd_cap))
@@ -595,8 +581,6 @@ class TcpConnection:
         (partial ACK while recovering from a fast retransmit or an
         RTO)."""
         self.dup_acks = 0
-        if not self._cc_enabled:
-            return False
         in_recovery = self.snd_una < self._recover_seq
         if not self._in_fast_recovery and not in_recovery and self.cwnd >= self._cwnd_cap:
             # Wide open (the lossless-path default): growth would only

@@ -165,16 +165,6 @@ def format_engine_stats(stats: Mapping[str, float]) -> str:
             f"deadline_fires={srv['deadline_fires']:,}  "
             f"reconnects={srv['reconnects']:,}"
         )
-    tmr = stats.get("timers")
-    if tmr is not None:
-        sched = tmr["scheduled"]
-        cancel_rate = 100.0 * tmr["cancelled"] / sched if sched else 0.0
-        lines.append(
-            "timers: "
-            f"scheduled={sched:,}  fired={tmr['fired']:,}  "
-            f"cancelled={tmr['cancelled']:,} ({cancel_rate:.1f}%)  "
-            f"cascades={tmr['cascades']:,}"
-        )
     return "\n".join(lines)
 
 

@@ -119,7 +119,6 @@ def run_serving_cell(
     bucket indices (``p50_idx``/``p99_idx``) -- the indices are integer
     and platform-exact, which is what the goldens pin.
     """
-    from repro import trace
     from repro.workloads import serving
 
     scn = xenloop_serving(
@@ -139,7 +138,6 @@ def run_serving_cell(
         conns_per_client=conns_per_client,
         slo=slo,
     )
-    stats = trace.engine_stats(scn.sim)
     out = {
         "scenario": "serving",
         "data_path": data_path,
@@ -149,7 +147,7 @@ def run_serving_cell(
         "n_clients": n_clients,
         "churn": churn,
         "loss": loss,
-        "events": stats["events"],
+        "events": scn.sim.event_count,
         "offered": result.offered,
         "completed": result.completed,
         "errors": result.errors,
@@ -163,7 +161,6 @@ def run_serving_cell(
         "slo_violations": result.slo_violations,
         "deadline_fires": result.deadline_fires,
         "reconnects": result.reconnects,
-        "timers": stats.get("timers"),
     }
     plan = getattr(scn.sim, "fault_plan", None)
     if plan is not None:

@@ -14,6 +14,7 @@ when the yielded event fires.
 from repro.sim.engine import (
     AllOf,
     AnyOf,
+    Call,
     Event,
     Interrupt,
     Process,
@@ -30,12 +31,12 @@ from repro.sim.stats import (
     ThroughputProbe,
     TimeSeries,
 )
-from repro.sim.timers import TimerWheel, WheelTimeout, WheelTimer
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "CPUCores",
+    "Call",
     "Counter",
     "Deadline",
     "Event",
@@ -50,7 +51,4 @@ __all__ = [
     "ThroughputProbe",
     "TimeSeries",
     "Timeout",
-    "TimerWheel",
-    "WheelTimeout",
-    "WheelTimer",
 ]

@@ -5,6 +5,8 @@ The engine is deliberately small and dependency-free.  It provides:
 * :class:`Simulator` -- the event calendar and main loop.
 * :class:`Event` -- a one-shot occurrence that processes can wait on.
 * :class:`Timeout` -- an event that fires after a simulated delay.
+* :class:`Call` -- a cancellable callback, made by
+  :meth:`Simulator.call_at`.
 * :class:`Process` -- a generator-based coroutine driven by the engine.
 * :class:`AnyOf` / :class:`AllOf` -- composite wait conditions.
 * :class:`Interrupt` -- exception injected into a process by
@@ -49,6 +51,7 @@ from typing import Any, Callable, Generator, Iterable, Optional
 __all__ = [
     "AllOf",
     "AnyOf",
+    "Call",
     "Event",
     "Interrupt",
     "Process",
@@ -226,6 +229,29 @@ class _InterruptResume:
         proc._step(Interrupt(self.cause), False)
 
 
+class Call:
+    """Heap entry made by :meth:`Simulator.call_at`: a cancellable
+    callback that nothing waits on (the per-request SLO deadline)."""
+
+    __slots__ = ("callback",)
+
+    def __init__(self, callback: Callable[[], None]):
+        self.callback: Optional[Callable[[], None]] = callback
+
+    def cancel(self) -> bool:
+        """Stop the callback; True if it had neither run nor been
+        cancelled yet."""
+        armed = self.callback is not None
+        self.callback = None
+        return armed
+
+    def _process(self) -> None:
+        callback = self.callback
+        if callback is not None:
+            self.callback = None
+            callback()
+
+
 class _Condition(Event):
     """Base for AnyOf/AllOf.  Fires when ``_check`` says it is satisfied."""
 
@@ -398,10 +424,6 @@ class Simulator:
         self._seq = 0
         self._seed = seed
         self._rng = None
-        #: lazily-created :class:`repro.sim.timers.TimerWheel` -- the
-        #: third calendar source.  None until ``sim.wheel`` is touched;
-        #: the merge loops below pay one predicate per event for it.
-        self._wheel = None
         #: total calendar entries processed (events, timeouts, resumes).
         self._event_count = 0
         #: optional :class:`repro.faults.FaultPlan` consulted by the fault
@@ -418,23 +440,6 @@ class Simulator:
 
             self._rng = make_rng(self._seed)
         return self._rng
-
-    @property
-    def wheel(self):
-        """The simulator's hierarchical timer wheel (lazily created).
-
-        A second delayed-event calendar with O(1) insert and O(1) lazy
-        cancellation (see :mod:`repro.sim.timers`).  Entries consume
-        sequence numbers from the same counter and are merged into the
-        firing order exactly like the heap and the immediate run queue,
-        so moving a timer between ``sim.timeout`` and
-        ``sim.wheel.timeout`` never changes simulation order.
-        """
-        if self._wheel is None:
-            from repro.sim.timers import TimerWheel
-
-            self._wheel = TimerWheel(self)
-        return self._wheel
 
     @property
     def event_count(self) -> int:
@@ -466,7 +471,7 @@ class Simulator:
             for (t, seq, obj) in sorted(self._queue)
         ]
         ready = [[t, seq, type(obj).__name__] for (t, seq, obj) in self._ready]
-        state = {
+        return {
             "now": self.now,
             "seq": self._seq,
             "event_count": self._event_count,
@@ -478,11 +483,6 @@ class Simulator:
             "ready": ready,
             "has_fault_plan": self.fault_plan is not None,
         }
-        # Only simulations actually holding live wheel timers grow the
-        # extra key -- every pre-wheel digest stays bit-identical.
-        if self._wheel is not None and self._wheel._live:
-            state["wheel"] = self._wheel.snapshot_state()
-        return state
 
     # -- event factories ------------------------------------------------
     def event(self, name: str = "") -> Event:
@@ -492,6 +492,20 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event firing ``delay`` seconds from now."""
         return Timeout(self, delay, value)
+
+    def call_at(self, time: float, callback: Callable[[], None]) -> Call:
+        """Run ``callback()`` at absolute simulated time ``time``.
+
+        Returns a :class:`Call` handle whose ``cancel()`` stops the
+        callback.  A cancelled call stays on the heap and is popped as a
+        no-op at ``time`` (so it still counts in :attr:`event_count`).
+        """
+        if not self.now <= time < _INF:
+            raise SimulationError(f"cannot call back at {time} (now={self.now})")
+        self._seq += 1
+        call = Call(callback)
+        heapq.heappush(self._queue, (time, self._seq, call))
+        return call
 
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Run a generator as a concurrent process."""
@@ -522,40 +536,20 @@ class Simulator:
         ready = self._ready
         queue = self._queue
         if ready:
-            t = ready[0][0] if not queue or ready[0] < queue[0] else queue[0][0]
-        elif queue:
-            t = queue[0][0]
-        else:
-            t = _INF
-        wheel = self._wheel
-        if wheel is not None and wheel._live:
-            wt = wheel.head().time
-            if wt < t:
-                return wt
-        return t
+            return ready[0][0] if not queue or ready[0] < queue[0] else queue[0][0]
+        return queue[0][0] if queue else _INF
 
     def step(self) -> None:
         """Process exactly one event (the globally oldest by (time, seq))."""
         ready = self._ready
         queue = self._queue
-        wheel = self._wheel
-        whead = wheel.head() if (wheel is not None and wheel._live) else None
-        entry = None
         if ready and (not queue or ready[0] < queue[0]):
-            if whead is None or not (whead.key < ready[0]):
-                entry = ready.popleft()
-        elif queue and (whead is None or not (whead.key < queue[0])):
-            entry = heapq.heappop(queue)
-        elif whead is None:
-            heapq.heappop(queue)  # empty calendar: raises IndexError
-        if entry is not None:
-            self.now = entry[0]
-            self._event_count += 1
-            entry[2]._process()
-            return
-        self.now = whead.time
+            when, _, obj = ready.popleft()
+        else:
+            when, _, obj = heapq.heappop(queue)
+        self.now = when
         self._event_count += 1
-        wheel.pop_head()._process()
+        obj._process()
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the calendar empties or ``until`` is reached.
@@ -567,32 +561,16 @@ class Simulator:
         ready = self._ready
         queue = self._queue
         heappop = heapq.heappop
-        wheel = self._wheel
         count = 0
         if until is None:
-            while True:
-                # The wheel may be created (or gain entries) mid-run, so
-                # the merge re-checks it every iteration; a wheel-less
-                # simulation pays one attribute load and one predicate.
-                if wheel is None:
-                    wheel = self._wheel
-                whead = wheel.head() if (wheel is not None and wheel._live) else None
-                entry = None
+            while ready or queue:
                 if ready and (not queue or ready[0] < queue[0]):
-                    if whead is None or not (whead.key < ready[0]):
-                        entry = ready.popleft()
-                elif queue:
-                    if whead is None or not (whead.key < queue[0]):
-                        entry = heappop(queue)
-                elif whead is None:
-                    break
-                count += 1
-                if entry is not None:
-                    self.now = entry[0]
-                    entry[2]._process()
+                    when, _, obj = ready.popleft()
                 else:
-                    self.now = whead.time
-                    wheel.pop_head()._process()
+                    when, _, obj = heappop(queue)
+                self.now = when
+                count += 1
+                obj._process()
             self._event_count += count
             return
         if until < self.now:
@@ -602,36 +580,21 @@ class Simulator:
         try:
             # Pop-then-restore: popping directly and putting the entry
             # back on the (at most one) break beats peeking every
-            # iteration on the hot path.  Wheel entries past ``until``
-            # are simply not taken (the wheel is peek-then-pop).
-            while True:
-                if wheel is None:
-                    wheel = self._wheel
-                whead = wheel.head() if (wheel is not None and wheel._live) else None
-                if whead is not None and whead.time > until:
-                    whead = None
-                entry = None
+            # iteration on the hot path.
+            while ready or queue:
                 if ready and (not queue or ready[0] < queue[0]):
-                    if whead is None or not (whead.key < ready[0]):
-                        entry = popleft()
-                        if entry[0] > until:
-                            ready.appendleft(entry)
-                            break
-                elif queue:
-                    if whead is None or not (whead.key < queue[0]):
-                        entry = heappop(queue)
-                        if entry[0] > until:
-                            heappush(queue, entry)
-                            break
-                elif whead is None:
-                    break
-                count += 1
-                if entry is not None:
-                    self.now = entry[0]
-                    entry[2]._process()
+                    entry = popleft()
+                    if entry[0] > until:
+                        ready.appendleft(entry)
+                        break
                 else:
-                    self.now = whead.time
-                    wheel.pop_head()._process()
+                    entry = heappop(queue)
+                    if entry[0] > until:
+                        heappush(queue, entry)
+                        break
+                self.now = entry[0]
+                count += 1
+                entry[2]._process()
         finally:
             self._event_count += count
         self.now = until
@@ -649,41 +612,27 @@ class Simulator:
         heappop = heapq.heappop
         popleft = ready.popleft
         pending = PENDING
-        wheel = self._wheel
         count = 0
         try:
             # Same pop-then-restore structure as run(): the deadline is
             # exceeded at most once, so the restore branch never runs on
             # the hot path.
             while process._state == pending:
-                if wheel is None:
-                    wheel = self._wheel
-                whead = wheel.head() if (wheel is not None and wheel._live) else None
-                entry = None
                 if ready and (not queue or ready[0] < queue[0]):
-                    if whead is None or not (whead.key < ready[0]):
-                        entry = popleft()
-                        if entry[0] > deadline:
-                            ready.appendleft(entry)
-                            raise SimulationError(f"timeout waiting for {process.name}")
-                elif queue:
-                    if whead is None or not (whead.key < queue[0]):
-                        entry = heappop(queue)
-                        if entry[0] > deadline:
-                            heapq.heappush(queue, entry)
-                            raise SimulationError(f"timeout waiting for {process.name}")
-                elif whead is None:
-                    raise SimulationError(f"deadlock: {process.name} never finished")
-                if entry is not None:
-                    self.now = entry[0]
-                    count += 1
-                    entry[2]._process()
-                else:
-                    if whead.time > deadline:
+                    entry = popleft()
+                    if entry[0] > deadline:
+                        ready.appendleft(entry)
                         raise SimulationError(f"timeout waiting for {process.name}")
-                    self.now = whead.time
-                    count += 1
-                    wheel.pop_head()._process()
+                elif queue:
+                    entry = heappop(queue)
+                    if entry[0] > deadline:
+                        heapq.heappush(queue, entry)
+                        raise SimulationError(f"timeout waiting for {process.name}")
+                else:
+                    raise SimulationError(f"deadlock: {process.name} never finished")
+                self.now = entry[0]
+                count += 1
+                entry[2]._process()
         finally:
             self._event_count += count
         if not process.ok:

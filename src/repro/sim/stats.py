@@ -14,11 +14,10 @@ and element-wise mergeable across probes and reps.  The bucket
 index is a pure function of the value, so goldens can pin *bucket
 indices* (exactly stable across platforms) rather than floats.
 
-:class:`LatencyProbe` keeps its exact per-sample semantics by default
-(existing goldens pin interpolated percentiles) but gains a cached
-sorted view -- ``percentile()`` no longer re-sorts on every call -- and
-an opt-in ``streaming=True`` mode that retains no per-sample list and
-delegates percentiles to a :class:`LogHistogram`.
+:class:`LatencyProbe` keeps exact per-sample semantics (the
+paper-table goldens pin its interpolated percentiles) with a cached
+sorted view, so ``percentile()`` does not re-sort on every call.  The
+open-loop serving workload records straight into a :class:`LogHistogram`.
 """
 
 from __future__ import annotations
@@ -300,43 +299,30 @@ class Deadline:
 class LatencyProbe:
     """Accumulates per-operation latencies (seconds).
 
-    Default mode keeps every sample and serves exact interpolated
-    percentiles (cached sorted view, invalidated on ``record``).  With
-    ``streaming=True`` no per-sample list is retained: samples stream
-    into a :class:`LogHistogram` and ``percentile`` serves the
-    histogram's nearest-rank answer (within ``LogHistogram.REL_ERROR``).
+    Keeps every sample and serves exact interpolated percentiles from a
+    cached sorted view (invalidated on ``record``).
     """
 
-    def __init__(self, name: str = "", streaming: bool = False):
+    def __init__(self, name: str = ""):
         self.name = name
-        self.hist: Optional[LogHistogram] = LogHistogram(name) if streaming else None
-        self.samples: Optional[list[float]] = None if streaming else []
+        self.samples: list[float] = []
         self._sorted: Optional[list[float]] = None
-
-    @property
-    def streaming(self) -> bool:
-        return self.samples is None
 
     def record(self, latency: float) -> None:
         """Record one latency sample in seconds."""
         if latency < 0:
             raise ValueError(f"negative latency: {latency}")
-        if self.samples is None:
-            self.hist.record(latency)
-        else:
-            self.samples.append(latency)
-            self._sorted = None
+        self.samples.append(latency)
+        self._sorted = None
 
     @property
     def count(self) -> int:
         """Number of samples recorded."""
-        return self.hist.count if self.samples is None else len(self.samples)
+        return len(self.samples)
 
     @property
     def mean(self) -> float:
-        """Mean latency in seconds (exact in both modes)."""
-        if self.samples is None:
-            return self.hist.mean
+        """Mean latency in seconds."""
         if not self.samples:
             raise ValueError("no samples")
         return sum(self.samples) / len(self.samples)
@@ -347,15 +333,9 @@ class LatencyProbe:
         return self.mean * 1e6
 
     def percentile(self, p: float) -> float:
-        """Percentile, ``p`` in [0, 100].
-
-        Exact (linear-interpolated) in list mode; histogram nearest-rank
-        in streaming mode.
-        """
+        """Exact (linear-interpolated) percentile, ``p`` in [0, 100]."""
         if not 0 <= p <= 100:
             raise ValueError("percentile in [0, 100]")
-        if self.samples is None:
-            return self.hist.percentile(p)
         if not self.samples:
             raise ValueError("no samples")
         ordered = self._sorted
@@ -411,13 +391,9 @@ class ThroughputProbe:
 def summarize(samples) -> dict[str, float]:
     """min/mean/max/stdev of an iterable of floats.
 
-    Also accepts a :class:`LogHistogram` or a streaming
-    :class:`LatencyProbe`, summarised from their exact running moments
-    (no sample list required).  The iterable path is unchanged --
-    existing goldens that pin its float results stay bit-identical.
+    Also accepts a :class:`LogHistogram`, summarised from its exact
+    running moments (no sample list required).
     """
-    if isinstance(samples, LatencyProbe) and samples.streaming:
-        samples = samples.hist
     if isinstance(samples, LogHistogram):
         if not samples.count:
             raise ValueError("no samples")

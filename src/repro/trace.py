@@ -122,9 +122,7 @@ def engine_stats(sim, wall_s: Optional[float] = None) -> dict:
 
     A run that used the open-loop serving workload adds a ``serving``
     sub-dict (offered / completed / errors / SLO counters summed over
-    every :class:`repro.workloads.serving.ServingProbe`); a run whose
-    timer wheel ever scheduled an entry adds ``timers`` (the wheel's
-    scheduled / fired / cancelled / cascade counters).
+    every :class:`repro.workloads.serving.ServingProbe`).
     """
     from repro.net.packet import WIRE_STATS
     from repro.xen.event_channel import NOTIFY_STATS
@@ -168,9 +166,6 @@ def engine_stats(sim, wall_s: Optional[float] = None) -> dict:
             for key, value in probe.counters().items():
                 serving[key] = serving.get(key, 0) + value
         stats["serving"] = serving
-    wheel = getattr(sim, "_wheel", None)
-    if wheel is not None and wheel.scheduled:
-        stats["timers"] = wheel.counters()
     return stats
 
 

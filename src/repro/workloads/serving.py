@@ -8,16 +8,16 @@ up -- so latency includes queueing delay and the tail explodes near
 saturation.  This module supplies that generator:
 
 * a single seeded **arrival process** (Poisson or Pareto/heavy-tailed
-  inter-arrivals) paced on the simulator's timer wheel,
+  inter-arrivals) paced by engine timeouts,
 * a pool of persistent TCP connections per client guest (many flows
   multiplexed over one XenLoop channel per guest pair), each draining
   its own FIFO share of the arrivals,
 * per-request latency (completion minus *arrival*, so queueing counts)
   streamed into a :class:`repro.sim.stats.LogHistogram` -- no
   per-sample list anywhere on the hot path,
-* a per-request SLO deadline armed on the timer wheel and cancelled by
-  the response in the common case (the mass-cancellation pattern the
-  wheel's O(1) tombstoning exists for), cross-checked against the
+* a per-request SLO deadline armed with :meth:`Simulator.call_at` and
+  cancelled by the response in the common case (the cancelled entry
+  stays on the heap and pops as a no-op), cross-checked against the
   :class:`repro.sim.stats.Deadline` accumulator.
 
 Workers survive connection loss (guest crash/restart churn): the failed
@@ -171,8 +171,9 @@ def open_loop_rr(
         raise ValueError(f"arrival must be 'poisson' or 'pareto', not {arrival!r}")
     if rate <= 0:
         raise ValueError(f"rate must be positive: {rate}")
+    if pareto_alpha <= 1:
+        raise ValueError(f"pareto_alpha must exceed 1 for a finite mean gap: {pareto_alpha}")
     sim = cluster.sim
-    wheel = sim.wheel
     rng = sim.rng
     probe = ServingProbe(name=name, slo=slo)
     _probes(sim).append(probe)
@@ -215,9 +216,9 @@ def open_loop_rr(
                 else pareto_xm * (1.0 + rng.pareto(pareto_alpha))
             )
             if gap > 0.0:
-                yield wheel.timeout(gap)
+                yield sim.timeout(gap)
             wid = i % n_workers
-            handle = wheel.call_at(sim.now + slo, _deadline_cb)
+            handle = sim.call_at(sim.now + slo, _deadline_cb)
             queues[wid].append((sim.now, handle))
             probe.offered += 1
             waiter = waiters[wid]
@@ -251,7 +252,7 @@ def open_loop_rr(
                             attempt += 1
                             if attempt >= _RECONNECT_TRIES:
                                 raise
-                            yield wheel.timeout(_RECONNECT_BACKOFF)
+                            yield sim.timeout(_RECONNECT_BACKOFF)
                     if attempt:
                         probe.reconnects += 1
                 yield from conn.send(req_payload)

@@ -43,7 +43,7 @@ def netfront_cell():
 
 class TestDeterminism:
     """Same seed -> bit-identical summary dict.  The arrival process,
-    the wheel-timer deadlines, the churn schedule, and the loss plan's
+    the SLO deadline timers, the churn schedule, and the loss plan's
     RNG are all seeded."""
 
     def test_fifo(self, fifo_cell):
@@ -57,6 +57,9 @@ class TestDeterminism:
 
 
 class TestCellGoldens:
+    """``events`` counts every SLO deadline cancelled before its fire
+    time within the run: it stays on the heap and pops as a no-op."""
+
     def test_fifo_golden(self, fifo_cell):
         assert fifo_cell == {
             "scenario": "serving",
@@ -67,7 +70,7 @@ class TestCellGoldens:
             "n_clients": 2,
             "churn": False,
             "loss": 0.0,
-            "events": 59991,
+            "events": 60560,
             "offered": 600,
             "completed": 600,
             "errors": 0,
@@ -81,13 +84,6 @@ class TestCellGoldens:
             "slo_violations": 0,
             "deadline_fires": 0,
             "reconnects": 0,
-            "timers": {
-                "scheduled": 1216,
-                "fired": 600,
-                "cancelled": 600,
-                "cascades": 3,
-                "live": 16,
-            },
         }
 
     def test_fifo_churn_golden(self, churn_cell):
@@ -96,7 +92,7 @@ class TestCellGoldens:
         re-establishment) while a bystander crash/restarts.  The p99
         jumps three orders of magnitude over the quiet cell above and
         the requests stalled behind the migration blow the 2 ms SLO --
-        every one flagged by its wheel deadline timer as it happened
+        every one flagged by its deadline timer as it happened
         (deadline_fires == slo_violations)."""
         assert churn_cell == {
             "scenario": "serving",
@@ -107,7 +103,7 @@ class TestCellGoldens:
             "n_clients": 2,
             "churn": True,
             "loss": 0.0,
-            "events": 66772,
+            "events": 67294,
             "offered": 600,
             "completed": 600,
             "errors": 0,
@@ -121,13 +117,6 @@ class TestCellGoldens:
             "slo_violations": 78,
             "deadline_fires": 78,
             "reconnects": 0,
-            "timers": {
-                "scheduled": 1226,
-                "fired": 696,
-                "cancelled": 522,
-                "cascades": 5,
-                "live": 8,
-            },
         }
 
     def test_netfront_loss_golden(self, netloss_cell):
@@ -144,7 +133,7 @@ class TestCellGoldens:
             "n_clients": 2,
             "churn": False,
             "loss": 0.01,
-            "events": 65312,
+            "events": 65540,
             "offered": 400,
             "completed": 400,
             "errors": 0,
@@ -158,13 +147,6 @@ class TestCellGoldens:
             "slo_violations": 172,
             "deadline_fires": 172,
             "reconnects": 0,
-            "timers": {
-                "scheduled": 852,
-                "fired": 614,
-                "cancelled": 228,
-                "cascades": 9,
-                "live": 10,
-            },
             "frames_dropped": 21,
         }
 
@@ -190,7 +172,7 @@ class TestServingBehavior:
     def test_deadline_fires_match_violations_when_error_free(
         self, fifo_cell, churn_cell, netloss_cell
     ):
-        # Two independent accountings of the same SLO: the wheel timer
+        # Two independent accountings of the same SLO: the call_at timer
         # that fires at t_arrival+slo while the request is in flight,
         # and the Deadline accumulator fed on completion.  With zero
         # errors every armed deadline resolves one way or the other.
@@ -205,6 +187,18 @@ class TestServingBehavior:
             assert cell["completed"] == cell["offered"] == cell["requests"]
 
 
+class TestArguments:
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_pareto_alpha_without_finite_mean_rejected(self, alpha):
+        # alpha <= 1 has no finite mean gap: the same-mean scale factor
+        # goes to zero or below and every arrival would land at t=0.
+        scn = scenarios.xenloop_serving()
+        with pytest.raises(ValueError, match="pareto_alpha"):
+            serving.open_loop_rr(
+                scn, server="srv", clients=["c1"], arrival="pareto", pareto_alpha=alpha
+            )
+
+
 class TestStatsPlumbing:
     """engine_stats / report integration on a live simulator."""
 
@@ -215,7 +209,5 @@ class TestStatsPlumbing:
         stats = trace.engine_stats(scn.sim)
         assert stats["serving"]["offered"] == 200
         assert stats["serving"]["completed"] == 200
-        assert stats["timers"]["scheduled"] > 0
         rendered = format_engine_stats(stats)
         assert "serving: offered=200" in rendered
-        assert "timers: scheduled=" in rendered

@@ -135,21 +135,6 @@ class TestSlowStartAimd:
         assert min(v for _, v in client.cwnd_trace) == MSS  # collapse
         assert client.ssthresh == 2 * MSS  # max(flight//2, 2*mss)
 
-    def test_fixed_mode_keeps_go_back_n(self, sim):
-        fixed = DEFAULT_COSTS.replace(tcp_congestion="fixed")
-        a, b = make_lan(sim, fixed)
-        client, server = connect_pair(sim, a, b)
-        dropper = _Dropper(1)
-        a.stack.netfilter.register(HookPoint.POST_ROUTING, dropper)
-        payload = bytes(range(256)) * 256
-        assert stream(sim, client, server, payload) == payload
-        assert client.retransmissions >= 1
-        # Legacy mode: no congestion machinery fires at all.
-        assert client.fast_retransmits == 0
-        assert client.dup_acks_rcvd == 0
-        assert client.cwnd == DEFAULT_COSTS.tcp_window
-        assert not client.cwnd_trace
-
 
 class TestAckLivelock:
     """The PR's bugfix half: a peer whose ACKs die must never be left

@@ -230,23 +230,6 @@ class TestDeadline:
 
 
 class TestLatencyProbeStreaming:
-    def test_streaming_retains_no_samples(self):
-        p = LatencyProbe(streaming=True)
-        for v in (1e-6, 2e-6, 3e-6):
-            p.record(v)
-        assert p.streaming and p.samples is None
-        assert p.count == 3
-        assert p.mean == pytest.approx(2e-6)
-
-    @given(st.lists(_samples, min_size=1, max_size=100))
-    @settings(max_examples=50)
-    def test_streaming_percentile_within_rel_error(self, values):
-        p = LatencyProbe(streaming=True)
-        for v in values:
-            p.record(v)
-        exact = _nearest_rank(sorted(values), 90)
-        assert abs(p.percentile(90) - exact) <= exact * LogHistogram.REL_ERROR
-
     def test_cached_sort_invalidated_by_record(self):
         p = LatencyProbe()
         for v in (3.0, 1.0, 2.0):

@@ -101,11 +101,10 @@ def notify_breakdown(messages: int) -> str:
 
 
 #: (bucket, filename substring): where a serving run's tottime lands --
-#: the arrival generator + workers, the timer wheel, the network stack,
-#: and the engine's calendar loop.
+#: the arrival generator + workers, the network stack, and the engine's
+#: calendar loop.
 _SERVING_BUCKETS = (
     ("workload", "workloads/serving.py"),
-    ("timer-wheel", "sim/timers.py"),
     ("net-stack", "/net/"),
     ("engine", "sim/engine.py"),
 )
@@ -128,10 +127,9 @@ def serving_breakdown(ps: pstats.Stats, wall: float) -> str:
 
 def profile_serving(args) -> None:
     """The open-loop serving variant: profile one ``xenloop_serving``
-    cell and attribute the wall to workload / timer wheel / stack /
-    engine -- the view that shows the wheel and the streaming histogram
-    staying out of the way at high request rates."""
-    from repro import report
+    cell and attribute the wall to workload / stack / engine -- the view
+    that shows the workload and its streaming histogram staying out of
+    the way at high request rates."""
     from repro.scenarios import run_serving_cell
 
     WIRE_STATS.reset()
@@ -160,8 +158,6 @@ def profile_serving(args) -> None:
     ps = pstats.Stats(profiler)
     ps.sort_stats(args.sort).print_stats(args.limit)
     print(serving_breakdown(ps, wall))
-    if summary.get("timers"):
-        print("\n" + report.format_engine_stats({"events": summary["events"], "timers": summary["timers"]}).splitlines()[-1])
     if args.output:
         ps.dump_stats(args.output)
         print(f"raw profile written to {args.output}")
