@@ -18,8 +18,7 @@ transport:
   module implements it for mapping-table bookkeeping (and the
   socket-bypass subclass for stream-handler attachment), the channel
   implements it for data-plane reactions (start the drain worker on
-  connect), and the Dom0 discovery module implements it to maintain
-  its roster of advertising guests.
+  connect).
 * :class:`ChannelController` -- the per-channel state machine driver:
   the listener/connector handshake generators, retry/abort logic, and
   teardown sequencing.  It calls into the channel only for transport
@@ -27,7 +26,8 @@ transport:
   lifecycle on its own.
 * :class:`ControlPlane` -- the per-guest orchestrator extracted from
   :class:`~repro.core.module.XenLoopModule`: the [guest-ID, MAC]
-  mapping table, control-frame dispatch, bootstrap initiation, the
+  mapping table (a :class:`~repro.core.roster.RosterView` in both
+  discovery modes), control-frame dispatch, bootstrap initiation, the
   idle-channel reaper, and the migration/shutdown/unload responses.
 
 Determinism note: the FSM itself is pure bookkeeping (no simulated
@@ -55,7 +55,7 @@ from repro.core.protocol import (
     WhoIs,
     parse_message,
 )
-from repro.core.roster import RosterChanges, RosterView
+from repro.core.roster import RosterView
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.channel import Channel
@@ -170,12 +170,10 @@ class LifecycleHooks:
 
     Implemented by :class:`~repro.core.module.XenLoopModule` (channel
     table bookkeeping; the socket-bypass subclass attaches stream
-    handlers in :meth:`channel_created`), by
-    :class:`~repro.core.channel.Channel` (data-plane reactions such as
-    starting the drain worker), and by
-    :class:`~repro.core.discovery.DiscoveryModule` (roster
-    maintenance).  Every method is an intentional no-op here so
-    implementors override only what they care about.
+    handlers in :meth:`channel_created`) and by
+    :class:`~repro.core.channel.Channel` (data-plane reactions
+    such as starting the drain worker).  Every method is an intentional
+    no-op here so implementors override only what they care about.
     """
 
     def channel_created(self, channel: "Channel") -> None:
@@ -189,12 +187,6 @@ class LifecycleHooks:
 
     def channel_failed(self, channel: "Channel") -> None:
         """Bootstrap failed (map error or ack timeout)."""
-
-    def peer_discovered(self, mac: "MacAddr", domid: int) -> None:
-        """A discovery announcement introduced a new co-resident peer."""
-
-    def peer_lost(self, mac: "MacAddr") -> None:
-        """A peer stopped being announced (soft-state expiry)."""
 
 
 class ChannelFSM:
@@ -481,20 +473,19 @@ class ControlPlane:
     def __init__(self, module: "XenLoopModule"):
         self.module = module
         self.guest = module.guest
-        #: MAC -> guest-ID of co-resident XenLoop-willing guests.
-        self.mapping: dict["MacAddr", int] = {}
+        #: the guest's view of the Dom0 roster: a mirror of every
+        #: announced peer in announce mode, the sparse O(active peers)
+        #: view in delta mode.
+        self.roster = RosterView(self.guest.mac, track_all=not module.delta_discovery)
+        #: MAC -> guest-ID of co-resident XenLoop-willing guests: the
+        #: roster view's entry table, one dict for the data path and
+        #: the roster bookkeeping.
+        self.mapping: dict["MacAddr", int] = self.roster.entries
         #: MAC -> live Channel endpoint.
         self.channels: dict["MacAddr", "Channel"] = {}
         #: guest-ID -> live Channel: the data path's domid-hashed index,
         #: kept in lockstep with ``channels``.
         self.channels_by_domid: dict[int, "Channel"] = {}
-        #: delta-discovery roster view (None in announce mode).  When
-        #: active, ``mapping`` *is* the view's entry table -- one sparse
-        #: dict serves the data path and the epoch bookkeeping.
-        self.roster: Optional[RosterView] = None
-        if module.delta_discovery:
-            self.roster = RosterView(self.guest.mac, track_all=False)
-            self.mapping = self.roster.entries
         #: per-MAC timestamp of the last WhoIs sent (rate limiter).
         self._whois_at: dict["MacAddr", float] = {}
         #: MACs with a budget eviction already in flight.
@@ -514,7 +505,7 @@ class ControlPlane:
                 str(mac): ch.snapshot_state() for mac, ch in self.channels.items()
             },
             "channels_by_domid": sorted(self.channels_by_domid),
-            "roster": None if self.roster is None else self.roster.snapshot_state(),
+            "roster": self.roster.snapshot_state(),
             "whois_at": {str(mac): t for mac, t in self._whois_at.items()},
             "evicting": sorted(str(mac) for mac in self._evicting),
             "saved_packets": len(self.saved_packets),
@@ -644,87 +635,72 @@ class ControlPlane:
 
     def handle_announce(self, msg: Announce) -> None:
         self.announcements_seen += 1
-        if self.roster is not None:
+        if not self.roster.track_all:
             # Mixed-protocol clusters are unsupported: a delta-mode
             # guest's sparse mapping must only be grown by WhoIs answers
             # and inbound handshakes, never by a full-roster frame.
             return
-        fresh = {
-            mac: domid
-            for domid, mac in msg.entries
-            if mac != self.guest.mac
-        }
-        # Tear down channels whose peer vanished or changed identity
-        # (migrated away, died, or unloaded its module).
-        for mac, channel in list(self.channels.items()):
-            if fresh.get(mac) == channel.peer_domid:
-                channel.ctrl.fsm.feed(ChannelEvent.ANNOUNCE_SEEN)
-                self._retry_stuck_connector(channel)
-                continue
-            if channel.state in (ChannelState.CONNECTED, ChannelState.BOOTSTRAPPING):
-                self.guest.spawn(
-                    self._teardown_and_fallback(channel, ChannelEvent.PEER_LOST),
-                    name="xl-teardown",
-                )
-            else:
-                self._drop_channel(channel)
-        # Soft-state diff notifications (pure bookkeeping).
-        for mac in fresh.keys() - self.mapping.keys():
-            self.module.peer_discovered(mac, fresh[mac])
-        for mac in self.mapping.keys() - fresh.keys():
-            self.module.peer_lost(mac)
-        self.mapping = fresh
+        # An announcement is an epoch-free full sync: peers that vanished
+        # or changed identity (migrated away, died, or unloaded their
+        # module) lose their channels.
+        self._apply_roster_changes(self.roster.reconcile(msg.entries))
+        self._nudge_connectors()
 
     # ------------------------------------------------------------------
     # Delta discovery (thousand-guest control plane)
     # ------------------------------------------------------------------
     def handle_roster_delta(self, msg: RosterDelta) -> None:
         self.announcements_seen += 1
-        if self.roster is None:
+        if self.roster.track_all:
             return
-        changes = self.roster.apply_delta(msg)
-        if changes is not None:
-            self._apply_roster_changes(changes)
+        retire = self.roster.apply_delta(msg)
+        if retire is not None:
+            self._apply_roster_changes(retire)
 
     def handle_full_sync(self, msg: FullSync) -> None:
         self.announcements_seen += 1
-        if self.roster is None:
+        if self.roster.track_all:
             return
-        changes = self.roster.apply_full_sync(msg)
-        if changes is None:
+        retire = self.roster.apply_full_sync(msg)
+        if retire is None:
             return
-        self._apply_roster_changes(changes)
-        # The periodic full sync doubles as the connector-retry clock
-        # (announce mode gets one per scan; delta mode one per
-        # ``full_sync_every`` scans): nudge stuck handshakes.
+        self._apply_roster_changes(retire)
+        self._nudge_connectors()
+
+    def _apply_roster_changes(self, retire: list["MacAddr"]) -> None:
+        """Retire the channels of peers the roster view just dropped or
+        re-identified (the view has already updated ``mapping``)."""
+        for mac in retire:
+            channel = self.channels.get(mac)
+            if channel is not None:
+                self._retire(channel)
+
+    def _nudge_connectors(self) -> None:
+        """Confirm every channel whose peer the roster still lists.  The
+        full roster (every announcement; every ``full_sync_every`` scans
+        in delta mode) doubles as the connector-retry clock."""
         for mac, channel in list(self.channels.items()):
             if self.mapping.get(mac) == channel.peer_domid:
                 channel.ctrl.fsm.feed(ChannelEvent.ANNOUNCE_SEEN)
                 self._retry_stuck_connector(channel)
 
-    def _apply_roster_changes(self, changes: RosterChanges) -> None:
-        """Turn an applied delta/full sync into channel teardowns and
-        observer notifications.  The roster view has already updated
-        ``mapping`` (they share the entry dict in delta mode)."""
-        for mac in changes.leaves:
-            channel = self.channels.get(mac)
-            if channel is not None:
-                if channel.state in (ChannelState.CONNECTED, ChannelState.BOOTSTRAPPING):
-                    self.guest.spawn(
-                        self._teardown_and_fallback(channel, ChannelEvent.PEER_LOST),
-                        name="xl-teardown",
-                    )
-                else:
-                    self._drop_channel(channel)
-            self.module.peer_lost(mac)
-        for domid, mac in changes.joins:
-            self.module.peer_discovered(mac, domid)
+    def _retire(self, channel: "Channel") -> None:
+        """The channel's peer left or changed identity: tear a live
+        channel down (its parked packets fall back to netfront), drop
+        any other straight from the tables."""
+        if channel.state in (ChannelState.CONNECTED, ChannelState.BOOTSTRAPPING):
+            self.guest.spawn(
+                self._teardown_and_fallback(channel, ChannelEvent.PEER_LOST),
+                name="xl-teardown",
+            )
+        else:
+            self._drop_channel(channel)
 
     def handle_peer_info(self, msg: PeerInfo) -> None:
         """Dom0 answered a WhoIs: materialize (or negative-cache) the
         peer.  The next packet to the MAC then hits the mapping and
         triggers the normal lazy bootstrap."""
-        if self.roster is None:
+        if self.roster.track_all:
             return
         if not msg.found:
             self.roster.note_negative(msg.mac)
@@ -734,16 +710,13 @@ class ControlPlane:
             self._refresh_identity(msg.mac, msg.domid)
             return
         self.roster.track(msg.mac, msg.domid)
-        if known is None:
-            self.module.peer_discovered(msg.mac, msg.domid)
 
     def note_mapping_miss(self, mac: "MacAddr") -> None:
         """Data-path mapping miss (delta mode): maybe ask Dom0 who owns
         ``mac``.  Negative-cached and rate-limited to one WhoIs per
         discovery period per MAC; the packet itself has already taken
         the bridge path, so resolution is pure background work."""
-        roster = self.roster
-        if roster is None or mac in roster.negative:
+        if mac in self.roster.negative:
             return
         now = self.guest.sim.now
         last = self._whois_at.get(mac)
@@ -767,16 +740,8 @@ class ControlPlane:
         if old is not None:
             channel = self.channels.get(mac)
             if channel is not None and channel.peer_domid != domid:
-                if channel.state in (ChannelState.CONNECTED, ChannelState.BOOTSTRAPPING):
-                    self.guest.spawn(
-                        self._teardown_and_fallback(channel, ChannelEvent.PEER_LOST),
-                        name="xl-teardown",
-                    )
-                else:
-                    self._drop_channel(channel)
-        self.mapping[mac] = domid
-        if self.roster is not None:
-            self.roster.negative.discard(mac)
+                self._retire(channel)
+        self.roster.track(mac, domid)
 
     def handle_connect_request(self, msg: ConnectRequest) -> None:
         mac = msg.sender_mac
@@ -801,26 +766,27 @@ class ControlPlane:
                 # port end): the connector re-initiating is proof its
                 # side of the channel is gone.  Replace the husk with a
                 # fresh handshake instead of ignoring the request.
-                self.guest.spawn(
-                    self._relisten_stale(channel, msg.sender_domid, mac),
-                    name="xl-relisten",
-                )
+                self.guest.spawn(self._replace_stale(channel), name="xl-relisten")
                 return
             return  # bootstrap already in flight (simultaneous initiation)
         channel = self._new_channel(msg.sender_domid, mac)
         channel.ctrl.fsm.feed(ChannelEvent.CONNECT_REQ)
         self.guest.spawn(channel.ctrl.listener_start(), name="xl-listen")
 
-    def _relisten_stale(self, channel: "Channel", peer_domid: int, mac: "MacAddr"):
-        """Replace a dead CONNECTED channel with a fresh listener
-        handshake (generator, guest context)."""
+    def _replace_stale(self, channel: "Channel", create: CreateChannel | None = None):
+        """Replace a dead CONNECTED channel with a fresh handshake
+        (generator, guest context): a listener one, or -- given the
+        listener's ``create`` for its new transport -- a connector one."""
         saved = yield from channel.ctrl.teardown()
         for data in saved:
             self.module.resend_via_standard_path(data)
         faults.note_recovered(self.guest.sim, "stale_reconnect")
-        fresh = self._new_channel(peer_domid, mac)
-        fresh.ctrl.fsm.feed(ChannelEvent.CONNECT_REQ)
-        yield from fresh.ctrl.listener_start()
+        fresh = self._new_channel(channel.peer_domid, channel.peer_mac)
+        if create is None:
+            fresh.ctrl.fsm.feed(ChannelEvent.CONNECT_REQ)
+            yield from fresh.ctrl.listener_start()
+        else:
+            yield from fresh.ctrl.connector_complete(create)
 
     def handle_create_channel(self, msg: CreateChannel, src_mac: "MacAddr") -> None:
         self._refresh_identity(src_mac, msg.sender_domid)
@@ -851,22 +817,9 @@ class ControlPlane:
             # here would leave BOTH sides "connected" over dead
             # transports -- tear our husk down and run a fresh connector
             # handshake against the new transport instead.
-            self.guest.spawn(
-                self._reconnect_stale(channel, msg, src_mac), name="xl-reconnect"
-            )
+            self.guest.spawn(self._replace_stale(channel, msg), name="xl-reconnect")
             return
         self.guest.spawn(channel.ctrl.connector_complete(msg), name="xl-connect")
-
-    def _reconnect_stale(self, channel: "Channel", msg: CreateChannel, src_mac: "MacAddr"):
-        """Replace a dead CONNECTED channel with a fresh connector
-        handshake on the listener's new transport (generator, guest
-        context)."""
-        saved = yield from channel.ctrl.teardown()
-        for data in saved:
-            self.module.resend_via_standard_path(data)
-        faults.note_recovered(self.guest.sim, "stale_reconnect")
-        fresh = self._new_channel(msg.sender_domid, src_mac)
-        yield from fresh.ctrl.connector_complete(msg)
 
     # ------------------------------------------------------------------
     # Bootstrap initiation (first traffic to a mapped peer, Sect. 3.1)
@@ -999,12 +952,11 @@ class ControlPlane:
             saved = yield from channel.ctrl.teardown(ChannelEvent.PRE_MIGRATE)
             self.saved_packets.extend(saved)
         self.mapping.clear()
-        if self.roster is not None:
-            # The destination machine's Dom0 numbers its own epochs:
-            # forget ours and wait for its next full sync to resync.
-            self.roster.epoch = 0
-            self.roster.desynced = True
-            self.roster.negative.clear()
+        # The destination machine's Dom0 numbers its own epochs: forget
+        # ours and wait for its next full sync (or announcement).
+        self.roster.epoch = 0
+        self.roster.desynced = True
+        self.roster.negative.clear()
         self._whois_at.clear()
 
     def post_migrate(self):

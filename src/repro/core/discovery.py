@@ -26,13 +26,16 @@ Two announcement protocols are supported (``mode``):
   :class:`~repro.core.protocol.WhoIs` queries with
   :class:`~repro.core.protocol.PeerInfo` -- the lookup service that
   lets a guest keep only O(active peers) mapping state.
+
+Either way a guest applies what it hears to the same
+:class:`~repro.core.roster.RosterView`: an Announce is an epoch-free
+full sync, so the two modes differ only in what goes on the wire.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.control import LifecycleHooks
 from repro.core.protocol import (
     DOM0_MAC,
     XENLOOP_MCAST,
@@ -72,16 +75,14 @@ class Dom0ControlPort(BridgePort):
         yield from self.discovery.control_input(packet)
 
 
-class DiscoveryModule(LifecycleHooks):
+class DiscoveryModule:
     """Dom0-resident periodic XenStore scanner and announcer.
 
-    Implements :class:`~repro.core.control.LifecycleHooks` for the
-    soft-state roster: each scan diffs the collated [guest-ID, MAC]
-    list against the previous one and reports appearances and
-    disappearances through ``peer_discovered`` / ``peer_lost`` -- the
-    same interface the guest-side control plane uses -- keeping
-    ``roster`` (the currently advertising guests) current.
+    Each scan replaces ``roster`` (the currently advertising guests)
+    with the collated [guest-ID, MAC] list; delta mode multicasts the
+    difference.
     """
+
     def __init__(
         self,
         machine: "XenMachine",
@@ -115,13 +116,6 @@ class DiscoveryModule(LifecycleHooks):
             machine.bridge.add_port(self.control_port)
             machine.bridge.pin(DOM0_MAC, self.control_port)
         machine.dom0.spawn(self._scan_loop(), name="xl-discovery")
-
-    # -- LifecycleHooks (roster bookkeeping) ----------------------------
-    def peer_discovered(self, mac: MacAddr, domid: int) -> None:
-        self.roster[mac] = domid
-
-    def peer_lost(self, mac: MacAddr) -> None:
-        self.roster.pop(mac, None)
 
     def stop(self) -> None:
         """Stop scanning (no further announcements are sent)."""
@@ -188,57 +182,31 @@ class DiscoveryModule(LifecycleHooks):
                 continue
             # One announcement, one serialization: every recipient gets
             # the identical payload bytes (hoisted out of the loop).
-            msg = Announce(sender_domid=dom0.domid, entries=entries)
-            announce_payload = msg.to_bytes()
-            plan = getattr(dom0.sim, "fault_plan", None)
+            payload = Announce(sender_domid=dom0.domid, entries=entries).to_bytes()
             for domid, mac in entries:
-                repeats = 1
-                if plan is not None and plan.has_control_rules:
-                    # Fault tap: announcement loss per recipient (the rule's
-                    # ``guest`` matches the recipient).  Announcements are
-                    # periodic and idempotent, so a delay rule here is
-                    # equivalent to a drop of this scan's frame.
-                    target = self.machine.hypervisor.domains.get(domid)
-                    deliver, delay, dup = plan.on_control(
-                        target.name if target is not None else f"dom{domid}",
-                        "Announce",
-                    )
-                    if not deliver or delay > 0.0:
-                        continue
-                    repeats += dup
-                for _ in range(repeats):
-                    frame = Packet(
-                        payload=announce_payload,
-                        eth=EthHeader(dst=mac, src=DOM0_MAC, ethertype=ETH_P_XENLOOP),
-                    )
+                # Announcements are periodic and idempotent, so a delay
+                # rule here is equivalent to a drop of this scan's frame.
+                deliver, delay, dup = self._fault_tap(domid, "Announce")
+                if not deliver or delay > 0.0:
+                    continue
+                for _ in range(1 + dup):
                     self.announcements_sent += 1
-                    # Inject into the bridge; it forwards to the guest's vif.
-                    self.machine.bridge.input(None, frame)
+                    self._inject(mac, payload)
 
     def _update_roster(
         self, entries: list[tuple[int, MacAddr]]
     ) -> tuple[list[tuple[int, MacAddr]], list[tuple[int, MacAddr]]]:
-        """Diff one scan against the roster; returns (joins, leaves).
+        """Replace the roster with one scan; returns (joins, leaves).
 
         A guest that re-advertised under a new guest-ID while keeping
         its MAC (crash/restart) is reported as a *join* carrying the new
         ID -- receivers detect the identity change by the reused key.
         """
         fresh = {mac: domid for domid, mac in entries}
-        joins: list[tuple[int, MacAddr]] = []
-        leaves: list[tuple[int, MacAddr]] = []
-        for mac in fresh.keys() - self.roster.keys():
-            self.peer_discovered(mac, fresh[mac])
-            joins.append((fresh[mac], mac))
-        for mac in self.roster.keys() - fresh.keys():
-            leaves.append((self.roster[mac], mac))
-            self.peer_lost(mac)
-        for mac, domid in fresh.items():
-            old = self.roster.get(mac)
-            if old is not None and old != domid:
-                joins.append((domid, mac))
-        # Refresh identities that changed in place (re-created guest).
-        self.roster.update(fresh)
+        roster = self.roster
+        joins = [(domid, mac) for mac, domid in fresh.items() if roster.get(mac) != domid]
+        leaves = [(domid, mac) for mac, domid in roster.items() if mac not in fresh]
+        self.roster = fresh
         return joins, leaves
 
     # -- delta mode ----------------------------------------------------
@@ -248,7 +216,7 @@ class DiscoveryModule(LifecycleHooks):
         dom0 = self.machine.dom0
         if joins or leaves:
             # Sorted so the frame bytes -- and every receiver's apply
-            # order -- are independent of set-iteration order.
+            # order -- do not depend on the XenStore listing order.
             joins.sort()
             leaves.sort()
             self.epoch += 1
@@ -266,12 +234,28 @@ class DiscoveryModule(LifecycleHooks):
     def _multicast(self, msg) -> None:
         """Inject one link-local multicast control frame into the bridge
         (floods to every local guest; never leaves the machine)."""
-        frame = Packet(
-            payload=msg.to_bytes(),
-            eth=EthHeader(dst=XENLOOP_MCAST, src=DOM0_MAC, ethertype=ETH_P_XENLOOP),
-        )
         self.announcements_sent += 1
+        self._inject(XENLOOP_MCAST, msg.to_bytes())
+
+    def _inject(self, dst: MacAddr, payload: bytes) -> None:
+        """Inject one Dom0-originated control frame into the bridge,
+        which forwards it to ``dst`` (a guest's vif, or the multicast
+        flood)."""
+        frame = Packet(
+            payload=payload,
+            eth=EthHeader(dst=dst, src=DOM0_MAC, ethertype=ETH_P_XENLOOP),
+        )
         self.machine.bridge.input(None, frame)
+
+    def _fault_tap(self, domid: int, kind: str) -> tuple[bool, float, int]:
+        """Fault tap for one control frame to guest ``domid`` (the rule's
+        ``guest`` matches the recipient): ``(deliver, delay, dup)``,
+        ``(True, 0.0, 0)`` with no control rules installed."""
+        plan = getattr(self.machine.dom0.sim, "fault_plan", None)
+        if plan is None or not plan.has_control_rules:
+            return True, 0.0, 0
+        target = self.machine.hypervisor.domains.get(domid)
+        return plan.on_control(target.name if target is not None else f"dom{domid}", kind)
 
     # -- WhoIs service (delta mode, Dom0 control port) ------------------
     def control_input(self, packet: Packet):
@@ -293,25 +277,11 @@ class DiscoveryModule(LifecycleHooks):
         found = domid is not None
         reply = PeerInfo(dom0.domid, msg.mac, domid if found else 0, found)
         self.whois_answered += 1
-        repeats = 1
-        plan = getattr(dom0.sim, "fault_plan", None)
-        if plan is not None and plan.has_control_rules:
-            # Fault tap: PeerInfo loss/delay/dup, keyed by the asking
-            # guest (the rule's ``guest`` matches the recipient).
-            requester = self.machine.hypervisor.domains.get(msg.sender_domid)
-            deliver, delay, dup = plan.on_control(
-                requester.name if requester is not None else f"dom{msg.sender_domid}",
-                "PeerInfo",
-            )
-            if not deliver:
-                return
-            if delay > 0.0:
-                yield dom0.sim.timeout(delay)
-            repeats += dup
+        deliver, delay, dup = self._fault_tap(msg.sender_domid, "PeerInfo")
+        if not deliver:
+            return
+        if delay > 0.0:
+            yield dom0.sim.timeout(delay)
         payload = reply.to_bytes()
-        for _ in range(repeats):
-            frame = Packet(
-                payload=payload,
-                eth=EthHeader(dst=eth.src, src=DOM0_MAC, ethertype=ETH_P_XENLOOP),
-            )
-            self.machine.bridge.input(None, frame)
+        for _ in range(1 + dup):
+            self._inject(eth.src, payload)

@@ -43,7 +43,6 @@ from repro.net.netfilter import HookPoint, Verdict
 from repro.net.packet import EthHeader, Packet
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.protocol import Announce, ConnectRequest, CreateChannel
     from repro.xen.domain import Domain
 
 __all__ = ["XenLoopModule"]
@@ -180,7 +179,7 @@ class XenLoopModule(LifecycleHooks):
         peer_domid = control.mapping.get(mac)
         if peer_domid is None:
             yield guest.exec(lookup)
-            if control.roster is not None:
+            if not control.roster.track_all:
                 # Sparse mapping (delta mode): the miss may just mean we
                 # never asked.  Query Dom0 in the background; this and
                 # every packet until the answer arrives stay on the
@@ -209,13 +208,11 @@ class XenLoopModule(LifecycleHooks):
             self.pkts_via_standard += 1
             return Verdict.ACCEPT
         self.pkts_via_channel += 1
-        self._last_traffic = guest.sim.now
         return Verdict.STOLEN
 
     # ------------------------------------------------------------------
     # Control-plane delegates (the wire-facing surface stays on the
-    # module: send_control is monkeypatch-friendly, the _handle_*
-    # methods are the documented per-message entry points)
+    # module: send_control is monkeypatch-friendly)
     # ------------------------------------------------------------------
     def send_control(self, dst_mac: MacAddr, msg):
         """Send an out-of-band XenLoop-type control frame via the standard
@@ -241,18 +238,6 @@ class XenLoopModule(LifecycleHooks):
 
     def _control_input(self, packet: Packet, dev):
         yield from self.control.control_input(packet, dev)
-
-    def _handle_announce(self, msg: "Announce") -> None:
-        self.control.handle_announce(msg)
-
-    def _handle_connect_request(self, msg: "ConnectRequest") -> None:
-        self.control.handle_connect_request(msg)
-
-    def _handle_create_channel(self, msg: "CreateChannel", src_mac: MacAddr) -> None:
-        self.control.handle_create_channel(msg, src_mac)
-
-    def _initiate_bootstrap(self, mac: MacAddr, peer_domid: int) -> None:
-        self.control.initiate_bootstrap(mac, peer_domid)
 
     # ------------------------------------------------------------------
     # LifecycleHooks (control plane -> module notifications)
@@ -318,8 +303,6 @@ class XenLoopModule(LifecycleHooks):
     # ------------------------------------------------------------------
     # Optional idle-channel reaper
     # ------------------------------------------------------------------
-    _last_traffic = 0.0
-
     def _idle_monitor(self):
         yield from self.control.idle_monitor()
 

@@ -1,10 +1,25 @@
-"""Guest-side roster view for delta discovery.
+"""Guest-side roster view: the [guest-ID, MAC] table behind ``mapping``.
 
-Under the thousand-guest control plane, Dom0 no longer broadcasts the
-full [guest-ID, MAC] roster every scan; it multicasts one
-:class:`~repro.core.protocol.RosterDelta` per *changed* scan plus a
-periodic :class:`~repro.core.protocol.FullSync`.  This module is the
-receiver-side bookkeeping:
+Every guest's :class:`~repro.core.control.ControlPlane` keeps one
+:class:`RosterView`, and its ``mapping`` *is* the view's ``entries``
+dict.  The two discovery modes share the view and differ only in what
+Dom0 puts on the wire:
+
+* **Announce mode** (the paper's, ``track_all=True``).  Each scan's
+  :class:`~repro.core.protocol.Announce` lists the whole roster; the
+  guest applies it with :meth:`RosterView.reconcile` -- an epoch-free
+  full sync -- so the view mirrors Dom0's latest table (soft state,
+  Sect. 3.2).
+* **Delta mode** (the thousand-guest control plane,
+  ``track_all=False``).  Dom0 multicasts one
+  :class:`~repro.core.protocol.RosterDelta` per *changed* scan plus a
+  periodic :class:`~repro.core.protocol.FullSync`, and the view only
+  *stores* peers something asked about (a data-path miss resolved via
+  WhoIs/PeerInfo, or an inbound handshake), so a guest's table is
+  O(active peers) while joins/leaves still flow through for the peers
+  it does track.
+
+Delta mode adds two pieces of bookkeeping:
 
 * **Epoch tracking.**  Dom0 increments its epoch once per changed
   scan.  A delta applies only when its epoch is exactly one past the
@@ -13,18 +28,15 @@ receiver-side bookkeeping:
   next full sync rather than applying a diff against unknown state.
   Stale/duplicate epochs are ignored, which is what makes the
   receive-side fault tap's ``dup`` rule safe.
-* **Footprint policy.**  With ``track_all=True`` the view mirrors the
-  whole roster (what an Announce-mode guest effectively keeps).  With
-  ``track_all=False`` -- the thousand-guest default -- the view only
-  *stores* peers something asked about (a data-path miss resolved via
-  WhoIs/PeerInfo, or an inbound handshake), so a guest's table is
-  O(active peers) while joins/leaves still flow through for the peers
-  it does track.
-* **Negative cache.**  In sparse mode a WhoIs answered "not found" is
-  remembered so the data path does not re-query Dom0 on every packet
-  to a non-XenLoop destination; any join or full sync listing that MAC
-  clears the entry (full syncs clear the whole cache -- it is a purely
-  local heuristic and epochs make re-population cheap).
+* **Negative cache.**  A WhoIs answered "not found" is remembered so
+  the data path does not re-query Dom0 on every packet to a
+  non-XenLoop destination; any join or full roster listing that MAC
+  clears the entry (a full roster clears the whole cache -- it is a
+  purely local heuristic and epochs make re-population cheap).
+
+Applying a frame returns the MACs whose channels must retire: tracked
+peers that left, or that re-advertised under a new guest-ID (a
+crash/restart reusing the MAC).
 """
 
 from __future__ import annotations
@@ -35,26 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.protocol import FullSync, RosterDelta
     from repro.net.addr import MacAddr
 
-__all__ = ["RosterChanges", "RosterView"]
-
-
-class RosterChanges:
-    """What one applied delta/full-sync means for *this* guest.
-
-    ``joins``/``leaves`` are restricted to entries the view tracks (in
-    sparse mode, peers the guest has materialized); the control plane
-    turns them into ``peer_discovered``/``peer_lost`` notifications and
-    channel teardowns.  ``domid_changed`` lists tracked MACs that
-    re-advertised under a new guest-ID (crash/restart reusing a MAC):
-    they appear in *both* ``leaves`` (old identity) and ``joins`` (new).
-    """
-
-    __slots__ = ("joins", "leaves", "domid_changed")
-
-    def __init__(self):
-        self.joins: list[tuple[int, "MacAddr"]] = []
-        self.leaves: list["MacAddr"] = []
-        self.domid_changed: list["MacAddr"] = []
+__all__ = ["RosterView"]
 
 
 class RosterView:
@@ -92,8 +85,8 @@ class RosterView:
     # ------------------------------------------------------------------
     # Frame application
     # ------------------------------------------------------------------
-    def apply_delta(self, msg: "RosterDelta") -> RosterChanges | None:
-        """Apply one delta; returns the tracked changes, or None when the
+    def apply_delta(self, msg: "RosterDelta") -> list["MacAddr"] | None:
+        """Apply one delta; returns the MACs to retire, or None when the
         frame was ignored (stale/duplicate) or gapped (now desynced)."""
         if msg.epoch <= self.epoch:
             self.deltas_ignored += 1
@@ -106,58 +99,51 @@ class RosterView:
             return None
         self.epoch = msg.epoch
         self.deltas_applied += 1
-        changes = RosterChanges()
-        for domid, mac in msg.leaves:
-            if mac == self.own_mac:
-                continue
-            if mac in self.entries:
-                del self.entries[mac]
-                changes.leaves.append(mac)
+        retire: list["MacAddr"] = []
+        for _domid, mac in msg.leaves:
+            if self.entries.pop(mac, None) is not None:
+                retire.append(mac)
         for domid, mac in msg.joins:
             if mac == self.own_mac:
                 continue
             self.negative.discard(mac)
             known = self.entries.get(mac)
             if known is not None and known != domid:
-                # Crash/restart reusing the MAC: same key, new identity.
-                changes.leaves.append(mac)
-                changes.domid_changed.append(mac)
+                retire.append(mac)  # crash/restart reusing the MAC
+            if known is not None or self.track_all:
                 self.entries[mac] = domid
-                changes.joins.append((domid, mac))
-            elif self.track_all:
-                self.entries[mac] = domid
-                if known is None:
-                    changes.joins.append((domid, mac))
-        return changes
+        return retire
 
-    def apply_full_sync(self, msg: "FullSync") -> RosterChanges | None:
+    def apply_full_sync(self, msg: "FullSync") -> list["MacAddr"] | None:
         """Reconcile against the scanner's complete roster; returns the
-        tracked changes, or None when the frame is stale."""
+        MACs to retire, or None when the frame is stale."""
         if msg.epoch < self.epoch:
             self.deltas_ignored += 1
             return None
         self.epoch = msg.epoch
         self.desynced = False
         self.full_syncs_applied += 1
+        return self.reconcile(msg.entries)
+
+    def reconcile(self, entries: list[tuple[int, "MacAddr"]]) -> list["MacAddr"]:
+        """Epoch-free full sync: replace the view with ``entries`` (a
+        FullSync's or an Announce's [guest-ID, MAC] list), restricted to
+        tracked peers unless ``track_all``.  Returns the MACs to retire."""
         self.negative.clear()
-        roster = {mac: domid for domid, mac in msg.entries if mac != self.own_mac}
-        changes = RosterChanges()
+        roster = {mac: domid for domid, mac in entries if mac != self.own_mac}
+        retire: list["MacAddr"] = []
         for mac, known in list(self.entries.items()):
             actual = roster.get(mac)
             if actual is None:
                 del self.entries[mac]
-                changes.leaves.append(mac)
+                retire.append(mac)
             elif actual != known:
-                changes.leaves.append(mac)
-                changes.domid_changed.append(mac)
                 self.entries[mac] = actual
-                changes.joins.append((actual, mac))
+                retire.append(mac)
         if self.track_all:
             for mac, domid in roster.items():
-                if mac not in self.entries:
-                    self.entries[mac] = domid
-                    changes.joins.append((domid, mac))
-        return changes
+                self.entries.setdefault(mac, domid)
+        return retire
 
     # ------------------------------------------------------------------
     def snapshot_state(self) -> dict:

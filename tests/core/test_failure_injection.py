@@ -65,7 +65,7 @@ class TestBootstrapRaces:
             gref_in=2,
             evtchn_port=listener.port.port,
         )
-        module._handle_create_channel(msg, listener.guest.mac)
+        module.control.handle_create_channel(msg, listener.guest.mac)
         sim.run(until=sim.now + 0.1)
         assert connector.state is ChannelState.CONNECTED
         assert connector.port.peer is listener.port  # same transport
@@ -92,7 +92,7 @@ class TestBootstrapRaces:
             gref_in=2,
             evtchn_port=999,  # no such port: a vanished transport
         )
-        module._handle_create_channel(msg, listener.guest.mac)
+        module.control.handle_create_channel(msg, listener.guest.mac)
         sim.run(until=sim.now + 0.1)
         # The stale CONNECTED husk is gone (the fabricated transport
         # cannot be mapped, so the reconnect fails cleanly) and the next
@@ -110,7 +110,7 @@ class TestBootstrapRaces:
         module = scn.modules[big.name]
         from repro.core.protocol import ConnectRequest
 
-        module._handle_connect_request(ConnectRequest(small.domid, small.mac))
+        module.control.handle_connect_request(ConnectRequest(small.domid, small.mac))
         scn.sim.run(until=scn.sim.now + 0.2)
         assert not module.channels
 
@@ -153,7 +153,7 @@ class TestMalformedControlFrames:
             gref_in=4343,
             evtchn_port=77,
         )
-        module._handle_create_channel(bogus, listener_node.mac)
+        module.control.handle_create_channel(bogus, listener_node.mac)
         sim.run(until=sim.now + 0.2)
         assert not any(
             ch.state is ChannelState.CONNECTED for ch in module.channels.values()
@@ -177,7 +177,7 @@ class TestAnnouncementEdgeCases:
             sender_domid=0,
             entries=[(scn.node_b.domid + 40, scn.node_b.mac)],
         )
-        module_a._handle_announce(fake)
+        module_a.control.handle_announce(fake)
         sim.run(until=sim.now + 0.2)
         assert old_channel.state is ChannelState.CLOSED
 
@@ -185,7 +185,7 @@ class TestAnnouncementEdgeCases:
         scn = xl
         scn.discovery.stop()  # no fresh announcements repopulating state
         module_a = scn.xenloop_module(scn.node_a)
-        module_a._handle_announce(Announce(sender_domid=0, entries=[]))
+        module_a.control.handle_announce(Announce(sender_domid=0, entries=[]))
         scn.sim.run(until=scn.sim.now + 0.2)
         assert not module_a.mapping
         assert not module_a.channels

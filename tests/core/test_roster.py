@@ -44,8 +44,8 @@ class TestEpochs:
         assert view.desynced and view.deltas_gapped == 1
         # even the "right" next epoch is refused while desynced
         assert view.apply_delta(RosterDelta(0, 4, [(6, _mac(6))], [])) is None
-        changes = view.apply_full_sync(FullSync(0, 4, [(6, _mac(6))]))
-        assert changes is not None
+        retire = view.apply_full_sync(FullSync(0, 4, [(6, _mac(6))]))
+        assert retire == [_mac(4)]
         assert not view.desynced and view.epoch == 4
         assert view.entries == {_mac(6): 6}
 
@@ -65,25 +65,24 @@ class TestEpochs:
 class TestSparseMode:
     def test_untracked_churn_flows_through(self):
         view = RosterView(OWN)  # sparse: nothing materialized yet
-        changes = view.apply_delta(RosterDelta(0, 1, [(4, _mac(4))], []))
-        assert changes.joins == [] and view.entries == {}
+        retire = view.apply_delta(RosterDelta(0, 1, [(4, _mac(4))], []))
+        assert retire == [] and view.entries == {}
         assert view.epoch == 1  # the epoch still advances
 
     def test_tracked_peer_leave_reported(self):
         view = RosterView(OWN)
         view.track(_mac(4), 4)
-        changes = view.apply_delta(RosterDelta(0, 1, [], [(4, _mac(4))]))
-        assert changes.leaves == [_mac(4)]
+        retire = view.apply_delta(RosterDelta(0, 1, [], [(4, _mac(4))]))
+        assert retire == [_mac(4)]
         assert _mac(4) not in view.entries
 
     def test_domid_change_is_leave_plus_join(self):
         view = RosterView(OWN)
         view.track(_mac(4), 4)
-        changes = view.apply_delta(RosterDelta(0, 1, [(7, _mac(4))], []))
-        assert changes.domid_changed == [_mac(4)]
-        assert changes.leaves == [_mac(4)]
-        assert changes.joins == [(7, _mac(4))]
-        assert view.entries[_mac(4)] == 7
+        retire = view.apply_delta(RosterDelta(0, 1, [(7, _mac(4))], []))
+        # the old identity's channel retires; the MAC stays, re-keyed
+        assert retire == [_mac(4)]
+        assert view.entries == {_mac(4): 7}
 
     def test_join_clears_negative_cache(self):
         view = RosterView(OWN)
@@ -100,9 +99,23 @@ class TestSparseMode:
     def test_full_sync_prunes_vanished_tracked_peer(self):
         view = RosterView(OWN)
         view.track(_mac(4), 4)
-        changes = view.apply_full_sync(FullSync(0, 2, [(5, _mac(5))]))
-        assert changes.leaves == [_mac(4)]
+        retire = view.apply_full_sync(FullSync(0, 2, [(5, _mac(5))]))
+        assert retire == [_mac(4)]
         assert view.entries == {}
+
+
+class TestReconcile:
+    def test_announce_is_epoch_free_full_sync(self):
+        """An announce-mode mirror applies each Announce's roster with
+        ``reconcile``: the view becomes the roster, the epoch is untouched,
+        and peers that left or changed guest-ID come back to retire."""
+        view = RosterView(OWN, track_all=True)
+        assert view.reconcile([(4, _mac(4)), (5, _mac(5)), (9, OWN)]) == []
+        assert view.entries == {_mac(4): 4, _mac(5): 5}
+        retire = view.reconcile([(7, _mac(4)), (6, _mac(6))])
+        assert retire == [_mac(4), _mac(5)]
+        assert view.entries == {_mac(4): 7, _mac(6): 6}
+        assert view.epoch == 0 and view.full_syncs_applied == 0
 
 
 # One scripted step of cluster churn: (op, guest-index, drop, dup).

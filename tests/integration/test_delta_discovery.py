@@ -16,6 +16,8 @@ import pytest
 from repro import topology
 from repro.calibration import DEFAULT_COSTS
 from repro.core.channel import ChannelState
+from repro.core.protocol import Announce, FullSync, PeerInfo, RosterDelta
+from repro.net.addr import MacAddr
 
 FAST = DEFAULT_COSTS.replace(discovery_period=0.2, bootstrap_timeout=0.01)
 
@@ -226,3 +228,48 @@ class TestIdentityRefresh:
         result = fm.run_cell(cell)
         assert result["ok"], result["detail"]
         assert result["recovered"].get("guest_restart") == 1
+
+
+class TestModeIsolation:
+    """Each discovery mode ignores the other mode's roster frames: the
+    ``track_all`` check in the control plane is all that keeps a delta
+    frame from editing an announce guest's mirror, or an Announce from
+    filling a delta guest's sparse mapping."""
+
+    def test_announce_guest_ignores_delta_frames(self):
+        cluster = fm._build_pair(fm.MATRIX_COSTS, seed=0)
+        vm1, vm2 = cluster.guests["vm1"], cluster.guests["vm2"]
+        channel = _connect(cluster, vm1, vm2, port=7631)
+        control = cluster.modules["vm1"].control
+        mapping, channels = dict(control.mapping), dict(control.channels)
+        stranger = MacAddr("00:16:3e:ff:00:42")
+
+        control.handle_roster_delta(
+            RosterDelta(0, 1, [(77, vm2.mac), (78, stranger)], [(vm2.domid, vm2.mac)])
+        )
+        control.handle_full_sync(FullSync(0, 1, [(79, stranger)]))
+        control.handle_peer_info(PeerInfo(0, vm2.mac, 77, True))
+        control.handle_peer_info(PeerInfo(0, stranger, 78, True))
+        cluster.sim.run(until=cluster.sim.now + 0.05)
+
+        assert control.mapping == mapping
+        assert control.channels == channels
+        assert channel.state is ChannelState.CONNECTED
+
+    def test_delta_guest_ignores_announce(self):
+        scn = _delta_spec(n=3).build(FAST, seed=7)
+        a, b, c = (scn.guests[f"vm{i}"] for i in (1, 2, 3))
+        channel = _connect(scn, a, b, port=7632)
+        control = scn.modules["vm1"].control
+        assert control.mapping == {b.mac: b.domid}
+
+        control.handle_announce(
+            Announce(sender_domid=0, entries=[(a.domid, a.mac), (c.domid, c.mac)])
+        )
+        control.handle_announce(
+            Announce(sender_domid=0, entries=[(b.domid + 40, b.mac)])
+        )
+        scn.sim.run(until=scn.sim.now + 0.05)
+
+        assert control.mapping == {b.mac: b.domid}
+        assert channel.state is ChannelState.CONNECTED

@@ -101,10 +101,13 @@ class TestPersistence:
         path = tmp_path / "snap.json"
         snap.save(path)
         doc = json.loads(path.read_text())
-        doc["format"] = SNAPSHOT_FORMAT + 1
-        path.write_text(json.dumps(doc))
-        with pytest.raises(SnapshotError):
-            SimSnapshot.load(path)
+        # a future format, and format 1 (before the engine lost its
+        # "wheel" key and announce guests gained a roster view)
+        for fmt in (SNAPSHOT_FORMAT + 1, 1):
+            doc["format"] = fmt
+            path.write_text(json.dumps(doc))
+            with pytest.raises(SnapshotError):
+                SimSnapshot.load(path)
 
     def test_restore_without_recipe_rejected(self):
         snap = SimSnapshot.capture(build_from_recipe(_warm_recipe()))
