@@ -14,7 +14,7 @@ Run:  python examples/web_service_tier.py
 import struct
 
 from repro import scenarios
-from repro.sim.stats import LatencyProbe
+from repro.sim.stats import LogHistogram
 
 DB_PORT = 5432
 QUERIES_PER_REQUEST = 3  # a page render issues several queries
@@ -26,7 +26,7 @@ _HDR = struct.Struct("!I")
 def run_tier(scn, label):
     sim = scn.sim
     web, db = scn.node_a, scn.node_b
-    probe = LatencyProbe()
+    probe = LogHistogram()
 
     def database():
         listener = db.stack.tcp_listen(DB_PORT)
@@ -61,7 +61,7 @@ def run_tier(scn, label):
     sim.process(database())
     proc = sim.process(web_frontend())
     sim.run_until_complete(proc, timeout=120)
-    print(f"{label:24s} mean transaction {probe.mean_us:7.1f} us   "
+    print(f"{label:24s} mean transaction {probe.mean * 1e6:7.1f} us   "
           f"p99 {probe.percentile(99) * 1e6:7.1f} us   "
           f"({N_REQUESTS} requests x {QUERIES_PER_REQUEST} queries)")
     return probe

@@ -171,12 +171,6 @@ class CostModel:
     #: downtime window and from bridge-path drops injected through the
     #: fault plan (``faults.PKT_LOSS``); the RTO recovers both.
     tcp_rto: float = 0.2
-    #: initial congestion window in MSS units (RFC 6928's IW10 would be
-    #: 10).  0 -- the calibrated default -- starts cwnd wide open at
-    #: ``tcp_window`` bytes, so on lossless paths cwnd never binds and
-    #: traffic is bit-identical to the fixed-window model; congestion
-    #: scenarios opt into a real slow start via ``replace()``.
-    tcp_initial_cwnd: int = 0
     #: duplicate-ACK threshold for fast retransmit (RFC 5681: 3).
     tcp_dupack_threshold: int = 3
 

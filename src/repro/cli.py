@@ -24,6 +24,13 @@ from repro.workloads import lmbench, migration_rr, netperf, pingpong
 SCENARIO_ORDER = ["inter_machine", "netfront_netback", "xenloop", "native_loopback"]
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def _warm(name: str, **kwargs):
     scn = scenarios.build(name, **kwargs)
     scn.warmup()
@@ -261,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     sub.add_parser("list", help="list scenarios and commands")
     ping = sub.add_parser("ping", help="flood-ping one or all scenarios")
     ping.add_argument("scenario", nargs="?", choices=list(scenarios.SCENARIO_BUILDERS))
-    ping.add_argument("--count", type=int, default=100)
+    ping.add_argument("--count", type=_positive_int, default=100)
     sub.add_parser("tables", help="Tables 1-3 in one run")
     sub.add_parser("fig11", help="migration timeline (Fig. 11)")
     sub.add_parser("bypass", help="future-work socket bypass comparison")

@@ -17,10 +17,9 @@ scenarios that extend them) depend on it:
 * congestion control: slow start, AIMD congestion avoidance, dup-ACK
   fast retransmit and NewReno-style fast recovery.  ``cwnd`` composes
   with the peer's advertised window in
-  :meth:`TcpConnection._window_avail`; with the calibrated default
-  ``tcp_initial_cwnd=0`` the window starts wide open at ``tcp_window``,
-  so lossless paths never see cwnd bind and replay the pre-congestion
-  goldens bit for bit,
+  :meth:`TcpConnection._window_avail`; every connection starts at
+  RFC 6928's initial window of :data:`INITIAL_WINDOW` segments and
+  grows to the ``tcp_window`` cap,
 * per-segment transport CPU plus checksum and copy costs,
 * ACK traffic flowing back through the same channel as data,
 * out-of-order segment buffering, needed when a connection's packets
@@ -79,6 +78,9 @@ FIN_WAIT = "FIN_WAIT"
 CLOSE_WAIT = "CLOSE_WAIT"
 LAST_ACK = "LAST_ACK"
 
+#: initial congestion window in MSS units (RFC 6928's IW10).
+INITIAL_WINDOW = 10
+
 #: bound on the per-connection cwnd trace (oldest entries roll off).
 _CWND_TRACE_MAX = 256
 
@@ -98,8 +100,8 @@ class CongestionStats:
     """Point-in-time congestion state of one connection.
 
     ``cwnd_trace`` is the bounded ``(sim_time, cwnd)`` history of window
-    changes (empty until cwnd first moves -- i.e. forever, on lossless
-    paths with the wide-open default window)."""
+    changes (empty until the first ACK grows cwnd past its initial
+    window)."""
 
     cwnd: int
     ssthresh: int
@@ -152,15 +154,11 @@ class TcpConnection:
         self._retx_running = False
         self.retransmissions = 0
 
-        # Congestion control (tentpole: slow start / AIMD / fast
-        # retransmit).  With tcp_initial_cwnd=0 the window starts wide
-        # open at tcp_window, so cwnd never binds on a lossless path.
+        # Congestion control: slow start from IW10, AIMD, fast
+        # retransmit.
         costs = layer.stack.node.costs
         self._cwnd_cap = costs.tcp_window
-        if costs.tcp_initial_cwnd > 0:
-            self.cwnd = costs.tcp_initial_cwnd * costs.mss
-        else:
-            self.cwnd = costs.tcp_window
+        self.cwnd = INITIAL_WINDOW * costs.mss
         self.ssthresh = costs.tcp_window
         self.dup_acks = 0  # consecutive, reset on ACK advance
         self.dup_acks_rcvd = 0
@@ -583,8 +581,8 @@ class TcpConnection:
         self.dup_acks = 0
         in_recovery = self.snd_una < self._recover_seq
         if not self._in_fast_recovery and not in_recovery and self.cwnd >= self._cwnd_cap:
-            # Wide open (the lossless-path default): growth would only
-            # clamp back to the cap, so skip the route lookup entirely.
+            # At the cap (every lossless path once slow start is done):
+            # growth would only clamp back, so skip the route lookup.
             return False
         mss = self._eff_mss()
         if self._in_fast_recovery:

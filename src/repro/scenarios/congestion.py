@@ -12,10 +12,10 @@ realism" item):
 
 Both take ``data_path="fifo"`` (XenLoop loaded everywhere; guest
 traffic bypasses the bridge) or ``"netfront"`` (plain split-driver path
-through the Dom0 bridge).  The builders arm a real slow start
-(``tcp_initial_cwnd=10`` unless the caller already set one); bridge
-loss is injected separately with :func:`loss_plan` so the lossless
-cells stay bit-identical to a run without the faults module.
+through the Dom0 bridge).  Every TCP connection slow-starts from IW10
+(:data:`repro.net.tcp.INITIAL_WINDOW`); bridge loss is injected
+separately with :func:`loss_plan` so the lossless cells stay
+bit-identical to a run without the faults module.
 
 :func:`run_incast_cell` / :func:`run_fairness_cell` are the shared
 drivers behind the golden tests, ``benchmarks/bench_congestion.py``
@@ -37,17 +37,6 @@ __all__ = [
     "xenloop_fairness",
     "xenloop_incast",
 ]
-
-#: initial congestion window (MSS units) armed by the builders.
-_SCENARIO_IW = 10
-
-
-def _cc_costs(costs: CostModel) -> CostModel:
-    """Arm a real slow start unless the caller pinned an initial cwnd."""
-    if costs.tcp_initial_cwnd > 0:
-        return costs
-    return costs.replace(tcp_initial_cwnd=_SCENARIO_IW)
-
 
 def _module_for(data_path: str):
     if data_path == "fifo":
@@ -76,7 +65,7 @@ def xenloop_incast(
         machines=(topology.MachineSpec(name="xenhost", guests=tuple(guests)),),
         endpoints=("src1", "sink"),
     )
-    return spec.build(_cc_costs(costs), seed=seed)
+    return spec.build(costs, seed=seed)
 
 
 @scenario()
@@ -98,7 +87,7 @@ def xenloop_fairness(
         machines=(topology.MachineSpec(name="xenhost", guests=tuple(guests)),),
         endpoints=("e1", "sink"),
     )
-    return spec.build(_cc_costs(costs), seed=seed)
+    return spec.build(costs, seed=seed)
 
 
 def loss_plan(loss: float, seed: int = 0, machine: str = "xenhost") -> FaultPlan:
@@ -109,7 +98,7 @@ def loss_plan(loss: float, seed: int = 0, machine: str = "xenhost") -> FaultPlan
     return FaultPlan([rule], seed=seed)
 
 
-def _summarize(scn: topology.Cluster, result, extra: dict) -> dict:
+def _cell_summary(scn: topology.Cluster, result, extra: dict) -> dict:
     from repro import trace
 
     stats = trace.engine_stats(scn.sim)
@@ -157,7 +146,7 @@ def run_incast_cell(
         "n_flows": n_senders,
         "duration": round(result.duration, 9),
     }
-    return _summarize(scn, result, cell)
+    return _cell_summary(scn, result, cell)
 
 
 def run_fairness_cell(
@@ -199,4 +188,4 @@ def run_fairness_cell(
         "mice_mbps": round(result.mice_mbps, 3),
         "fairness_elephants": round(result.fairness_elephants, 6),
     }
-    return _summarize(scn, result, cell)
+    return _cell_summary(scn, result, cell)

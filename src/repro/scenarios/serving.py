@@ -25,7 +25,7 @@ from __future__ import annotations
 from repro import topology
 from repro.calibration import DEFAULT_COSTS, CostModel
 from repro.scenarios.base import Scenario
-from repro.scenarios.congestion import _cc_costs, _module_for, loss_plan
+from repro.scenarios.congestion import _module_for, loss_plan
 from repro.scenarios.registry import scenario
 
 __all__ = ["run_serving_cell", "serving_churn_schedule", "xenloop_serving"]
@@ -97,7 +97,7 @@ def xenloop_serving(
         endpoints=("c1", "srv"),
         churn=schedule,
     )
-    return spec.build(_cc_costs(costs), seed=seed)
+    return spec.build(costs, seed=seed)
 
 
 def run_serving_cell(

@@ -23,32 +23,22 @@ from repro.sim.engine import (
     Timeout,
 )
 from repro.sim.resources import CPUCores, Resource, Store
-from repro.sim.stats import (
-    Counter,
-    Deadline,
-    LatencyProbe,
-    LogHistogram,
-    ThroughputProbe,
-    TimeSeries,
-)
+from repro.sim.stats import Deadline, LogHistogram, TimeSeries
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "CPUCores",
     "Call",
-    "Counter",
     "Deadline",
     "Event",
     "Interrupt",
-    "LatencyProbe",
     "LogHistogram",
     "Process",
     "Resource",
     "SimulationError",
     "Simulator",
     "Store",
-    "ThroughputProbe",
     "TimeSeries",
     "Timeout",
 ]

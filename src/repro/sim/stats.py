@@ -3,54 +3,25 @@
 These are plain accumulators -- they never schedule events -- so probing
 is free of simulation side effects.
 
-Streaming percentiles
----------------------
-Open-loop serving scenarios record one latency per request at millions
-of requests per run, so percentile machinery has to be O(1) per sample
-with bounded memory.  :class:`LogHistogram` is the HDR-histogram-shaped
-answer: fixed log-spaced buckets (128 sub-buckets per power of two),
-O(1) ``record``, O(buckets) ``percentile``, exact count/mean/min/max,
-and element-wise mergeable across probes and reps.  The bucket
-index is a pure function of the value, so goldens can pin *bucket
-indices* (exactly stable across platforms) rather than floats.
-
-:class:`LatencyProbe` keeps exact per-sample semantics (the
-paper-table goldens pin its interpolated percentiles) with a cached
-sorted view, so ``percentile()`` does not re-sort on every call.  The
-open-loop serving workload records straight into a :class:`LogHistogram`.
+One percentile recorder
+-----------------------
+Every latency distribution in the simulator -- flood ping, the netperf
+RR loops, open-loop serving, perfbench -- is recorded into a
+:class:`LogHistogram`:
+the HDR-histogram-shaped answer to "percentiles at millions of samples".
+Fixed log-spaced buckets (128 sub-buckets per power of two) give O(1)
+``record``, O(buckets) ``percentile``, exact count/mean/min/max, and
+element-wise merging across probes and reps.  No per-sample list is
+kept anywhere.  The bucket index is a pure function of the value, so
+goldens can pin *bucket indices* (exactly stable across platforms)
+rather than floats.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional
 
-__all__ = [
-    "Counter",
-    "Deadline",
-    "LatencyProbe",
-    "LogHistogram",
-    "ThroughputProbe",
-    "TimeSeries",
-    "summarize",
-]
-
-
-class Counter:
-    """Named monotonically increasing counter."""
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self.value = 0
-
-    def add(self, n: int = 1) -> None:
-        """Increment by ``n`` (must be non-negative)."""
-        if n < 0:
-            raise ValueError("counters only go up")
-        self.value += n
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Counter({self.name}={self.value})"
+__all__ = ["Deadline", "LogHistogram", "TimeSeries"]
 
 
 class TimeSeries:
@@ -294,126 +265,3 @@ class Deadline:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Deadline({self.name}, slo={self.slo}, {self.violations}/{self.count})"
-
-
-class LatencyProbe:
-    """Accumulates per-operation latencies (seconds).
-
-    Keeps every sample and serves exact interpolated percentiles from a
-    cached sorted view (invalidated on ``record``).
-    """
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self.samples: list[float] = []
-        self._sorted: Optional[list[float]] = None
-
-    def record(self, latency: float) -> None:
-        """Record one latency sample in seconds."""
-        if latency < 0:
-            raise ValueError(f"negative latency: {latency}")
-        self.samples.append(latency)
-        self._sorted = None
-
-    @property
-    def count(self) -> int:
-        """Number of samples recorded."""
-        return len(self.samples)
-
-    @property
-    def mean(self) -> float:
-        """Mean latency in seconds."""
-        if not self.samples:
-            raise ValueError("no samples")
-        return sum(self.samples) / len(self.samples)
-
-    @property
-    def mean_us(self) -> float:
-        """Mean latency in microseconds."""
-        return self.mean * 1e6
-
-    def percentile(self, p: float) -> float:
-        """Exact (linear-interpolated) percentile, ``p`` in [0, 100]."""
-        if not 0 <= p <= 100:
-            raise ValueError("percentile in [0, 100]")
-        if not self.samples:
-            raise ValueError("no samples")
-        ordered = self._sorted
-        if ordered is None:
-            ordered = self._sorted = sorted(self.samples)
-        k = (len(ordered) - 1) * p / 100.0
-        lo = math.floor(k)
-        hi = math.ceil(k)
-        if lo == hi:
-            return ordered[int(k)]
-        return ordered[lo] * (hi - k) + ordered[hi] * (k - lo)
-
-
-class ThroughputProbe:
-    """Accumulates bytes (or transactions) over a measured interval."""
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self.total = 0
-        self.start_time: Optional[float] = None
-        self.end_time: Optional[float] = None
-
-    def open(self, t: float) -> None:
-        """Start the measurement interval at time ``t``."""
-        self.start_time = t
-
-    def record(self, n: int, t: float) -> None:
-        """Accumulate ``n`` units observed at time ``t``."""
-        if self.start_time is None:
-            self.start_time = t
-        self.total += n
-        self.end_time = t
-
-    @property
-    def elapsed(self) -> float:
-        """Observed interval length in seconds."""
-        if self.start_time is None or self.end_time is None:
-            raise ValueError("probe never recorded")
-        return self.end_time - self.start_time
-
-    def rate(self) -> float:
-        """Units per second over the observed interval."""
-        elapsed = self.elapsed
-        if elapsed <= 0:
-            raise ValueError("interval too short to compute a rate")
-        return self.total / elapsed
-
-    def mbps(self) -> float:
-        """Throughput in Mbit/s, interpreting ``total`` as bytes."""
-        return self.rate() * 8 / 1e6
-
-
-def summarize(samples) -> dict[str, float]:
-    """min/mean/max/stdev of an iterable of floats.
-
-    Also accepts a :class:`LogHistogram`, summarised from its exact
-    running moments (no sample list required).
-    """
-    if isinstance(samples, LogHistogram):
-        if not samples.count:
-            raise ValueError("no samples")
-        return {
-            "n": samples.count,
-            "min": samples.min,
-            "mean": samples.mean,
-            "max": samples.max,
-            "stdev": samples.stdev,
-        }
-    data = list(samples)
-    if not data:
-        raise ValueError("no samples")
-    n = len(data)
-    mean = sum(data) / n
-    var = sum((x - mean) ** 2 for x in data) / n
-    return {
-        "n": n,
-        "min": min(data),
-        "mean": mean,
-        "max": max(data),
-        "stdev": math.sqrt(var),
-    }

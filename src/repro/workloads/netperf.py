@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.sim.stats import LogHistogram
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.scenarios import Scenario
 
@@ -39,25 +41,33 @@ class RrResult:
     trans_per_sec: float
     latency_us: float
     #: per-transaction latency percentiles (virq jitter gives a real
-    #: distribution; netperf's -j option reports the same quantities).
+    #: distribution; netperf's -j option reports the same quantities),
+    #: within ``LogHistogram.REL_ERROR`` of the exact sample.
     p50_us: float = 0.0
     p99_us: float = 0.0
 
 
-def _rr_result(samples: list[float]) -> RrResult:
-    from repro.sim.stats import LatencyProbe
+def _check_duration(duration: float) -> None:
+    if duration <= 0:
+        raise ValueError(f"duration must be positive, not {duration}")
 
-    probe = LatencyProbe()
-    for s in samples:
-        probe.record(s)
-    total = sum(samples)
-    n = len(samples)
+
+def _timed_transactions(sim, duration: float, transaction):
+    """Run ``transaction()`` back to back, one outstanding at a time,
+    until ``duration`` simulated seconds have passed (generator; returns
+    the :class:`RrResult`)."""
+    hist = LogHistogram()
+    t0 = sim.now
+    while sim.now - t0 < duration:
+        t_start = sim.now
+        yield from transaction()
+        hist.record(sim.now - t_start)
     return RrResult(
-        transactions=n,
-        trans_per_sec=n / total,
-        latency_us=total / n * 1e6,
-        p50_us=probe.percentile(50) * 1e6,
-        p99_us=probe.percentile(99) * 1e6,
+        transactions=hist.count,
+        trans_per_sec=hist.count / hist.total,
+        latency_us=hist.total / hist.count * 1e6,
+        p50_us=hist.percentile(50) * 1e6,
+        p99_us=hist.percentile(99) * 1e6,
     )
 
 
@@ -78,6 +88,7 @@ def tcp_rr(
     port: int = 5201,
 ) -> RrResult:
     """netperf TCP_RR: one outstanding transaction at a time."""
+    _check_duration(duration)
     sim = scenario.sim
     done = {}
 
@@ -97,18 +108,15 @@ def tcp_rr(
     def client():
         conn = yield from scenario.node_a.stack.tcp_connect((scenario.ip_b, port))
         req = bytes(req_size)
+
+        def one_transaction():
+            yield from conn.send(req)
+            yield from conn.recv_exactly(resp_size)
+
         for _ in range(_WARMUP_TRANSACTIONS):
-            yield from conn.send(req)
-            yield from conn.recv_exactly(resp_size)
-        t0 = sim.now
-        samples = []
-        while sim.now - t0 < duration:
-            t_start = sim.now
-            yield from conn.send(req)
-            yield from conn.recv_exactly(resp_size)
-            samples.append(sim.now - t_start)
+            yield from one_transaction()
+        done["result"] = yield from _timed_transactions(sim, duration, one_transaction)
         yield from conn.close()
-        done["result"] = _rr_result(samples)
 
     sim.process(server(), name="netperf-rr-server")
     proc = sim.process(client(), name="netperf-rr-client")
@@ -124,6 +132,7 @@ def udp_rr(
     port: int = 5202,
 ) -> RrResult:
     """netperf UDP_RR: one outstanding datagram transaction at a time."""
+    _check_duration(duration)
     sim = scenario.sim
     done = {}
     stop = {"flag": False}
@@ -138,20 +147,17 @@ def udp_rr(
     def client():
         sock = scenario.node_a.stack.udp_socket()
         req = bytes(max(1, req_size))
+
+        def one_transaction():
+            yield from sock.sendto(req, (scenario.ip_b, port))
+            yield from sock.recvfrom()
+
         for _ in range(_WARMUP_TRANSACTIONS):
-            yield from sock.sendto(req, (scenario.ip_b, port))
-            yield from sock.recvfrom()
-        t0 = sim.now
-        samples = []
-        while sim.now - t0 < duration:
-            t_start = sim.now
-            yield from sock.sendto(req, (scenario.ip_b, port))
-            yield from sock.recvfrom()
-            samples.append(sim.now - t_start)
+            yield from one_transaction()
+        done["result"] = yield from _timed_transactions(sim, duration, one_transaction)
         stop["flag"] = True
         # One final wake for the server loop's pending recv.
         yield from sock.sendto(req, (scenario.ip_b, port))
-        done["result"] = _rr_result(samples)
 
     sim.process(server(), name="netperf-udprr-server")
     proc = sim.process(client(), name="netperf-udprr-client")
@@ -168,6 +174,7 @@ def tcp_crr(
 ) -> RrResult:
     """netperf TCP_CRR: connect + request + response + close per
     transaction -- measures connection-setup cost through the channel."""
+    _check_duration(duration)
     sim = scenario.sim
     done = {}
     listener = scenario.node_b.stack.tcp_listen(port, backlog=64)
@@ -192,14 +199,8 @@ def tcp_crr(
 
         for _ in range(_WARMUP_TRANSACTIONS):
             yield from one_transaction()
-        t0 = sim.now
-        samples = []
-        while sim.now - t0 < duration:
-            t_start = sim.now
-            yield from one_transaction()
-            samples.append(sim.now - t_start)
+        done["result"] = yield from _timed_transactions(sim, duration, one_transaction)
         stop["flag"] = True
-        done["result"] = _rr_result(samples)
 
     sim.process(server(), name="netperf-crr-server")
     proc = sim.process(client(), name="netperf-crr-client")

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.sim.stats import LatencyProbe
+from repro.sim.stats import LogHistogram
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.scenarios import Scenario
@@ -29,9 +29,11 @@ class PingResult:
 
 def flood_ping(scenario: "Scenario", count: int = 200, size: int = 56, timeout: float = 1.0) -> PingResult:
     """Run a flood ping from endpoint A to endpoint B; returns RTT stats."""
+    if count < 1:
+        raise ValueError(f"count must be at least 1, not {count}")
     sim = scenario.sim
     stack = scenario.node_a.stack
-    probe = LatencyProbe("ping")
+    rtts = LogHistogram("ping")
     lost = 0
 
     def pinger():
@@ -42,18 +44,18 @@ def flood_ping(scenario: "Scenario", count: int = 200, size: int = 56, timeout: 
             waiter = yield from stack.icmp.send_echo(scenario.ip_b, ident, seq, size)
             yield sim.any_of([waiter, sim.timeout(timeout)])
             if waiter.triggered:
-                probe.record(sim.now - t0)
+                rtts.record(sim.now - t0)
             else:
                 lost += 1
 
     proc = sim.process(pinger(), name="flood-ping")
     sim.run_until_complete(proc, timeout=count * timeout + 10)
-    if probe.count == 0:
+    if rtts.count == 0:
         raise RuntimeError("all pings lost")
     return PingResult(
         count=count,
-        rtt_us=probe.mean_us,
-        min_us=min(probe.samples) * 1e6,
-        max_us=max(probe.samples) * 1e6,
+        rtt_us=rtts.mean * 1e6,
+        min_us=rtts.min * 1e6,
+        max_us=rtts.max * 1e6,
         lost=lost,
     )

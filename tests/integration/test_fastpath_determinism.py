@@ -58,20 +58,21 @@ GOLDEN_NOTIFY_COUNTERS = {
 }
 
 GOLDEN_TCP_RR = {
-    # (transactions, trans_per_sec, latency_us, p50_us, p99_us)
+    # (transactions, trans_per_sec, latency_us, p50_us, p99_us); the
+    # percentiles are LogHistogram bucket midpoints.
     "xenloop": (
         147,
         7327.289562248531,
         136.47611323458182,
-        136.4531879913993,
-        143.23696230360108,
+        136.85226440429688,
+        143.52798461914062,
     ),
     "netfront_netback": (
         148,
         7397.525022656094,
         135.18034706707192,
-        135.1635829300807,
-        141.9331283702719,
+        134.94491577148438,
+        142.57431030273438,
     ),
 }
 

@@ -3,10 +3,8 @@ ACK-livelock fixes (duplicate re-ACK, RST on demux miss), backlog
 overflow, and wake-all-on-EOF.
 
 Loss is injected with dropping netfilter hooks so every recovery path
-runs deterministically.  Congestion tests build their own LAN with
-``tcp_initial_cwnd`` armed -- the shared fixtures use DEFAULT_COSTS,
-whose wide-open window is itself pinned by
-:class:`TestLosslessDefaults`.
+runs deterministically.  Congestion tests build their own LAN on the
+physical NIC, whose MSS-sized segments make IW10 a 10-segment flight.
 """
 
 import pytest
@@ -20,14 +18,12 @@ from repro.net.nic import EthernetSwitch, PhysNIC
 from repro.net.node import Node
 from repro.net.packet import TcpHeader
 from repro.net.stack import NetworkStack
-from repro.net.tcp import ESTABLISHED, TcpConnection
+from repro.net.tcp import ESTABLISHED, INITIAL_WINDOW, TcpConnection
 from repro.sim.engine import Simulator
 from repro.sim.resources import CPUCores
 from tests.net.test_tcp import connect_pair
 from tests.net.test_tcp_retransmit import _Dropper
 
-#: slow start armed: cwnd starts at 4 segments instead of wide open.
-CC_COSTS = DEFAULT_COSTS.replace(tcp_initial_cwnd=4)
 MSS = DEFAULT_COSTS.mss  # PhysNIC path: no GSO, mtu 1500 -> eff_mss == mss
 
 
@@ -61,43 +57,47 @@ def stream(sim, client, server, payload, timeout=30):
     return sim.run_until_complete(proc, timeout=timeout)
 
 
-class TestLosslessDefaults:
-    """The calibrated default (tcp_initial_cwnd=0) must keep cwnd wide
-    open so every pre-congestion golden replays bit for bit."""
+class TestInitialWindow:
+    """Every connection slow-starts from RFC 6928's IW10."""
 
-    def test_cwnd_starts_at_window_cap(self, sim, host):
+    def test_cwnd_starts_at_iw10(self, sim, host):
         client, server = connect_pair(sim, host, host)
-        assert client.cwnd == DEFAULT_COSTS.tcp_window
-        assert server.cwnd == DEFAULT_COSTS.tcp_window
+        assert INITIAL_WINDOW == 10
+        assert client.cwnd == 10 * DEFAULT_COSTS.mss
+        assert server.cwnd == 10 * DEFAULT_COSTS.mss
+        assert not client.cwnd_trace
 
-    def test_cwnd_never_moves_without_loss(self, sim, host):
+    def test_lossless_stream_grows_monotonically(self, sim, host):
         client, server = connect_pair(sim, host, host)
         assert stream(sim, client, server, bytes(200_000)) == bytes(200_000)
+        values = [v for _, v in client.cwnd_trace]
+        assert values, "slow start must grow cwnd"
+        assert values == sorted(values)
+        assert client.cwnd > 10 * DEFAULT_COSTS.mss
+        assert client.cwnd <= DEFAULT_COSTS.tcp_window
         assert client.retransmissions == 0
-        assert client.cwnd == DEFAULT_COSTS.tcp_window
-        assert not client.cwnd_trace  # empty forever on lossless paths
         assert client.dup_acks_rcvd == 0
         assert server.dup_segments == 0
 
 
 class TestSlowStartAimd:
     def test_slow_start_doubles_per_rtt(self, sim):
-        a, b = make_lan(sim, CC_COSTS)
+        a, b = make_lan(sim, DEFAULT_COSTS)
         client, server = connect_pair(sim, a, b)
-        assert client.cwnd == 4 * MSS
+        assert client.cwnd == 10 * MSS
         payload = bytes(range(256)) * 1024  # 256 KB
         assert stream(sim, client, server, payload) == payload
         # Every full-MSS ACK grows cwnd by one MSS during slow start.
-        assert client.cwnd > 4 * MSS
+        assert client.cwnd > 10 * MSS
         assert client.cwnd_trace, "growth must be recorded"
         values = [v for _, v in client.cwnd_trace]
         assert values == sorted(values)  # lossless run: monotone growth
         assert client.retransmissions == 0
 
     def test_congestion_avoidance_linear_above_ssthresh(self, sim):
-        a, b = make_lan(sim, CC_COSTS.replace(tcp_initial_cwnd=2))
+        a, b = make_lan(sim, DEFAULT_COSTS)
         client, server = connect_pair(sim, a, b)
-        client.ssthresh = 2 * MSS  # already at ssthresh: pure CA from here
+        client.ssthresh = client.cwnd  # already at ssthresh: pure CA from here
         payload = bytes(100_000)
         assert stream(sim, client, server, payload) == payload
         growth = [after - before for (_, before), (_, after) in
@@ -108,7 +108,7 @@ class TestSlowStartAimd:
         assert all(0 < g <= MSS for g in growth)
 
     def test_fast_retransmit_on_triple_dup_ack(self, sim):
-        a, b = make_lan(sim, CC_COSTS.replace(tcp_initial_cwnd=10))
+        a, b = make_lan(sim, DEFAULT_COSTS)
         client, server = connect_pair(sim, a, b)
         dropper = _Dropper(1)  # first data segment dies once
         a.stack.netfilter.register(HookPoint.POST_ROUTING, dropper)
@@ -117,12 +117,12 @@ class TestSlowStartAimd:
         assert dropper.dropped
         assert client.fast_retransmits == 1
         assert client.rto_retransmits == 0  # dup ACKs beat the timer
-        assert client.dup_acks_rcvd >= CC_COSTS.tcp_dupack_threshold
+        assert client.dup_acks_rcvd >= DEFAULT_COSTS.tcp_dupack_threshold
         assert not client._in_fast_recovery  # recovery completed
         assert client.cwnd <= client._cwnd_cap
 
     def test_rto_collapses_cwnd_to_one_segment(self, sim):
-        a, b = make_lan(sim, CC_COSTS.replace(tcp_initial_cwnd=10))
+        a, b = make_lan(sim, DEFAULT_COSTS)
         client, server = connect_pair(sim, a, b)
         dropper = _Dropper(1)
         a.stack.netfilter.register(HookPoint.POST_ROUTING, dropper)
@@ -228,7 +228,7 @@ class TestAckLivelock:
         assert sim.now - t0 < DEFAULT_COSTS.tcp_rto
 
     def test_retx_counters_roll_into_layer_totals(self, sim):
-        a, b = make_lan(sim, CC_COSTS.replace(tcp_initial_cwnd=10))
+        a, b = make_lan(sim, DEFAULT_COSTS)
         client, server = connect_pair(sim, a, b)
         dropper = _Dropper(1)  # one lost data segment -> fast retransmit
         a.stack.netfilter.register(HookPoint.POST_ROUTING, dropper)

@@ -58,21 +58,28 @@ class TestRetransmission:
         """Go-back-N: a burst of consecutive losses costs ~one RTO, not
         one RTO per segment."""
         client, server = connect_pair(sim, host, host)
+
+        def transfer(payload):
+            def cli():
+                yield from client.send(payload)
+
+            def srv():
+                return (yield from server.recv_exactly(len(payload)))
+
+            sim.process(cli())
+            proc = sim.process(srv())
+            sim.run_until_complete(proc, timeout=30)
+
+        # Open the window first: from IW10 (one GSO segment here) the
+        # five drops would land in five successive flights, one RTO each.
+        transfer(bytes(300_000))
+        assert client.cwnd >= 100_000  # the next transfer is one flight
         dropper = _Dropper(5)
         host.stack.netfilter.register(HookPoint.POST_ROUTING, dropper)
-        payload = bytes(100_000)
-
-        def cli():
-            yield from client.send(payload)
-
-        def srv():
-            return (yield from server.recv_exactly(len(payload)))
-
         t0 = sim.now
-        sim.process(cli())
-        proc = sim.process(srv())
-        sim.run_until_complete(proc, timeout=30)
+        transfer(bytes(100_000))
         elapsed = sim.now - t0
+        assert len(dropper.dropped) == 5
         assert elapsed < 2.5 * DEFAULT_COSTS.tcp_rto
 
     def test_no_loss_no_retransmissions(self, sim, host):

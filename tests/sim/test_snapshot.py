@@ -101,9 +101,10 @@ class TestPersistence:
         path = tmp_path / "snap.json"
         snap.save(path)
         doc = json.loads(path.read_text())
-        # a future format, and format 1 (before the engine lost its
-        # "wheel" key and announce guests gained a roster view)
-        for fmt in (SNAPSHOT_FORMAT + 1, 1):
+        # a future format, format 1 (before the engine lost its "wheel"
+        # key and announce guests gained a roster view) and format 2
+        # (whose recipe costs still carry a TCP initial-window field)
+        for fmt in (SNAPSHOT_FORMAT + 1, 1, 2):
             doc["format"] = fmt
             path.write_text(json.dumps(doc))
             with pytest.raises(SnapshotError):

@@ -24,6 +24,13 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["ping", "nonexistent"])
 
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_ping_count_below_one_rejected(self, capsys, count):
+        with pytest.raises(SystemExit) as exc:
+            main(["ping", "native_loopback", "--count", count])
+        assert exc.value.code == 2
+        assert "--count" in capsys.readouterr().err
+
     @pytest.mark.slow
     def test_bypass_comparison(self, capsys):
         assert main(["bypass"]) == 0

@@ -35,6 +35,22 @@ class TestPing:
         assert big.rtt_us > small.rtt_us
 
 
+class TestBadInputs:
+    """Degenerate measurement requests are rejected up front instead of
+    dying inside the loop (RuntimeError / ZeroDivisionError)."""
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_flood_ping_needs_a_ping(self, loop, count):
+        with pytest.raises(ValueError, match="count"):
+            pingpong.flood_ping(loop, count=count)
+
+    @pytest.mark.parametrize("duration", [0, 0.0, -0.01])
+    @pytest.mark.parametrize("workload", [netperf.tcp_rr, netperf.udp_rr, netperf.tcp_crr])
+    def test_rr_needs_positive_duration(self, loop, workload, duration):
+        with pytest.raises(ValueError, match="duration"):
+            workload(loop, duration=duration)
+
+
 class TestNetperf:
     def test_tcp_rr_reports_consistent_rate(self, loop):
         res = netperf.tcp_rr(loop, duration=0.02)
