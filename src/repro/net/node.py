@@ -12,7 +12,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.calibration import CostModel
-from repro.sim.engine import Event, Process, Simulator
+from repro.sim.engine import Process, Simulator
 from repro.sim.resources import CPUCores
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -44,7 +44,7 @@ class Node:
         self._bind_cpus(cpus)
 
     def _bind_cpus(self, cpus: CPUCores) -> None:
-        """(Re)bind :meth:`exec` as a partial over ``cpus.execute``.
+        """(Re)bind :meth:`exec` as a partial over ``cpus.charge``.
 
         ``exec`` is the single hottest call in the simulation; the
         C-level partial skips one Python frame per CPU charge.  Must be
@@ -52,11 +52,16 @@ class Node:
         -- see ``Machine.adopt_domain``).
         """
         self.cpus = cpus
-        self.exec = partial(cpus.execute, self.sched_key)
+        self.exec = partial(cpus.charge, self.sched_key)
 
-    def exec(self, cost: float) -> Event:  # overridden per-instance by _bind_cpus
-        """Charge ``cost`` seconds of CPU to this node; event fires when done."""
-        return self.cpus.execute(self.sched_key, cost)
+    def exec(self, cost: float) -> Any:  # overridden per-instance by _bind_cpus
+        """Charge ``cost`` seconds of CPU to this node.
+
+        Yield the result directly (``yield node.exec(cost)``): the
+        running process resumes when the work is done.  See
+        :meth:`CPUCores.charge`.
+        """
+        return self.cpus.charge(self.sched_key, cost)
 
     def spawn(self, generator, name: str = "") -> Process:
         """Run a generator as a process belonging to this node."""

@@ -20,7 +20,7 @@ Fast-path design
 ----------------
 Profiling the paper workloads shows >90 % of wall-clock time inside the
 engine and its per-event allocations, so the hot paths are organised
-around three ideas:
+around four ideas:
 
 * **Immediate run queue.**  Zero-delay scheduling (``succeed()``,
   process init, bounces, interrupts -- the overwhelming majority of
@@ -34,6 +34,18 @@ around three ideas:
   bound methods and tiny ``__slots__`` records (:class:`_Resume`,
   :class:`_InterruptResume`) rather than per-resume lambda closures and
   full :class:`Event` bounce objects.
+* **Allocation-free CPU charges.**  ``yield node.exec(cost)`` -- one per
+  simulated hop -- yields the running process's own reusable charge
+  record (``Process._charge``, see
+  :meth:`repro.sim.resources.CPUCores.charge`) instead of a fresh
+  ``Event``.  :meth:`Process._step` recognises the record by identity
+  and parks the process with no callback list.  When the segment ends,
+  the record takes the sequence number the done ``Event`` would have
+  taken; if nothing else is due at that instant (the ready deque is
+  empty and the heap head is later) it resumes the process in place and
+  counts one event, otherwise it queues itself on the ready deque.
+  Firing order, ``_seq`` and :attr:`Simulator.event_count` are
+  therefore exactly those of the ``Event`` chain.
 * **No f-strings on hot constructors.**  Event/timeout names are static
   strings; pretty names are built lazily in ``__repr__`` only.
 
@@ -83,6 +95,7 @@ class Interrupt(Exception):
 PENDING = 0
 TRIGGERED = 1  # scheduled on the calendar, callbacks not yet run
 PROCESSED = 2  # callbacks have run
+IDLE = 3  # CPU charge records only: consumed by a yield, free for reuse
 
 
 class Event:
@@ -132,16 +145,16 @@ class Event:
         """Schedule this event to fire successfully after ``delay``."""
         if self._state != PENDING:
             raise SimulationError(f"event {self!r} already triggered")
-        self._state = TRIGGERED
-        self._ok = True
-        self._value = value
         if delay == 0.0:
             # Immediate run queue: O(1), bypasses the heap entirely.
             sim = self.sim
             sim._seq += 1
             sim._ready.append((sim.now, sim._seq, self))
         else:
-            self.sim._schedule(self, delay)
+            self.sim._schedule(self, delay)  # rejects a bad delay first
+        self._state = TRIGGERED
+        self._ok = True
+        self._value = value
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -150,10 +163,10 @@ class Event:
             raise SimulationError(f"event {self!r} already triggered")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() needs an exception instance")
+        self.sim._schedule(self, delay)
         self._state = TRIGGERED
         self._ok = False
         self._value = exception
-        self.sim._schedule(self, delay)
         return self
 
     # -- engine internals ----------------------------------------------
@@ -176,14 +189,12 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
         super().__init__(sim, name="timeout")
         self.delay = delay
         self._state = TRIGGERED
         self._ok = True
         self._value = value
-        sim._schedule(self, delay)
+        sim._schedule(self, delay)  # rejects a bad delay
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Timeout({self.delay}) {hex(id(self))}>"
@@ -321,14 +332,17 @@ class Process(Event):
     other simply by yielding them.
     """
 
-    __slots__ = ("generator", "_waiting_on")
+    __slots__ = ("generator", "_waiting_on", "_charge")
 
     def __init__(self, sim: "Simulator", generator: ProcessGenerator, name: str = ""):
         super().__init__(sim, name=name or getattr(generator, "__name__", "process"))
         if not hasattr(generator, "send"):
             raise TypeError(f"Process needs a generator, got {generator!r}")
         self.generator = generator
-        self._waiting_on: Optional[Event] = None
+        self._waiting_on: Any = None
+        #: this process's reusable CPU charge record, made on its first
+        #: :meth:`repro.sim.resources.CPUCores.charge`.
+        self._charge: Any = None
         # Kick off the process via an immediately-scheduled resume record.
         sim._seq += 1
         sim._ready.append((sim.now, sim._seq, _Resume(self, None, True)))
@@ -354,7 +368,9 @@ class Process(Event):
     # -- engine internals ----------------------------------------------
     def _detach(self) -> None:
         target = self._waiting_on
-        if target is not None and target._state != PROCESSED:
+        # A charge record has no callback list: once we stop waiting on
+        # it, its segment still ends and frees its core, but resumes no one.
+        if target is not None and target is not self._charge and target._state != PROCESSED:
             try:
                 target.callbacks.remove(self._resume)
             except ValueError:
@@ -386,6 +402,19 @@ class Process(Event):
             self.fail(exc)
             return
         sim.active_process = prev
+        if target is self._charge and target is not None:
+            # Our own CPU charge record: park with no callback list; the
+            # record resumes us when its segment ends.
+            if target._state < PROCESSED:
+                self._waiting_on = target
+                return
+            # Its segment ended while we waited on something else:
+            # consume it and resume next round, as for a processed Event.
+            target._state = IDLE
+            sim._seq += 1
+            sim._ready.append((sim.now, sim._seq, _Resume(self, None, True)))
+            self._waiting_on = None
+            return
         if type(target) is not Event and not isinstance(target, Event):
             raise SimulationError(
                 f"process {self.name} yielded {target!r}; processes must yield Events"
@@ -526,8 +555,8 @@ class Simulator:
             self._seq += 1
             self._ready.append((self.now, self._seq, obj))
             return
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        if not 0.0 < delay < _INF:
+            raise ValueError(f"delay must be finite and >= 0, got {delay}")
         self._seq += 1
         heapq.heappush(self._queue, (self.now + delay, self._seq, obj))
 
@@ -540,7 +569,11 @@ class Simulator:
         return queue[0][0] if queue else _INF
 
     def step(self) -> None:
-        """Process exactly one event (the globally oldest by (time, seq))."""
+        """Process the globally oldest calendar entry by (time, seq).
+
+        A CPU charge's completion may also take its done bounce in
+        place when nothing else is due (see the module docstring).
+        """
         ready = self._ready
         queue = self._queue
         if ready and (not queue or ready[0] < queue[0]):

@@ -17,9 +17,11 @@ from collections import deque
 from heapq import heappush
 from typing import Any, Deque, Hashable, Optional
 
-from repro.sim.engine import TRIGGERED, Event, SimulationError, Simulator
+from repro.sim.engine import IDLE, PENDING, PROCESSED, TRIGGERED, Event, SimulationError, Simulator
 
 __all__ = ["CPUCores", "Resource", "Store"]
+
+_INF = float("inf")
 
 
 class Resource:
@@ -127,93 +129,98 @@ class Store:
             ev.succeed()
 
 
-class _Core:
-    __slots__ = ("index", "busy", "last_domain")
+# What a finished segment does next (``_Segment.kind``).
+_RESUME = 0  # resume the process that charged it (CPUCores.charge)
+_SUCCEED = 1  # succeed a done Event (CPUCores.execute)
+_CALL = 2  # call a function (CPUCores.execute_call)
 
-    def __init__(self, index: int):
+
+class _Core:
+    __slots__ = ("cpus", "index", "busy", "last_domain")
+
+    def __init__(self, cpus: "CPUCores", index: int):
+        self.cpus = cpus
         self.index = index
         self.busy = False
         self.last_domain: Optional[Hashable] = None
 
 
-class _Completion:
-    """Calendar entry marking the end of one CPU work segment.
+class _Segment:
+    """One CPU work segment on the calendar, and what follows it.
 
-    Replaces the old Timeout-plus-callback-lambda chain with a single
-    scheduled record: the whole segment lifecycle is one heap entry, no
-    intermediate Event or closure allocation.  Scheduling order matches
-    the old ``_start``/``_finish`` chain exactly (one sequence number per
-    segment, completion work before ``done.succeed()``).
+    Ending the segment frees its core, decrements the domain's running
+    count (``st`` is the domain's ``[running, limit]`` record, see
+    :attr:`CPUCores._dom`) and admits the next queued segment.  Then,
+    by ``kind``:
 
-    ``st`` is the domain's ``[running, limit]`` accounting record (see
-    :attr:`CPUCores._dom`), carried here so releasing the segment is a
-    list update instead of a second dict lookup on the domain key.
+    * ``_SUCCEED`` triggers the done Event ``then`` on the ready deque;
+    * ``_CALL`` calls ``then()``: no Event and one calendar entry in all;
+    * ``_RESUME`` resumes the process ``then``.  The record is that
+      process's own (``Process._charge``) and is reused for every charge.
+      It takes the sequence number the done Event would have taken and
+      resumes the process right here, counting one event, when nothing
+      else is due at this instant; otherwise it queues itself on the
+      ready deque as that Event would have.  ``_state`` follows the done
+      Event's lifecycle -- PENDING (queued or running), TRIGGERED (on the
+      ready deque), PROCESSED (ended while its process waited on
+      something else) -- plus IDLE once a yield has consumed it, the
+      only state in which :meth:`CPUCores.charge` reuses it.
     """
 
-    __slots__ = ("cpus", "core", "st", "done")
+    __slots__ = ("core", "st", "kind", "then", "_state")
 
-    def __init__(self, cpus: "CPUCores", core: _Core, st: list, done: Event):
-        self.cpus = cpus
-        self.core = core
-        self.st = st
-        self.done = done
-
-    def _process(self) -> None:
-        # Inlined CPUCores._release + Event.succeed (the two hottest
-        # calls in the whole simulation run through here): free the
-        # core, decrement the domain's running count, admit the next
-        # queued segment, then trigger ``done`` on the immediate run
-        # queue.  ``done`` is engine-owned and still PENDING by
-        # construction, so the succeed() re-trigger guard is skipped.
-        cpus = self.cpus
-        self.core.busy = False
-        self.st[0] -= 1
-        if cpus._queue:
-            cpus._admit(self.core)
-        done = self.done
-        done._state = TRIGGERED
-        sim = done.sim
-        sim._seq += 1
-        sim._ready.append((sim.now, sim._seq, done))
-
-
-class _CallCompletion:
-    """Calendar entry ending a CPU segment by *calling* a function.
-
-    The :meth:`CPUCores.execute_call` variant of :class:`_Completion`:
-    instead of succeeding a done Event (one calendar entry for the
-    completion plus one for the event bounce, plus an Event allocation),
-    the completion invokes ``fn()`` directly -- the whole segment
-    lifecycle is ONE heap entry and zero Event objects.  Used by the
-    event-channel upcall path, where the continuation is always a plain
-    handler call with no waiters.
-    """
-
-    __slots__ = ("cpus", "core", "st", "fn")
-
-    def __init__(self, cpus: "CPUCores", core: _Core, st: list, fn):
-        self.cpus = cpus
-        self.core = core
-        self.st = st
-        self.fn = fn
+    def __init__(self, kind: int, then: Any):
+        self.kind = kind
+        self.then = then
+        self._state = IDLE
 
     def _process(self) -> None:
-        cpus = self.cpus
-        self.core.busy = False
-        self.st[0] -= 1
-        if cpus._queue:
-            cpus._admit(self.core)
-        self.fn()
+        if self._state != TRIGGERED:  # else: the done bounce, off the ready deque
+            core = self.core
+            core.busy = False
+            self.st[0] -= 1
+            cpus = core.cpus
+            if cpus._queue:
+                cpus._admit()
+            sim = cpus.sim
+            kind = self.kind
+            if kind != _RESUME:
+                if kind == _CALL:
+                    self.then()
+                    return
+                # ``then`` is engine-owned and still PENDING by
+                # construction, so the succeed() re-trigger guard is skipped.
+                done = self.then
+                done._state = TRIGGERED
+                sim._seq += 1
+                sim._ready.append((sim.now, sim._seq, done))
+                return
+            sim._seq += 1
+            heap = sim._queue
+            if sim._ready or (heap and heap[0][0] <= sim.now):
+                self._state = TRIGGERED
+                sim._ready.append((sim.now, sim._seq, self))
+                return
+            sim._event_count += 1  # the bounce, taken in place
+        proc = self.then
+        if proc._waiting_on is self:
+            self._state = IDLE
+            proc._waiting_on = None
+            proc._step(None, True)
+        else:  # interrupted, or waiting on another event first
+            self._state = PROCESSED
 
 
 class CPUCores:
     """``n`` identical cores shared by simulation *domains*.
 
-    Work is submitted with :meth:`execute`, which returns an event firing
-    when the segment completes.  Scheduling is FIFO with one twist: a
-    free core that last ran the requesting domain is preferred, and when
-    no such core exists the segment pays ``switch_penalty`` extra --
-    modelling the TLB/cache refill cost of a domain switch.
+    Work is submitted with :meth:`charge` (from a process),
+    :meth:`execute` (returns an Event) or :meth:`execute_call` (calls a
+    function); all three schedule a segment the same way.  Scheduling is
+    FIFO with one twist: a free core that last ran the requesting domain
+    is preferred, and when no such core exists the segment pays
+    ``switch_penalty`` extra -- modelling the TLB/cache refill cost of a
+    domain switch.
 
     This is intentionally simpler than Xen's credit scheduler; the
     quantity that matters for the paper's evaluation is the *count and
@@ -223,15 +230,17 @@ class CPUCores:
     def __init__(self, sim: Simulator, n_cores: int, switch_penalty: float = 0.0):
         if n_cores < 1:
             raise ValueError("need at least one core")
+        if not 0.0 <= switch_penalty < _INF:
+            raise ValueError(f"switch penalty must be finite and >= 0, got {switch_penalty}")
         self.sim = sim
-        self.cores = [_Core(i) for i in range(n_cores)]
+        self.cores = [_Core(self, i) for i in range(n_cores)]
         self.switch_penalty = switch_penalty
-        self._queue: Deque[tuple[list, Hashable, float, Any]] = deque()
+        self._queue: Deque[tuple[_Segment, Hashable, float]] = deque()
         #: per-domain accounting: domain -> ``[running, limit]`` where
         #: ``running`` is the count of in-flight segments and ``limit``
         #: the vCPU cap (None = all cores; guests in the paper's testbed
         #: are 1-vCPU, Dom0 and native hosts get all cores).  One dict
-        #: lookup on the hottest path; completions carry the list.
+        #: lookup on the hottest path; segments carry the list.
         self._dom: dict[Hashable, list] = {}
         self.total_busy_time = 0.0
         self.total_switches = 0
@@ -251,53 +260,59 @@ class CPUCores:
         """Per-domain vCPU caps as a plain dict (introspection/tests)."""
         return {d: st[1] for d, st in self._dom.items() if st[1] is not None}
 
-    def _may_run(self, domain: Hashable) -> bool:
-        st = self._dom.get(domain)
-        return st is None or st[1] is None or st[0] < st[1]
+    def charge(self, domain: Hashable, cost: float) -> Any:
+        """Run ``cost`` seconds of work for ``domain`` on behalf of the
+        running process, which must yield the result directly.
+
+        The result is the process's reusable charge record, good for one
+        yield.  Outside any process, or while that record is still in
+        flight (two charges before one yield, or an interrupted waiter),
+        this is :meth:`execute` and the result an Event.
+        """
+        proc = self.sim.active_process
+        if proc is not None:
+            seg = proc._charge
+            if seg is None:
+                seg = proc._charge = _Segment(_RESUME, proc)
+            if seg._state == IDLE:
+                self._submit(seg, domain, cost)
+                seg._state = PENDING
+                return seg
+        return self.execute(domain, cost)
 
     def execute(self, domain: Hashable, cost: float) -> Event:
         """Run ``cost`` seconds of work for ``domain``; event fires at end."""
-        if cost < 0:
-            raise ValueError(f"negative work cost: {cost}")
         done = Event(self.sim, "cpu")
-        # Inlined _may_run/_pick_core (this is the hottest call site in
-        # the whole simulation); selection order matches _pick_core
-        # exactly: prefer a free core that last ran this domain, else the
-        # first free core.
-        st = self._dom.get(domain)
-        if st is None:
-            st = self._dom[domain] = [0, None]
-        if st[1] is None or st[0] < st[1]:
-            best = None
-            for core in self.cores:
-                if core.busy:
-                    continue
-                if core.last_domain == domain:
-                    best = core
-                    break
-                if best is None:
-                    best = core
-            if best is not None:
-                self._start(best, domain, st, cost, done)
-                return done
-        self._queue.append((st, domain, cost, done))
+        self._submit(_Segment(_SUCCEED, done), domain, cost)
         return done
 
     def execute_call(self, domain: Hashable, cost: float, fn) -> None:
         """Run ``cost`` seconds of work for ``domain``; call ``fn()`` at end.
 
         The fire-and-forget variant of :meth:`execute` for continuations
-        nobody waits on (event-channel upcall handlers): completing the
-        segment calls ``fn`` directly instead of succeeding an Event, so
-        the whole segment costs one calendar entry instead of two and
-        allocates no Event.  Scheduling (core affinity, vCPU limits,
-        switch penalty, FIFO queueing) is identical to :meth:`execute`.
+        nobody waits on (event-channel upcall handlers): the whole
+        segment is one calendar entry and allocates no Event.
         """
-        if cost < 0:
-            raise ValueError(f"negative work cost: {cost}")
+        self._submit(_Segment(_CALL, fn), domain, cost)
+
+    @property
+    def queued(self) -> int:
+        """Work segments waiting for a core or a vCPU slot."""
+        return len(self._queue)
+
+    def _submit(self, seg: _Segment, domain: Hashable, cost: float) -> None:
+        """Start ``seg`` on a free core, or queue it behind its vCPU cap
+        or busy cores.  The one admission path for every segment.
+
+        A free core that last ran ``domain`` is preferred, else the first
+        free core; switching domains costs ``switch_penalty``.
+        """
+        if not 0.0 <= cost < _INF:
+            raise ValueError(f"work cost must be finite and >= 0, got {cost}")
         st = self._dom.get(domain)
         if st is None:
             st = self._dom[domain] = [0, None]
+        seg.st = st
         if st[1] is None or st[0] < st[1]:
             best = None
             for core in self.cores:
@@ -309,87 +324,31 @@ class CPUCores:
                 if best is None:
                     best = core
             if best is not None:
-                self._start(best, domain, st, cost, fn)
+                last = best.last_domain
+                if last is not None and last != domain:
+                    cost += self.switch_penalty
+                    self.total_switches += 1
+                best.busy = True
+                best.last_domain = domain
+                st[0] += 1
+                self.total_busy_time += cost
+                seg.core = best
+                sim = self.sim
+                sim._seq += 1
+                if cost == 0.0:
+                    sim._ready.append((sim.now, sim._seq, seg))
+                else:
+                    heappush(sim._queue, (sim.now + cost, sim._seq, seg))
                 return
-        self._queue.append((st, domain, cost, fn))
+        self._queue.append((seg, domain, cost))
 
-    def execute_batch(self, domain: Hashable, costs) -> Event:
-        """Run several work parts for ``domain`` as ONE segment.
-
-        The segment's cost is the sum of ``costs``; core affinity is
-        resolved once and at most one ``switch_penalty`` is charged for
-        the whole batch -- this is the batched-cost-charging primitive
-        the per-packet paths use to coalesce a drained burst into a
-        single calendar entry.  The returned event fires when the whole
-        batch completes.
-        """
-        total = 0.0
-        for cost in costs:
-            if cost < 0:
-                raise ValueError(f"negative work cost: {cost}")
-            total += cost
-        return self.execute(domain, total)
-
-    @property
-    def queued(self) -> int:
-        """Work segments waiting for a core or a vCPU slot."""
-        return len(self._queue)
-
-    def _pick_core(self, domain: Hashable) -> Optional[_Core]:
-        best = None
-        for core in self.cores:
-            if core.busy:
-                continue
-            if core.last_domain == domain:
-                return core
-            if best is None:
-                best = core
-        return best
-
-    def _start(self, core: _Core, domain: Hashable, st: list, cost: float, done) -> None:
-        total = cost
-        last = core.last_domain
-        if last is not None and last != domain:
-            total += self.switch_penalty
-            self.total_switches += 1
-        core.busy = True
-        core.last_domain = domain
-        st[0] += 1
-        self.total_busy_time += total
-        # Single scheduled completion for the whole segment, placed on
-        # the calendar directly (Simulator._schedule inlined; ``total``
-        # is never negative here).  ``done`` is an Event (execute) or a
-        # bare callable (execute_call).
-        comp = (
-            _Completion(self, core, st, done)
-            if type(done) is Event
-            else _CallCompletion(self, core, st, done)
-        )
-        sim = self.sim
-        sim._seq += 1
-        if total == 0.0:
-            sim._ready.append((sim.now, sim._seq, comp))
-        else:
-            heappush(sim._queue, (sim.now + total, sim._seq, comp))
-
-    def _admit(self, freed: _Core) -> None:
-        """Admit the first queued segment whose domain is under its limit.
-
-        Called from the completion records right after they free a core
-        (_may_run/_pick_core inlined: with 1-vCPU guests the queue is
-        rarely empty here, making this the second-hottest CPU path).
-        """
-        for i, (qst, qdomain, cost, ev) in enumerate(self._queue):
-            if qst[1] is None or qst[0] < qst[1]:
-                del self._queue[i]
-                chosen = None
-                for c in self.cores:
-                    if c.busy:
-                        continue
-                    if c.last_domain == qdomain:
-                        chosen = c
-                        break
-                    if chosen is None:
-                        chosen = c
-                self._start(chosen or freed, qdomain, qst, cost, ev)
+    def _admit(self) -> None:
+        """Start the first queued segment whose domain is under its
+        vCPU cap (called right after a segment frees a core)."""
+        queue = self._queue
+        for i, (seg, domain, cost) in enumerate(queue):
+            st = seg.st
+            if st[1] is None or st[0] < st[1]:
+                del queue[i]
+                self._submit(seg, domain, cost)
                 return

@@ -1,10 +1,5 @@
-"""Fast-path invariants: immediate run queue ordering, event counter,
-and batched CPU cost charging (``CPUCores.execute_batch``)."""
-
-import pytest
-
-from repro.sim.engine import Simulator
-from repro.sim.resources import CPUCores
+"""Fast-path invariants: immediate run queue ordering and the event
+counter."""
 
 
 def _tag(order, label):
@@ -83,68 +78,3 @@ class TestSameTimeOrdering:
         sim.run()
         assert sim.event_count == first + 1
 
-
-class TestExecuteBatch:
-    def test_cost_equals_sum_of_parts(self):
-        sim = Simulator()
-        cpus = CPUCores(sim, n_cores=1)
-        done = cpus.execute_batch("A", [1.0, 2.0, 0.5])
-        sim.run()
-        assert done.processed
-        assert sim.now == pytest.approx(3.5)
-        assert cpus.total_busy_time == pytest.approx(3.5)
-
-    def test_switch_penalty_charged_once_per_batch(self):
-        sim = Simulator()
-        cpus = CPUCores(sim, n_cores=1, switch_penalty=0.5)
-        cpus.execute("B", 1.0)  # prime the core's last_domain
-        sim.run()
-        assert cpus.total_switches == 0
-        cpus.execute_batch("A", [1.0, 1.0, 1.0])
-        sim.run()
-        # one switch B->A for the whole batch, not one per part
-        assert cpus.total_switches == 1
-        assert sim.now == pytest.approx(1.0 + 0.5 + 3.0)
-
-    def test_batch_matches_sequential_total_cost(self):
-        parts = [0.25, 0.5, 0.125]
-        sim_a = Simulator()
-        cpus_a = CPUCores(sim_a, n_cores=1)
-        cpus_a.execute_batch("A", parts)
-        sim_a.run()
-        sim_b = Simulator()
-        cpus_b = CPUCores(sim_b, n_cores=1)
-
-        def sequential():
-            for cost in parts:
-                yield cpus_b.execute("A", cost)
-
-        sim_b.process(sequential())
-        sim_b.run()
-        assert sim_a.now == pytest.approx(sim_b.now)
-        assert cpus_a.total_busy_time == pytest.approx(cpus_b.total_busy_time)
-
-    def test_affinity_prefers_warm_core(self):
-        sim = Simulator()
-        cpus = CPUCores(sim, n_cores=2, switch_penalty=1.0)
-        cpus.execute("A", 1.0)
-        cpus.execute("B", 1.0)
-        sim.run()
-        # Both cores warm; a batch for A must land on A's core: no switch.
-        cpus.execute_batch("A", [0.5, 0.5])
-        sim.run()
-        assert cpus.total_switches == 0
-
-    def test_negative_part_rejected(self):
-        sim = Simulator()
-        cpus = CPUCores(sim, n_cores=1)
-        with pytest.raises(ValueError):
-            cpus.execute_batch("A", [1.0, -0.1])
-
-    def test_empty_batch_completes_at_current_time(self):
-        sim = Simulator()
-        cpus = CPUCores(sim, n_cores=1)
-        done = cpus.execute_batch("A", [])
-        sim.run()
-        assert done.processed
-        assert sim.now == 0.0

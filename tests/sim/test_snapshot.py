@@ -102,9 +102,10 @@ class TestPersistence:
         snap.save(path)
         doc = json.loads(path.read_text())
         # a future format, format 1 (before the engine lost its "wheel"
-        # key and announce guests gained a roster view) and format 2
-        # (whose recipe costs still carry a TCP initial-window field)
-        for fmt in (SNAPSHOT_FORMAT + 1, 1, 2):
+        # key and announce guests gained a roster view), format 2
+        # (whose recipe costs still carry a TCP initial-window field) and
+        # format 3 (whose calendar names the old CPU completion kinds)
+        for fmt in (SNAPSHOT_FORMAT + 1, 1, 2, 3):
             doc["format"] = fmt
             path.write_text(json.dumps(doc))
             with pytest.raises(SnapshotError):
