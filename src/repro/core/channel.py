@@ -125,13 +125,7 @@ class Channel(LifecycleHooks):
         #: the module's optional idle-channel reaper).
         self.last_activity = self.guest.sim.now
 
-        # Per-channel stats registry for trace.engine_stats: one list on
-        # the simulator, in creation order (deterministic).
-        sim = self.guest.sim
-        registry = getattr(sim, "_xenloop_channels", None)
-        if registry is None:
-            registry = sim._xenloop_channels = []
-        registry.append(self)
+        self.guest.sim.metrics.register("channels", self.counters)
 
     @property
     def state(self) -> ChannelState:
@@ -159,6 +153,18 @@ class Channel(LifecycleHooks):
             "drain_batches": self.drain_batches,
             "drain_entries": self.drain_entries,
             "last_activity": self.last_activity,
+        }
+
+    def counters(self) -> dict:
+        """Data-path counters summed into the simulator's ``channels``
+        metrics group."""
+        return {
+            "pkts_sent": self.pkts_sent,
+            "pkts_received": self.pkts_received,
+            "notifies": self.notifies,
+            "notifies_suppressed": self.notifies_suppressed,
+            "drain_batches": self.drain_batches,
+            "drain_entries": self.drain_entries,
         }
 
     # ------------------------------------------------------------------

@@ -276,7 +276,7 @@ class ChannelController:
         """Fault tap: crash/migrate rules anchored to a handshake phase
         (no-op without an installed plan)."""
         guest = self.channel.guest
-        plan = getattr(guest.sim, "fault_plan", None)
+        plan = guest.sim.fault_plan
         if plan is not None and plan.has_phase_rules:
             plan.on_phase(guest, phase)
 
@@ -602,7 +602,7 @@ class ControlPlane:
             # send.  Duplicate application is safe: the epoch check in
             # the roster view makes a re-applied frame a no-op.
             applications = 1
-            plan = getattr(guest.sim, "fault_plan", None)
+            plan = guest.sim.fault_plan
             if plan is not None and plan.has_control_rules:
                 deliver, delay, dup = plan.on_control(guest.name, type(msg).__name__)
                 if not deliver:

@@ -251,7 +251,7 @@ class DiscoveryModule:
         """Fault tap for one control frame to guest ``domid`` (the rule's
         ``guest`` matches the recipient): ``(deliver, delay, dup)``,
         ``(True, 0.0, 0)`` with no control rules installed."""
-        plan = getattr(self.machine.dom0.sim, "fault_plan", None)
+        plan = self.machine.dom0.sim.fault_plan
         if plan is None or not plan.has_control_rules:
             return True, 0.0, 0
         target = self.machine.hypervisor.domains.get(domid)

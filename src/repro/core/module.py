@@ -223,7 +223,7 @@ class XenLoopModule(LifecycleHooks):
         installed the frame goes out exactly as before."""
         guest = self.guest
         repeats = 1
-        plan = getattr(guest.sim, "fault_plan", None)
+        plan = guest.sim.fault_plan
         if plan is not None and plan.has_control_rules:
             deliver, delay, dup = plan.on_control(guest.name, type(msg).__name__)
             if not deliver:

@@ -189,8 +189,10 @@ class FaultPlan:
 
     # -- installation ----------------------------------------------------
     def install(self, sim: "Simulator") -> "FaultPlan":
-        """Attach this plan to a simulator's tap points."""
+        """Attach this plan to a simulator's tap points and its
+        ``faults`` metrics group."""
         sim.fault_plan = self
+        sim.metrics.register("faults", self.snapshot)
         return self
 
     def bind(self, cluster: "Cluster") -> "FaultPlan":
@@ -321,7 +323,7 @@ class FaultPlan:
 
     # -- reporting -------------------------------------------------------
     def snapshot(self) -> dict:
-        """Counters snapshot for ``trace.engine_stats`` / ``report``."""
+        """Counters snapshot (the simulator's ``faults`` metrics group)."""
         return {
             "rules": len(self.rules),
             "injected": dict(sorted(self.injected.items())),
@@ -343,7 +345,7 @@ class FaultPlan:
 
 def plan_of(sim) -> Optional[FaultPlan]:
     """The plan installed on ``sim``, or None."""
-    return getattr(sim, "fault_plan", None)
+    return sim.fault_plan
 
 
 def _pkt_in_class(packet, pkt_class: str) -> bool:
@@ -368,13 +370,13 @@ def _pkt_in_class(packet, pkt_class: str) -> bool:
 
 def note_recovered(sim, path: str, n: int = 1) -> None:
     """Record that traffic/handshake recovered via ``path``."""
-    plan = getattr(sim, "fault_plan", None)
+    plan = sim.fault_plan
     if plan is not None:
         plan.recovered[path] += n
 
 
 def note_degraded(sim, path: str, n: int = 1) -> None:
     """Record that a channel gave up via ``path`` (clean failure)."""
-    plan = getattr(sim, "fault_plan", None)
+    plan = sim.fault_plan
     if plan is not None:
         plan.degraded[path] += n

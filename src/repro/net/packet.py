@@ -49,6 +49,7 @@ from repro.net.ethernet import (
     IPPROTO_TCP,
     IPPROTO_UDP,
 )
+from repro.sim.metrics import Counters
 
 __all__ = [
     "ArpHeader",
@@ -59,7 +60,6 @@ __all__ = [
     "TcpHeader",
     "UdpHeader",
     "WIRE_STATS",
-    "WireStats",
     "TCP_SYN",
     "TCP_ACK",
     "TCP_FIN",
@@ -74,52 +74,23 @@ TCP_PSH = 0x08
 TCP_ACK = 0x10
 
 
-class WireStats:
-    """Process-global serialization and copy counters.
-
-    Exposed through :func:`repro.trace.engine_stats` /
-    :func:`repro.report.format_engine_stats` so the zero-copy data path
-    is observable.  ``reset()`` before a measured run.
-    """
-
-    __slots__ = (
-        "l3_cache_hits",
-        "l3_cache_misses",
-        "header_cache_hits",
-        "header_cache_misses",
-        "lazy_l4_parses",
-        "bytes_packed",
-        "bytes_parsed",
-        "fifo_bytes_in",
-        "fifo_bytes_out",
-        "pool_hits",
-        "pool_misses",
-    )
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        """Zero every counter (call before a measured run)."""
-        for name in self.__slots__:
-            setattr(self, name, 0)
-
-    def snapshot(self) -> dict:
-        """Counters as a plain dict (what engine_stats embeds)."""
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    @property
-    def l3_hit_rate(self) -> float:
-        """Fraction of to_l3_bytes/to_l3_parts calls served from cache."""
-        total = self.l3_cache_hits + self.l3_cache_misses
-        return self.l3_cache_hits / total if total else 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<WireStats {self.snapshot()}>"
-
-
-#: The singleton every header/packet/FIFO instance counts into.
-WIRE_STATS = WireStats()
+#: Process-global serialization and copy counters, the singleton every
+#: header/packet/FIFO instance counts into.  Reported under the
+#: ``serialization`` key of :func:`repro.trace.engine_stats` so the
+#: zero-copy data path is observable; ``reset()`` before a measured run.
+WIRE_STATS = Counters(
+    "l3_cache_hits",
+    "l3_cache_misses",
+    "header_cache_hits",
+    "header_cache_misses",
+    "lazy_l4_parses",
+    "bytes_packed",
+    "bytes_parsed",
+    "fifo_bytes_in",
+    "fifo_bytes_out",
+    "pool_hits",
+    "pool_misses",
+)
 
 
 #: per-class default field values for :meth:`_CachedHeader.fresh`,

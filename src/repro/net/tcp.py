@@ -789,14 +789,7 @@ class TcpLayer:
         #: congestion counters rolled up from forgotten connections
         #: (live ones are summed on demand in congestion_totals).
         self._closed_cc: Counter = Counter()
-        # Register with the simulator so trace.engine_stats can sweep
-        # every stack's TCP counters without knowing the topology.
-        sim = stack.node.sim
-        layers = getattr(sim, "_tcp_layers", None)
-        if layers is None:
-            layers = []
-            sim._tcp_layers = layers
-        layers.append(self)
+        stack.node.sim.metrics.register("tcp", self.congestion_totals)
 
     # -- API ----------------------------------------------------------
     def listen(self, port: int, backlog: int = 16, sndbuf: int = 262144,
@@ -911,7 +904,7 @@ class TcpLayer:
     def congestion_totals(self) -> dict:
         """Aggregate congestion/retransmit counters for this stack:
         forgotten connections' rollup plus the live ones, summed --
-        the per-layer slice of ``trace.engine_stats(...)["tcp"]``."""
+        the per-layer slice of the simulator's ``tcp`` metrics group."""
         totals = Counter(self._closed_cc)
         for conn in self.connections.values():
             for counter_key, attr in _CC_ROLLUP:

@@ -77,8 +77,18 @@ def format_series(
     return "\n".join(lines)
 
 
-def format_engine_stats(stats: Mapping[str, float]) -> str:
-    """One-line render of :func:`repro.trace.engine_stats` output.
+def _flatten(counters: Mapping, prefix: str = "") -> Iterable[tuple[str, object]]:
+    for key, value in counters.items():
+        if isinstance(value, Mapping):
+            yield from _flatten(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+def format_engine_stats(stats: Mapping[str, object]) -> str:
+    """Render :func:`repro.trace.engine_stats` output: one engine line,
+    then one ``group: key=value ...`` line per counter group, with
+    nested dicts flattened to dotted keys.
 
     Used by the throughput bench (and handy after any run) to report
     engine-level throughput alongside the simulated results.
@@ -91,80 +101,10 @@ def format_engine_stats(stats: Mapping[str, float]) -> str:
     if "events_per_sec" in stats:
         parts.append(f"rate={stats['events_per_sec']:,.0f} events/s")
     lines = ["engine: " + "  ".join(parts)]
-    ser = stats.get("serialization")
-    if ser is not None:
-        hits = ser["l3_cache_hits"]
-        misses = ser["l3_cache_misses"]
-        total = hits + misses
-        rate = 100.0 * hits / total if total else 0.0
-        lines.append(
-            "serialization: "
-            f"l3_cache={hits:,}/{total:,} hits ({rate:.1f}%)  "
-            f"hdr_cache={ser['header_cache_hits']:,}/"
-            f"{ser['header_cache_hits'] + ser['header_cache_misses']:,}  "
-            f"lazy_l4={ser['lazy_l4_parses']:,}  "
-            f"packed={ser['bytes_packed']:,}B  parsed={ser['bytes_parsed']:,}B  "
-            f"fifo_in={ser['fifo_bytes_in']:,}B  fifo_out={ser['fifo_bytes_out']:,}B  "
-            f"pool={ser['pool_hits']:,}/{ser['pool_hits'] + ser['pool_misses']:,}"
-        )
-    ntf = stats.get("notify")
-    if ntf is not None:
-        fifo_total = ntf["fifo_notifies"] + ntf["fifo_suppressed"]
-        ring_total = ntf["ring_notifies"] + ntf["ring_suppressed"]
-        fifo_rate = 100.0 * ntf["fifo_suppressed"] / fifo_total if fifo_total else 0.0
-        ring_rate = 100.0 * ntf["ring_suppressed"] / ring_total if ring_total else 0.0
-        batches = ntf["drain_batches"]
-        per_batch = ntf["drain_entries"] / batches if batches else 0.0
-        lines.append(
-            "notify: "
-            f"fifo={ntf['fifo_notifies']:,}/{fifo_total:,} sent "
-            f"({fifo_rate:.1f}% suppressed)  "
-            f"ring={ntf['ring_notifies']:,}/{ring_total:,} sent "
-            f"({ring_rate:.1f}% suppressed)  "
-            f"drain={ntf['drain_entries']:,} entries/"
-            f"{batches:,} batches ({per_batch:.1f}/batch)"
-        )
-    tcp = stats.get("tcp")
-    if tcp is not None:
-        lines.append(
-            "tcp: "
-            f"conns={tcp['conns']:,}  retx={tcp['retransmissions']:,} "
-            f"(fast={tcp['fast_retransmits']:,}, rto={tcp['rto_retransmits']:,})  "
-            f"dup_acks={tcp['dup_acks']:,}  dup_segs={tcp['dup_segments']:,}  "
-            f"rst={tcp['rsts_sent']:,}  backlog_drops={tcp['backlog_drops']:,}"
-        )
-    channels = stats.get("channels")
-    if channels:
-        for ch in channels:
-            lines.append(
-                f"  channel {ch['guest']}->dom{ch['peer_domid']}: "
-                f"sent={ch['pkts_sent']:,}  recv={ch['pkts_received']:,}  "
-                f"notifies={ch['notifies']:,}  "
-                f"suppressed={ch['notifies_suppressed']:,}  "
-                f"batches={ch['drain_batches']:,}"
-            )
-    flt = stats.get("faults")
-    if flt is not None:
-        def _counts(d: Mapping[str, int]) -> str:
-            return ",".join(f"{k}={v}" for k, v in d.items()) or "-"
-
-        lines.append(
-            "faults: "
-            f"rules={flt['rules']}  "
-            f"injected[{_counts(flt['injected'])}]  "
-            f"recovered[{_counts(flt['recovered'])}]  "
-            f"degraded[{_counts(flt['degraded'])}]"
-        )
-    srv = stats.get("serving")
-    if srv is not None:
-        lines.append(
-            "serving: "
-            f"offered={srv['offered']:,}  completed={srv['completed']:,}  "
-            f"errors={srv['errors']:,}  "
-            f"slo_violations={srv['slo_violations']:,}  "
-            f"deadline_fires={srv['deadline_fires']:,}  "
-            f"reconnects={srv['reconnects']:,}"
-        )
+    for group, counters in stats.items():
+        if isinstance(counters, Mapping):
+            items = "  ".join(f"{key}={value:,}" for key, value in _flatten(counters))
+            lines.append(f"{group}: {items}")
     return "\n".join(lines)
 
 

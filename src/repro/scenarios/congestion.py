@@ -112,7 +112,7 @@ def _cell_summary(scn: topology.Cluster, result, extra: dict) -> dict:
         "rto_retransmits": result.rto_retransmits,
         "tcp": stats.get("tcp"),
     }
-    plan = getattr(scn.sim, "fault_plan", None)
+    plan = scn.sim.fault_plan
     if plan is not None:
         out["frames_dropped"] = plan.injected.get(PKT_LOSS, 0)
     return out

@@ -162,7 +162,7 @@ def run_serving_cell(
         "deadline_fires": result.deadline_fires,
         "reconnects": result.reconnects,
     }
-    plan = getattr(scn.sim, "fault_plan", None)
+    plan = scn.sim.fault_plan
     if plan is not None:
         from repro.faults import PKT_LOSS
 

@@ -60,6 +60,8 @@ import heapq
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
+from repro.sim.metrics import Metrics
+
 __all__ = [
     "AllOf",
     "AnyOf",
@@ -459,6 +461,9 @@ class Simulator:
         #: tap points (control frames, notifies, grant maps); None = the
         #: taps are pure no-ops.  The engine itself never reads this.
         self.fault_plan = None
+        #: counter registry every subsystem built on this simulator
+        #: registers into (read by :func:`repro.trace.engine_stats`).
+        self.metrics = Metrics()
 
     @property
     def rng(self):

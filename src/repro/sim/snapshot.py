@@ -9,9 +9,9 @@ pickle or deep-copy, so a snapshot stores the *recipe* that built the
 simulator rather than the live objects:
 
 * :meth:`SimSnapshot.capture` walks every subsystem's
-  ``snapshot_state()`` into one canonical-JSON tree with a sha256
-  digest.  Capturing is read-only, so the cluster keeps running exactly
-  as it would have.
+  ``snapshot_state()``, plus the simulator's metrics registry, into one
+  canonical-JSON tree with a sha256 digest.  Capturing is read-only, so
+  the cluster keeps running exactly as it would have.
 * :meth:`~SimSnapshot.save` / :meth:`~SimSnapshot.load` persist a
   versioned JSON manifest holding the build recipe (scenario name or
   fault-pair shape, cost model, seed, warm steps), the state tree and
@@ -48,7 +48,7 @@ __all__ = [
 
 #: manifest format version; bump on any change to the captured tree's
 #: shape so a stale manifest fails loudly instead of digest-mismatching.
-SNAPSHOT_FORMAT = 4
+SNAPSHOT_FORMAT = 5
 
 class SnapshotError(RuntimeError):
     """Base error for the snapshot subsystem."""
@@ -86,7 +86,10 @@ def capture_state(cluster) -> dict:
     capturing is safe at any quiescent point (between ``run`` calls)
     and the cluster continues exactly as it would have uncaptured.
     """
-    state: dict = {"sim": cluster.sim.snapshot_state()}
+    state: dict = {
+        "sim": cluster.sim.snapshot_state(),
+        "metrics": cluster.sim.metrics.snapshot(),
+    }
 
     guests = getattr(cluster, "guests", None)
     if not guests:

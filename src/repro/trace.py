@@ -90,7 +90,7 @@ def hops(packet: "Packet") -> list[tuple[str, float]]:
 
 
 def engine_stats(sim, wall_s: Optional[float] = None) -> dict:
-    """Snapshot of the simulator's engine-level counters.
+    """Snapshot of the simulator's engine-level and subsystem counters.
 
     Returns ``{"events": <calendar entries processed>, "sim_time": now}``
     plus, when the caller supplies the measured wall-clock seconds,
@@ -99,30 +99,17 @@ def engine_stats(sim, wall_s: Optional[float] = None) -> dict:
     :attr:`repro.sim.engine.Simulator.event_count` for what counts as an
     event).
 
-    The ``serialization`` sub-dict holds the wire-format cache and
-    bytes-copied counters from :data:`repro.net.packet.WIRE_STATS`.
-    Those are process-global (reset with ``WIRE_STATS.reset()`` before a
-    measured run), not per-simulator.
+    Two groups are process-global, not per-simulator: ``serialization``
+    (:data:`repro.net.packet.WIRE_STATS`, wire-cache and bytes-copied
+    counters) and ``notify`` (:data:`repro.xen.event_channel.NOTIFY_STATS`,
+    notifies sent vs. suppressed and drain batches).  Reset them before a
+    measured run.
 
-    When a :class:`repro.faults.FaultPlan` is installed on the
-    simulator, a ``faults`` sub-dict carries its injected / recovered /
-    degraded counters.
-
-    When the run carried TCP traffic, a ``tcp`` sub-dict sums every
-    stack's :meth:`repro.net.tcp.TcpLayer.congestion_totals` --
-    connections opened, retransmissions (split into fast vs. RTO),
-    duplicate ACKs and segments, RSTs, and listener backlog drops.
-
-    The ``notify`` sub-dict holds the event-channel suppression counters
-    from :data:`repro.xen.event_channel.NOTIFY_STATS` (process-global,
-    like the serialization counters: reset before a measured run).  When
-    the simulator has XenLoop channels, ``channels`` lists each one's
-    per-channel notify / suppression / batched-pop counters in creation
-    order.
-
-    A run that used the open-loop serving workload adds a ``serving``
-    sub-dict (offered / completed / errors / SLO counters summed over
-    every :class:`repro.workloads.serving.ServingProbe`).
+    Every other group comes from ``sim.metrics`` (see
+    :mod:`repro.sim.metrics`) and is present once something registered
+    into it: ``tcp`` (every stack's congestion totals), ``channels``
+    (every XenLoop channel's data-path counters), ``faults`` (the
+    installed fault plan) and ``serving`` (every open-loop serving probe).
     """
     from repro.net.packet import WIRE_STATS
     from repro.xen.event_channel import NOTIFY_STATS
@@ -133,39 +120,7 @@ def engine_stats(sim, wall_s: Optional[float] = None) -> dict:
         stats["events_per_sec"] = sim.event_count / wall_s if wall_s > 0 else 0.0
     stats["serialization"] = WIRE_STATS.snapshot()
     stats["notify"] = NOTIFY_STATS.snapshot()
-    channels = getattr(sim, "_xenloop_channels", None)
-    if channels:
-        stats["channels"] = [
-            {
-                "guest": ch.guest.name,
-                "peer_domid": ch.peer_domid,
-                "pkts_sent": ch.pkts_sent,
-                "pkts_received": ch.pkts_received,
-                "notifies": ch.notifies,
-                "notifies_suppressed": ch.notifies_suppressed,
-                "drain_batches": ch.drain_batches,
-                "drain_entries": ch.drain_entries,
-            }
-            for ch in channels
-        ]
-    layers = getattr(sim, "_tcp_layers", None)
-    if layers:
-        tcp: dict = {}
-        for layer in layers:
-            for key, value in layer.congestion_totals().items():
-                tcp[key] = tcp.get(key, 0) + value
-        if tcp.get("conns"):
-            stats["tcp"] = tcp
-    plan = getattr(sim, "fault_plan", None)
-    if plan is not None:
-        stats["faults"] = plan.snapshot()
-    probes = getattr(sim, "_serving_probes", None)
-    if probes:
-        serving: dict = {}
-        for probe in probes:
-            for key, value in probe.counters().items():
-                serving[key] = serving.get(key, 0) + value
-        stats["serving"] = serving
+    stats.update(sim.metrics.snapshot())
     return stats
 
 

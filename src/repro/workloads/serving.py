@@ -45,9 +45,8 @@ _RECONNECT_TRIES = 20
 
 @dataclass
 class ServingProbe:
-    """Streaming accumulators for one serving run (registered on
-    ``sim._serving_probes`` so :func:`repro.trace.engine_stats` reports
-    them)."""
+    """Streaming accumulators for one serving run (its :meth:`counters`
+    feed the simulator's ``serving`` metrics group)."""
 
     name: str
     slo: float
@@ -103,13 +102,6 @@ class ServingResult:
     deadline_fires: int
     reconnects: int
     probe: ServingProbe
-
-
-def _probes(sim) -> list:
-    probes = getattr(sim, "_serving_probes", None)
-    if probes is None:
-        probes = sim._serving_probes = []
-    return probes
 
 
 def echo_server(cluster: "Cluster", server: str, req_size: int, resp_size: int, port: int):
@@ -176,7 +168,7 @@ def open_loop_rr(
     sim = cluster.sim
     rng = sim.rng
     probe = ServingProbe(name=name, slo=slo)
-    _probes(sim).append(probe)
+    sim.metrics.register("serving", probe.counters)
     echo_server(cluster, server, req_size, resp_size, port)
     server_ip = cluster.guests[server].stack.ip
     req_payload = bytes(req_size)

@@ -24,54 +24,26 @@ from typing import Callable, Optional
 
 from repro.calibration import CostModel
 from repro.sim.engine import Simulator
+from repro.sim.metrics import Counters
 
-__all__ = ["EventChannelError", "EventChannelSubsys", "NOTIFY_STATS", "NotifyStats", "Port"]
-
-
-class NotifyStats:
-    """Process-global notification counters (WIRE_STATS pattern).
-
-    Tracks how often the notify hypercall was actually issued versus
-    suppressed by the consumer-advertised waiting state -- separately for
-    the XenLoop FIFO channel (``fifo_*``) and the netfront/netback ring
-    protocol (``ring_*``) -- plus the channel drain worker's batched-pop
-    counters.  Reset with :meth:`reset` before a measured run; snapshot
-    via :func:`repro.trace.engine_stats`.
-    """
-
-    __slots__ = (
-        "fifo_notifies",
-        "fifo_suppressed",
-        "ring_notifies",
-        "ring_suppressed",
-        "drain_batches",
-        "drain_entries",
-    )
-
-    def __init__(self):
-        self.reset()
-
-    def reset(self) -> None:
-        self.fifo_notifies = 0
-        self.fifo_suppressed = 0
-        self.ring_notifies = 0
-        self.ring_suppressed = 0
-        self.drain_batches = 0
-        self.drain_entries = 0
-
-    def snapshot(self) -> dict:
-        return {
-            "fifo_notifies": self.fifo_notifies,
-            "fifo_suppressed": self.fifo_suppressed,
-            "ring_notifies": self.ring_notifies,
-            "ring_suppressed": self.ring_suppressed,
-            "drain_batches": self.drain_batches,
-            "drain_entries": self.drain_entries,
-        }
+__all__ = ["EventChannelError", "EventChannelSubsys", "NOTIFY_STATS", "Port"]
 
 
-#: the process-global instance every notify/suppress site updates.
-NOTIFY_STATS = NotifyStats()
+#: Process-global notification counters, updated at every notify and
+#: suppress site.  Tracks how often the notify hypercall was actually
+#: issued versus suppressed by the consumer-advertised waiting state --
+#: separately for the XenLoop FIFO channel (``fifo_*``) and the
+#: netfront/netback ring protocol (``ring_*``) -- plus the channel drain
+#: worker's batched-pop counters.  Reset before a measured run; reported
+#: under the ``notify`` key of :func:`repro.trace.engine_stats`.
+NOTIFY_STATS = Counters(
+    "fifo_notifies",
+    "fifo_suppressed",
+    "ring_notifies",
+    "ring_suppressed",
+    "drain_batches",
+    "drain_entries",
+)
 
 
 class EventChannelError(Exception):

@@ -209,9 +209,9 @@ class TestCountersReporting:
         out = report.format_engine_stats(trace.engine_stats(sim, wall_s=1.0))
         assert "serialization:" in out
         snap = WIRE_STATS.snapshot()
-        assert f"lazy_l4={snap['lazy_l4_parses']:,}" in out
-        assert f"packed={snap['bytes_packed']:,}B" in out
-        assert "l3_cache=" in out and "pool=" in out
+        assert f"lazy_l4_parses={snap['lazy_l4_parses']:,}" in out
+        assert f"bytes_packed={snap['bytes_packed']:,}" in out
+        assert "l3_cache_hits=" in out and "pool_hits=" in out
 
     def test_counters_reset(self):
         make_udp_packet().to_l3_bytes()

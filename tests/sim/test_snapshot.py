@@ -103,9 +103,10 @@ class TestPersistence:
         doc = json.loads(path.read_text())
         # a future format, format 1 (before the engine lost its "wheel"
         # key and announce guests gained a roster view), format 2
-        # (whose recipe costs still carry a TCP initial-window field) and
+        # (whose recipe costs still carry a TCP initial-window field),
         # format 3 (whose calendar names the old CPU completion kinds)
-        for fmt in (SNAPSHOT_FORMAT + 1, 1, 2, 3):
+        # and format 4 (whose state has no metrics snapshot)
+        for fmt in (SNAPSHOT_FORMAT + 1, 1, 2, 3, 4):
             doc["format"] = fmt
             path.write_text(json.dumps(doc))
             with pytest.raises(SnapshotError):

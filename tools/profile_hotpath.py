@@ -4,8 +4,9 @@ Runs the engine-throughput workload (``udp_stream`` on a scenario) under
 cProfile and prints the hottest functions, the view that motivated the
 fast-path work: immediate run queue, allocation-free resume, single-shot
 CPU completions, and batched cost charging.  A serialization-cost
-breakdown (pack/parse/copy time plus the wire-cache hit rates) follows
-the profile, attributing the packet data path's share of the wall.
+breakdown (pack/parse/copy time) follows the profile, attributing the
+packet data path's share of the wall, and then the run's counters as
+rendered by :func:`repro.report.format_engine_stats`.
 
 Usage::
 
@@ -21,9 +22,9 @@ import cProfile
 import pstats
 import time
 
-from repro import scenarios, trace
+from repro import report, scenarios, trace
 from repro.net.packet import WIRE_STATS
-from repro.workloads import netperf
+from repro.workloads import netperf, serving
 from repro.xen.event_channel import NOTIFY_STATS
 
 #: (bucket, filename substring, function-name substrings): how profiled
@@ -50,52 +51,6 @@ def serialization_breakdown(ps: pstats.Stats, wall: float) -> str:
         lines.append(f"  {bucket:>5}: {totals[bucket] * 1e3:8.1f} ms  ({share:4.1f}% of wall)")
     lines.append(
         f"  total: {total * 1e3:8.1f} ms  ({100.0 * total / wall if wall else 0.0:4.1f}% of wall)"
-    )
-    snap = WIRE_STATS.snapshot()
-    l3_total = snap["l3_cache_hits"] + snap["l3_cache_misses"]
-    hdr_total = snap["header_cache_hits"] + snap["header_cache_misses"]
-    lines.append(
-        "  wire caches: "
-        f"l3 {snap['l3_cache_hits']:,}/{l3_total:,} hits "
-        f"({100.0 * snap['l3_cache_hits'] / l3_total if l3_total else 0.0:.1f}%), "
-        f"hdr {snap['header_cache_hits']:,}/{hdr_total:,} hits "
-        f"({100.0 * snap['header_cache_hits'] / hdr_total if hdr_total else 0.0:.1f}%), "
-        f"lazy_l4={snap['lazy_l4_parses']:,}"
-    )
-    lines.append(
-        f"  bytes: packed={snap['bytes_packed']:,}  parsed={snap['bytes_parsed']:,}  "
-        f"fifo_in={snap['fifo_bytes_in']:,}  fifo_out={snap['fifo_bytes_out']:,}"
-    )
-    return "\n".join(lines)
-
-
-def notify_breakdown(messages: int) -> str:
-    """Notification-suppression rates for the profiled run.
-
-    Reports notifies per message and drained entries per batch from
-    :data:`repro.xen.event_channel.NOTIFY_STATS` -- the view that shows
-    whether the check-flag-then-notify protocol is actually eliding
-    hypercalls on this workload (and how well the NAPI-style receiver
-    is amortizing its per-batch CPU charge).
-    """
-    snap = NOTIFY_STATS.snapshot()
-    fifo_total = snap["fifo_notifies"] + snap["fifo_suppressed"]
-    ring_total = snap["ring_notifies"] + snap["ring_suppressed"]
-    sent = snap["fifo_notifies"] + snap["ring_notifies"]
-    batches = snap["drain_batches"]
-    lines = ["notify-rate breakdown:"]
-    lines.append(
-        f"   fifo: {snap['fifo_notifies']:,}/{fifo_total:,} sent "
-        f"({100.0 * snap['fifo_suppressed'] / fifo_total if fifo_total else 0.0:.1f}% suppressed)"
-    )
-    lines.append(
-        f"   ring: {snap['ring_notifies']:,}/{ring_total:,} sent "
-        f"({100.0 * snap['ring_suppressed'] / ring_total if ring_total else 0.0:.1f}% suppressed)"
-    )
-    lines.append(
-        f"  rates: {sent / messages if messages else 0.0:.2f} notifies/message  "
-        f"{snap['drain_entries'] / batches if batches else 0.0:.1f} entries/batch "
-        f"({snap['drain_entries']:,} entries, {batches:,} batches)"
     )
     return "\n".join(lines)
 
@@ -130,34 +85,31 @@ def profile_serving(args) -> None:
     cell and attribute the wall to workload / stack / engine -- the view
     that shows the workload and its streaming histogram staying out of
     the way at high request rates."""
-    from repro.scenarios import run_serving_cell
-
+    data_path = args.scenario if args.scenario in ("fifo", "netfront") else "fifo"
     WIRE_STATS.reset()
     NOTIFY_STATS.reset()
     profiler = cProfile.Profile()
     t0 = time.perf_counter()
     profiler.enable()
-    summary = run_serving_cell(
-        data_path=args.scenario if args.scenario in ("fifo", "netfront") else "fifo",
-        requests=args.requests,
-        rate=args.rate,
+    scn = scenarios.xenloop_serving(data_path=data_path)
+    scn.warmup()
+    result = serving.open_loop_rr(
+        scn, server="srv", clients=["c1", "c2"], requests=args.requests, rate=args.rate
     )
     profiler.disable()
     wall = time.perf_counter() - t0
 
     print(
-        f"xenloop_serving data_path={summary['data_path']} "
-        f"requests={summary['requests']:,} rate={summary['rate']:,.0f}/s: "
-        f"p50={summary['p50_us']:.1f}us  p99={summary['p99_us']:.1f}us  "
-        f"p999={summary['p999_us']:.1f}us  slo_viol={summary['slo_violations']}"
-    )
-    print(
-        f"{summary['events']:,} events in {wall:.2f}s wall "
-        f"= {summary['events'] / wall if wall else 0.0:,.0f} events/s\n"
+        f"xenloop_serving data_path={data_path} "
+        f"requests={args.requests:,} rate={args.rate:,.0f}/s: "
+        f"p50={result.p50_us:.1f}us  p99={result.p99_us:.1f}us  "
+        f"p999={result.p999_us:.1f}us  slo_viol={result.slo_violations}\n"
     )
     ps = pstats.Stats(profiler)
     ps.sort_stats(args.sort).print_stats(args.limit)
     print(serving_breakdown(ps, wall))
+    print()
+    print(report.format_engine_stats(trace.engine_stats(scn.sim, wall_s=wall)))
     if args.output:
         ps.dump_stats(args.output)
         print(f"raw profile written to {args.output}")
@@ -233,7 +185,7 @@ def main() -> None:
     ps.sort_stats(args.sort).print_stats(args.limit)
     print(serialization_breakdown(ps, wall))
     print()
-    print(notify_breakdown(result.messages_sent))
+    print(report.format_engine_stats(stats))
     if args.output:
         ps.dump_stats(args.output)
         print(f"raw profile written to {args.output}")
