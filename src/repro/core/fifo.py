@@ -151,7 +151,7 @@ class Fifo:
     @property
     def active(self) -> bool:
         """The shared ACTIVE flag (cleared by channel teardown)."""
-        return bool(self._desc[_FLAGS_WORD] & FLAG_ACTIVE)
+        return bool(self._desc_mv[_FLAGS_WORD] & FLAG_ACTIVE)
 
     def snapshot_state(self) -> dict:
         """Descriptor words, counters, and a digest of the data bytes.
@@ -168,7 +168,7 @@ class Fifo:
             "order": self.k,
             "front": int(self.front),
             "back": int(self.back),
-            "flags": int(self._desc[_FLAGS_WORD]),
+            "flags": self._desc_mv[_FLAGS_WORD],
             "used_slots": int(self.used_slots),
             "pushes": self.pushes,
             "pops": self.pops,
@@ -178,20 +178,20 @@ class Fifo:
 
     def mark_inactive(self) -> None:
         """Clear ACTIVE in the shared descriptor (channel teardown)."""
-        self._desc[_FLAGS_WORD] = int(self._desc[_FLAGS_WORD]) & ~FLAG_ACTIVE
+        self._desc_mv[_FLAGS_WORD] &= ~FLAG_ACTIVE
 
     @property
     def producer_waiting(self) -> bool:
         """Shared flag: the producer queued packets awaiting space."""
-        return bool(self._desc[_FLAGS_WORD] & FLAG_PRODUCER_WAITING)
+        return bool(self._desc_mv[_FLAGS_WORD] & FLAG_PRODUCER_WAITING)
 
     def set_producer_waiting(self) -> None:
         """Ask the consumer for a space-available notification."""
-        self._desc[_FLAGS_WORD] = int(self._desc[_FLAGS_WORD]) | FLAG_PRODUCER_WAITING
+        self._desc_mv[_FLAGS_WORD] |= FLAG_PRODUCER_WAITING
 
     def clear_producer_waiting(self) -> None:
         """Acknowledge the space request (consumer side)."""
-        self._desc[_FLAGS_WORD] = int(self._desc[_FLAGS_WORD]) & ~FLAG_PRODUCER_WAITING
+        self._desc_mv[_FLAGS_WORD] &= ~FLAG_PRODUCER_WAITING
 
     @property
     def consumer_waiting(self) -> bool:
@@ -199,7 +199,7 @@ class Fifo:
         data-available notification.  While clear, the producer may skip
         the notify hypercall entirely -- the consumer is awake and will
         find the entry on its final pre-sleep occupancy re-check."""
-        return bool(self._desc[_FLAGS_WORD] & FLAG_CONSUMER_WAITING)
+        return bool(self._desc_mv[_FLAGS_WORD] & FLAG_CONSUMER_WAITING)
 
     def set_consumer_waiting(self) -> None:
         """Arm data-available notifications (consumer side, pre-sleep).
@@ -208,11 +208,11 @@ class Fifo:
         finds it set keeps notifying on every push until the consumer
         wakes and clears it, which is what makes a single lost notify
         recoverable by the next push."""
-        self._desc[_FLAGS_WORD] = int(self._desc[_FLAGS_WORD]) | FLAG_CONSUMER_WAITING
+        self._desc_mv[_FLAGS_WORD] |= FLAG_CONSUMER_WAITING
 
     def clear_consumer_waiting(self) -> None:
         """Disarm data-available notifications (consumer side, on wake)."""
-        self._desc[_FLAGS_WORD] = int(self._desc[_FLAGS_WORD]) & ~FLAG_CONSUMER_WAITING
+        self._desc_mv[_FLAGS_WORD] &= ~FLAG_CONSUMER_WAITING
 
     # -- capacity -------------------------------------------------------------
     @property
@@ -360,16 +360,6 @@ class Fifo:
                     mv[pos:ring_bytes] = pmv[:first]
                     mv[: n - first] = pmv[first:]
                 pos = n - first
-
-    def _read_slots(self, slot: int, nbytes: int) -> np.ndarray:
-        start = slot * 8
-        end = start + nbytes
-        ring_bytes = self._ring_bytes
-        if end <= ring_bytes:
-            return self._data[start:end]
-        first = self._data[start:ring_bytes]
-        rest = self._data[: end - ring_bytes]
-        return np.concatenate([first, rest])
 
     # -- gref table (bootstrap) ------------------------------------------
     def store_grefs(self, grefs: list[int]) -> None:

@@ -164,7 +164,7 @@ class XenLoopModule(LifecycleHooks):
         lookup = guest.costs.xenloop_lookup
         stack = guest.stack
         dst = packet.ip.dst
-        if dst.in_subnet(stack.network, stack.prefix_len):
+        if stack.ipv4.on_subnet(dst):
             next_hop = dst
         elif stack.gateway is not None:
             next_hop = stack.gateway

@@ -250,7 +250,7 @@ class SocketBypassModule(XenLoopModule):
         guest = self.guest
         stack = guest.stack
         dst_ip, dst_port = remote
-        if not self.loaded or not dst_ip.in_subnet(stack.network, stack.prefix_len):
+        if not self.loaded or not stack.ipv4.on_subnet(dst_ip):
             return None
         mac = stack.arp.lookup(dst_ip)
         if mac is None:

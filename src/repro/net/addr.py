@@ -10,7 +10,21 @@ from __future__ import annotations
 
 from functools import total_ordering
 
-__all__ = ["IPv4Addr", "MacAddr", "BROADCAST_MAC"]
+__all__ = ["IPv4Addr", "MacAddr", "BROADCAST_MAC", "netmask"]
+
+#: Most wire-parsed addresses the intern tables hold per type.  Beyond
+#: it ``from_bytes`` still works, it just builds a fresh instance.
+_INTERN_MAX = 4096
+
+_MAC_INTERN: dict = {}
+_IPV4_INTERN: dict = {}
+
+
+def netmask(prefix_len: int) -> int:
+    """The 32-bit mask of an IPv4 ``/prefix_len`` network."""
+    if not 0 <= prefix_len <= 32:
+        raise ValueError(f"bad prefix length {prefix_len}")
+    return ((1 << prefix_len) - 1) << (32 - prefix_len)
 
 
 @total_ordering
@@ -61,10 +75,17 @@ class MacAddr:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "MacAddr":
-        """Parse 6 wire bytes into a MacAddr."""
-        if len(data) != 6:
-            raise ValueError(f"MAC needs 6 bytes, got {len(data)}")
-        return cls(int.from_bytes(data, "big"))
+        """Parse 6 wire bytes into a MacAddr (interned by those bytes)."""
+        if type(data) is not bytes:
+            data = bytes(data)
+        addr = _MAC_INTERN.get(data)
+        if addr is None:
+            if len(data) != 6:
+                raise ValueError(f"MAC needs 6 bytes, got {len(data)}")
+            addr = cls(int.from_bytes(data, "big"))
+            if len(_MAC_INTERN) < _INTERN_MAX:
+                _MAC_INTERN[data] = addr
+        return addr
 
     def __eq__(self, other) -> bool:
         return isinstance(other, MacAddr) and self.value == other.value
@@ -114,11 +135,7 @@ class IPv4Addr:
 
     def in_subnet(self, network: "IPv4Addr", prefix_len: int) -> bool:
         """Whether this address falls inside ``network/prefix_len``."""
-        if not 0 <= prefix_len <= 32:
-            raise ValueError(f"bad prefix length {prefix_len}")
-        if prefix_len == 0:
-            return True
-        mask = ((1 << prefix_len) - 1) << (32 - prefix_len)
+        mask = netmask(prefix_len)
         return (self.value & mask) == (network.value & mask)
 
     def to_bytes(self) -> bytes:
@@ -127,10 +144,17 @@ class IPv4Addr:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "IPv4Addr":
-        """Parse 4 wire bytes into an IPv4Addr."""
-        if len(data) != 4:
-            raise ValueError(f"IPv4 needs 4 bytes, got {len(data)}")
-        return cls(int.from_bytes(data, "big"))
+        """Parse 4 wire bytes into an IPv4Addr (interned by those bytes)."""
+        if type(data) is not bytes:
+            data = bytes(data)
+        addr = _IPV4_INTERN.get(data)
+        if addr is None:
+            if len(data) != 4:
+                raise ValueError(f"IPv4 needs 4 bytes, got {len(data)}")
+            addr = cls(int.from_bytes(data, "big"))
+            if len(_IPV4_INTERN) < _INTERN_MAX:
+                _IPV4_INTERN[data] = addr
+        return addr
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IPv4Addr) and self.value == other.value

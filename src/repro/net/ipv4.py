@@ -11,9 +11,10 @@ netfront path (paper Fig. 4).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.net.addr import IPv4Addr
+from repro.net.addr import IPv4Addr, netmask
 from repro.net.ethernet import ETH_P_IP
 from repro.net.netfilter import HookPoint, Verdict
 from repro.net.packet import EthHeader, IPv4Header, Packet, TcpHeader
@@ -95,8 +96,8 @@ class Reassembler:
         del self._buffers[key]
         self.completed += 1
         body = b"".join(buf.chunks[off] for off in sorted(buf.chunks))
-        hdr = ip.replaced(frag_offset=0, more_frags=False,
-                          total_length=IPv4Header.HEADER_LEN + len(body))
+        hdr = replace(ip, frag_offset=0, more_frags=False,
+                      total_length=IPv4Header.HEADER_LEN + len(body))
         return Packet.from_l3_bytes(hdr.to_bytes() + body)
 
     def _purge(self) -> None:
@@ -117,6 +118,10 @@ class Ipv4Layer:
 
     def __init__(self, stack: "NetworkStack"):
         self.stack = stack
+        # The stack's subnet, as a mask and masked network computed once:
+        # on_subnet() runs for every packet sent.
+        self._netmask = netmask(stack.prefix_len)
+        self._subnet = stack.network.value & self._netmask
         self._next_ident = 1
         self.reassembler = Reassembler(stack.node.sim)
         #: proto number -> generator function(packet) run in softirq context.
@@ -130,6 +135,10 @@ class Ipv4Layer:
         self.protocols[proto] = handler
 
     # -- routing ----------------------------------------------------------
+    def on_subnet(self, dst: IPv4Addr) -> bool:
+        """Whether ``dst`` is on this stack's directly attached subnet."""
+        return dst.value & self._netmask == self._subnet
+
     def route(self, dst: IPv4Addr) -> tuple["NetDevice", Optional[IPv4Addr]]:
         """Return (device, next_hop_ip); next_hop None means local delivery."""
         stack = self.stack
@@ -138,7 +147,7 @@ class Ipv4Layer:
         dev = stack.primary_device()
         if dev is None:
             raise RoutingError(f"{stack.node.name}: no device for {dst}")
-        if dst.in_subnet(stack.network, stack.prefix_len):
+        if self.on_subnet(dst):
             return dev, dst
         if stack.gateway is not None:
             return dev, stack.gateway
@@ -157,7 +166,7 @@ class Ipv4Layer:
         dev, next_hop = self.route(dst)
         ident = self._next_ident
         self._next_ident = (self._next_ident + 1) & 0xFFFF or 1
-        hdr = IPv4Header.fresh(src=self.stack.ip, dst=dst, proto=proto, ident=ident)
+        hdr = IPv4Header(self.stack.ip, dst, proto, ident)
         packet = Packet(payload=payload, l4=l4, ip=hdr)
         packet.ip.total_length = packet.l3_len
         packet.meta["ts_ip_out"] = node.sim.now
@@ -176,7 +185,7 @@ class Ipv4Layer:
 
         if next_hop is None:
             # Local delivery via loopback.
-            packet.eth = EthHeader.fresh(dst=dev.mac, src=dev.mac, ethertype=ETH_P_IP)
+            packet.eth = EthHeader(dst=dev.mac, src=dev.mac, ethertype=ETH_P_IP)
             yield node.exec(dev.tx_cost(packet))
             yield dev.queue_xmit(packet)
             self.tx_packets += 1
@@ -193,7 +202,7 @@ class Ipv4Layer:
 
         gso_ok = dev.gso and isinstance(packet.l4, TcpHeader)
         if packet.l3_len - IPv4Header.HEADER_LEN <= dev.mtu or gso_ok:
-            packet.eth = EthHeader.fresh(dst=dst_mac, src=dev.mac, ethertype=ETH_P_IP)
+            packet.eth = EthHeader(dst=dst_mac, src=dev.mac, ethertype=ETH_P_IP)
             yield node.exec(dev.tx_cost(packet))
             yield dev.queue_xmit(packet)
             self.tx_packets += 1
@@ -206,10 +215,10 @@ class Ipv4Layer:
         while offset < len(body):
             chunk = body[offset : offset + step]
             more = offset + len(chunk) < len(body)
-            fhdr = hdr.replaced(frag_offset=offset, more_frags=more)
+            fhdr = replace(hdr, frag_offset=offset, more_frags=more)
             frag = Packet(payload=chunk, ip=fhdr)
             frag.ip.total_length = frag.l3_len
-            frag.eth = EthHeader.fresh(dst=dst_mac, src=dev.mac, ethertype=ETH_P_IP)
+            frag.eth = EthHeader(dst=dst_mac, src=dev.mac, ethertype=ETH_P_IP)
             frag.meta["ts_ip_out"] = node.sim.now
             yield node.exec(costs.ip_fragment + dev.tx_cost(frag))
             yield dev.queue_xmit(frag)

@@ -32,6 +32,10 @@ class HookPoint(enum.Enum):
     #: incoming packets before IP processing.
     PRE_ROUTING = "pre_routing"
 
+    # Members are singletons, so identity hashing is exact, and it runs
+    # in C: Enum.__hash__ hashes the name in Python on every chain lookup.
+    __hash__ = object.__hash__
+
 
 class Verdict(enum.Enum):
     """A hook's decision about the packet."""

@@ -54,8 +54,7 @@ class UdpSocket:
             + costs.copy_cost(len(data))  # user -> kernel copy
         )
         dst_ip, dst_port = addr
-        hdr = UdpHeader.fresh(sport=self.port, dport=dst_port,
-                              length=UdpHeader.HEADER_LEN + len(data))
+        hdr = UdpHeader(self.port, dst_port, UdpHeader.HEADER_LEN + len(data))
         ok = yield from self.layer.stack.ipv4.output(dst_ip, IPPROTO_UDP, hdr, data)
         return ok
 

@@ -100,7 +100,7 @@ def engine_stats(sim, wall_s: Optional[float] = None) -> dict:
     event).
 
     Two groups are process-global, not per-simulator: ``serialization``
-    (:data:`repro.net.packet.WIRE_STATS`, wire-cache and bytes-copied
+    (:data:`repro.net.packet.WIRE_STATS`, pack, parse and bytes-copied
     counters) and ``notify`` (:data:`repro.xen.event_channel.NOTIFY_STATS`,
     notifies sent vs. suppressed and drain batches).  Reset them before a
     measured run.

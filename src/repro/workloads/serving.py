@@ -21,8 +21,8 @@ saturation.  This module supplies that generator:
   :class:`repro.sim.stats.Deadline` accumulator.
 
 Workers survive connection loss (guest crash/restart churn): the failed
-request counts as an error, its deadline fires, and the worker
-reconnects with a short backoff.
+request counts as an error, its deadline is cancelled (so it never
+fires), and the worker reconnects with a short backoff.
 """
 
 from __future__ import annotations
@@ -251,7 +251,8 @@ def open_loop_rr(
                 yield from conn.recv_exactly(resp_size)
             except OSError:
                 # Connection died mid-request (crash/migration churn):
-                # the request is lost, its deadline fires on its own.
+                # the request is lost and counted as an error, and its
+                # deadline is cancelled, so it never fires.
                 conn = None
                 probe.errors += 1
                 probe.reconnects += 1

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.core.fifo import (
     FLAG_ACTIVE,
+    FLAG_CONSUMER_WAITING,
+    FLAG_PRODUCER_WAITING,
     Fifo,
     FifoLayoutError,
     INDEX_MASK,
@@ -163,6 +165,50 @@ class TestFlags:
         fifo.clear_producer_waiting()
         assert not fifo.producer_waiting
         assert fifo.active  # flag ops don't clobber ACTIVE
+
+    def test_flags_shared_and_independent(self):
+        producer = make_fifo()
+        consumer = Fifo(producer.region)
+        flags = {
+            FLAG_ACTIVE: "active",
+            FLAG_PRODUCER_WAITING: "producer_waiting",
+            FLAG_CONSUMER_WAITING: "consumer_waiting",
+        }
+
+        def seen(fifo):
+            word = sum(bit for bit, name in flags.items() if getattr(fifo, name))
+            assert fifo.snapshot_state()["flags"] == word
+            return word
+
+        assert seen(producer) == seen(consumer) == FLAG_ACTIVE
+        steps = [
+            (producer.set_producer_waiting, FLAG_PRODUCER_WAITING, True),
+            (consumer.set_consumer_waiting, FLAG_CONSUMER_WAITING, True),
+            (consumer.clear_producer_waiting, FLAG_PRODUCER_WAITING, False),
+            (producer.set_producer_waiting, FLAG_PRODUCER_WAITING, True),
+            (consumer.clear_consumer_waiting, FLAG_CONSUMER_WAITING, False),
+            (consumer.mark_inactive, FLAG_ACTIVE, False),
+            (producer.clear_producer_waiting, FLAG_PRODUCER_WAITING, False),
+        ]
+        expected = FLAG_ACTIVE
+        for op, bit, on in steps:
+            op()
+            expected = expected | bit if on else expected & ~bit
+            # Each side sees the other's write; no other bit moves.
+            assert seen(producer) == seen(consumer) == expected
+        assert expected == 0
+
+    @pytest.mark.parametrize("side", ["producer", "consumer"])
+    def test_mark_inactive_from_either_side(self, side):
+        producer = make_fifo()
+        consumer = Fifo(producer.region)
+        producer.set_producer_waiting()
+        consumer.set_consumer_waiting()
+        ends = {"producer": (producer, consumer), "consumer": (consumer, producer)}
+        closer, other = ends[side]
+        closer.mark_inactive()
+        assert not other.active and not closer.active
+        assert other.producer_waiting and other.consumer_waiting
 
     def test_gref_table_roundtrip(self):
         fifo = make_fifo()

@@ -100,3 +100,36 @@ class TestIPv4Addr:
 
     def test_mac_ip_not_equal(self):
         assert MacAddr(5) != IPv4Addr(5)
+
+
+class TestFromBytesInterning:
+    @pytest.mark.parametrize(
+        "cls, wire",
+        [(IPv4Addr, b"\x0a\x00\x00\x07"), (MacAddr, b"\x00\x16\x3e\x00\x00\x07")],
+    )
+    def test_same_bytes_same_instance(self, cls, wire):
+        first = cls.from_bytes(wire)
+        assert cls.from_bytes(bytes(wire)) is first
+        assert cls.from_bytes(memoryview(wire)) is first
+        # Interning changes identity only: equality and hashing still go
+        # by value, so a separately built address is interchangeable.
+        built = cls(int.from_bytes(wire, "big"))
+        assert built is not first
+        assert built == first and hash(built) == hash(first)
+
+    def test_bad_length_still_rejected(self):
+        with pytest.raises(ValueError):
+            IPv4Addr.from_bytes(b"\x01\x02\x03")
+        with pytest.raises(ValueError):
+            MacAddr.from_bytes(b"\x01\x02\x03\x04\x05")
+
+    def test_table_is_bounded(self, monkeypatch):
+        from repro.net import addr
+
+        monkeypatch.setattr(addr, "_IPV4_INTERN", {})
+        monkeypatch.setattr(addr, "_INTERN_MAX", 8)
+        for i in range(20):
+            assert IPv4Addr.from_bytes(i.to_bytes(4, "big")).value == i
+        assert len(addr._IPV4_INTERN) == 8
+        # Past the bound, parsing still works; it just is not interned.
+        assert IPv4Addr.from_bytes((19).to_bytes(4, "big")) == IPv4Addr(19)

@@ -30,8 +30,8 @@ from repro.xen.event_channel import NOTIFY_STATS
 #: (bucket, filename substring, function-name substrings): how profiled
 #: functions map onto the serialization-cost categories.
 _SER_BUCKETS = (
-    ("pack", "net/packet.py", ("to_bytes", "to_l3_bytes", "to_l3_parts", "_ip_header_bytes", "_fill")),
-    ("parse", "net/packet.py", ("from_bytes", "from_l3_bytes", "_parse_body")),
+    ("pack", "net/packet.py", ("to_bytes", "to_l3_bytes", "to_l3_parts", "_pack")),
+    ("parse", "net/packet.py", ("from_bytes", "from_l3_bytes")),
     ("copy", "core/fifo.py", ("push", "push_vec", "pop", "peek", "peek_view", "_write_stream")),
 )
 
