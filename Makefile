@@ -13,10 +13,10 @@ install:
 	@$(PYTHON) -c "import repro; print('repro', repro.__version__, 'ready')"
 
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
 # Full suite, fanned out over a process pool (one worker per bench
 # file); merged summary lands in benchmarks/results/run_benches.json.
@@ -67,7 +67,7 @@ snapshot-smoke:
 	rm -f /tmp/repro-snapshot-smoke.json
 
 examples:
-	@for ex in examples/*.py; do echo "== $$ex =="; $(PYTHON) $$ex || exit 1; done
+	@for ex in examples/*.py; do echo "== $$ex =="; PYTHONPATH=src $(PYTHON) $$ex || exit 1; done
 
 clean:
 	rm -rf .pytest_cache .hypothesis benchmarks/results

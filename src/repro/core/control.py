@@ -924,15 +924,6 @@ class ControlPlane:
     # ------------------------------------------------------------------
     # Lifecycle: unload, shutdown, migration (Sect. 3.3-3.4)
     # ------------------------------------------------------------------
-    def teardown_all(self, cause: ChannelEvent):
-        """Tear down every channel (generator); yields saved packets
-        per channel to the caller via the returned list."""
-        saved_all: list[bytes] = []
-        for channel in list(self.channels.values()):
-            saved = yield from channel.ctrl.teardown(cause)
-            saved_all.extend(saved)
-        return saved_all
-
     def shutdown(self):
         if not self.module.loaded:
             return

@@ -146,9 +146,6 @@ class XenLoopModule(LifecycleHooks):
     def _advertise(self):
         yield from self.control.advertise()
 
-    def _unadvertise(self):
-        yield from self.control.unadvertise()
-
     # ------------------------------------------------------------------
     # The netfilter hook (sender context) -- the data plane
     # ------------------------------------------------------------------

@@ -126,7 +126,11 @@ class EthHeader:
 
 @dataclass(slots=True)
 class ArpHeader:
-    """Just enough of ARP for IPv4-over-Ethernet resolution."""
+    """Just enough of ARP for IPv4-over-Ethernet resolution.
+
+    A simplified 22-byte format: op, then sender and target MAC/IP.  The
+    fixed htype, ptype, hlen and plen fields of real ARP are omitted.
+    """
 
     op: int  # 1 = request, 2 = reply
     sender_mac: MacAddr
@@ -134,13 +138,13 @@ class ArpHeader:
     target_mac: MacAddr
     target_ip: IPv4Addr
 
-    HEADER_LEN = 28
+    HEADER_LEN = _ARP.size
 
     OP_REQUEST = 1
     OP_REPLY = 2
 
     def to_bytes(self) -> bytes:
-        """Serialize to the 28-byte wire format."""
+        """Serialize to the 22-byte wire format."""
         return _packed(
             _ARP.pack(
                 self.op,
@@ -153,7 +157,7 @@ class ArpHeader:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ArpHeader":
-        """Parse the 28-byte wire format."""
+        """Parse the 22-byte wire format."""
         op, smac, sip, tmac, tip = _ARP.unpack_from(data)
         return cls(
             op,

@@ -154,11 +154,6 @@ class NetworkStack:
             source = self._inject_sources[source_name] = _InjectSource(source_name)
         self._backlog.put((packet, source))
 
-    @property
-    def backlog_depth(self) -> int:
-        """Frames queued for the softirq right now."""
-        return len(self._backlog)
-
     #: max frames pulled off the backlog per charged burst (NAPI-style
     #: budget); bounds the timing shift from the aggregated rx charge.
     SOFTIRQ_BURST = 64

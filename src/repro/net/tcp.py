@@ -40,7 +40,6 @@ than 4 GB, which every benchmark in the paper satisfies per run.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.net.addr import IPv4Addr
@@ -58,7 +57,7 @@ from repro.net.packet import (
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.stack import NetworkStack
 
-__all__ = ["CongestionStats", "TcpConnection", "TcpLayer", "TcpListener"]
+__all__ = ["TcpConnection", "TcpLayer", "TcpListener"]
 
 #: implicit window-scale shift applied to the 16-bit wire window field.
 WINDOW_SCALE = 3
@@ -93,25 +92,6 @@ _CC_ROLLUP = (
     ("dup_acks", "dup_acks_rcvd"),
     ("dup_segments", "dup_segments"),
 )
-
-
-@dataclass
-class CongestionStats:
-    """Point-in-time congestion state of one connection.
-
-    ``cwnd_trace`` is the bounded ``(sim_time, cwnd)`` history of window
-    changes (empty until the first ACK grows cwnd past its initial
-    window)."""
-
-    cwnd: int
-    ssthresh: int
-    in_fast_recovery: bool
-    retransmissions: int
-    fast_retransmits: int
-    rto_retransmits: int
-    dup_acks_rcvd: int
-    dup_segments: int
-    cwnd_trace: tuple
 
 
 class TcpConnection:
@@ -635,20 +615,6 @@ class TcpConnection:
         self.retransmissions += 1
         yield node.exec(costs.tcp_layer + costs.checksum_cost(len(data)))
         yield from self.layer.stack.ipv4.output(self.remote[0], IPPROTO_TCP, hdr, data)
-
-    def congestion_stats(self) -> CongestionStats:
-        """Snapshot of this connection's congestion state."""
-        return CongestionStats(
-            cwnd=self.cwnd,
-            ssthresh=self.ssthresh,
-            in_fast_recovery=self._in_fast_recovery,
-            retransmissions=self.retransmissions,
-            fast_retransmits=self.fast_retransmits,
-            rto_retransmits=self.rto_retransmits,
-            dup_acks_rcvd=self.dup_acks_rcvd,
-            dup_segments=self.dup_segments,
-            cwnd_trace=tuple(self.cwnd_trace),
-        )
 
     def _accept_data(self, data: bytes) -> None:
         self.rcv_nxt += len(data)

@@ -159,7 +159,6 @@ def run_serving_cell(
         "p50_idx": result.p50_idx,
         "p99_idx": result.p99_idx,
         "slo_violations": result.slo_violations,
-        "deadline_fires": result.deadline_fires,
         "reconnects": result.reconnects,
     }
     plan = scn.sim.fault_plan

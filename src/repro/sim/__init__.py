@@ -14,7 +14,6 @@ when the yielded event fires.
 from repro.sim.engine import (
     AllOf,
     AnyOf,
-    Call,
     Event,
     Interrupt,
     Process,
@@ -23,14 +22,12 @@ from repro.sim.engine import (
     Timeout,
 )
 from repro.sim.resources import CPUCores, Resource, Store
-from repro.sim.stats import Deadline, LogHistogram, TimeSeries
+from repro.sim.stats import LogHistogram, TimeSeries
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "CPUCores",
-    "Call",
-    "Deadline",
     "Event",
     "Interrupt",
     "LogHistogram",

@@ -5,8 +5,6 @@ The engine is deliberately small and dependency-free.  It provides:
 * :class:`Simulator` -- the event calendar and main loop.
 * :class:`Event` -- a one-shot occurrence that processes can wait on.
 * :class:`Timeout` -- an event that fires after a simulated delay.
-* :class:`Call` -- a cancellable callback, made by
-  :meth:`Simulator.call_at`.
 * :class:`Process` -- a generator-based coroutine driven by the engine.
 * :class:`AnyOf` / :class:`AllOf` -- composite wait conditions.
 * :class:`Interrupt` -- exception injected into a process by
@@ -26,7 +24,7 @@ around four ideas:
   process init, bounces, interrupts -- the overwhelming majority of
   events) appends to a plain deque instead of the heap.  Because
   simulated time never decreases, the deque is always sorted by
-  ``(time, seq)``; :meth:`Simulator.step` merges the deque head with the
+  ``(time, seq)``; :meth:`Simulator.run` merges the deque head with the
   heap head, so the global firing order is *identical* to a single heap
   keyed on ``(time, seq)`` -- same-time FIFO semantics are preserved
   exactly, at O(1) instead of O(log n) per event.
@@ -65,7 +63,6 @@ from repro.sim.metrics import Metrics
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Call",
     "Event",
     "Interrupt",
     "Process",
@@ -242,29 +239,6 @@ class _InterruptResume:
         proc._step(Interrupt(self.cause), False)
 
 
-class Call:
-    """Heap entry made by :meth:`Simulator.call_at`: a cancellable
-    callback that nothing waits on (the per-request SLO deadline)."""
-
-    __slots__ = ("callback",)
-
-    def __init__(self, callback: Callable[[], None]):
-        self.callback: Optional[Callable[[], None]] = callback
-
-    def cancel(self) -> bool:
-        """Stop the callback; True if it had neither run nor been
-        cancelled yet."""
-        armed = self.callback is not None
-        self.callback = None
-        return armed
-
-    def _process(self) -> None:
-        callback = self.callback
-        if callback is not None:
-            self.callback = None
-            callback()
-
-
 class _Condition(Event):
     """Base for AnyOf/AllOf.  Fires when ``_check`` says it is satisfied."""
 
@@ -397,12 +371,9 @@ class Process(Event):
             sim.active_process = prev
             self.succeed(stop.value)
             return
-        except BaseException as exc:
+        except BaseException:
             sim.active_process = prev
-            if sim.strict:
-                raise
-            self.fail(exc)
-            return
+            raise
         sim.active_process = prev
         if target is self._charge and target is not None:
             # Our own CPU charge record: park with no callback list; the
@@ -434,18 +405,12 @@ class Process(Event):
 class Simulator:
     """Event calendar and main loop.
 
-    Parameters
-    ----------
-    strict:
-        When True (the default), an uncaught exception inside a process
-        propagates out of :meth:`run` immediately -- the right behaviour
-        for tests.  When False the exception is stored on the process
-        event, mimicking SimPy's behaviour for supervised process trees.
+    An uncaught exception inside a process propagates out of
+    :meth:`run` immediately.
     """
 
-    def __init__(self, strict: bool = True, seed: int = 0):
+    def __init__(self, seed: int = 0):
         self.now: float = 0.0
-        self.strict = strict
         self.active_process: Optional[Process] = None
         #: delayed events: heap of (time, seq, obj).
         self._queue: list[tuple[float, int, Any]] = []
@@ -479,7 +444,7 @@ class Simulator:
     def event_count(self) -> int:
         """Calendar entries processed since construction.
 
-        Counts everything :meth:`step` pops -- events, timeouts, and the
+        Counts everything the main loop pops -- events, timeouts, and the
         engine's internal resume records -- so ``event_count / wall_s``
         is the engine-throughput figure tracked by
         ``benchmarks/bench_engine_throughput.py``.
@@ -527,20 +492,6 @@ class Simulator:
         """Create an event firing ``delay`` seconds from now."""
         return Timeout(self, delay, value)
 
-    def call_at(self, time: float, callback: Callable[[], None]) -> Call:
-        """Run ``callback()`` at absolute simulated time ``time``.
-
-        Returns a :class:`Call` handle whose ``cancel()`` stops the
-        callback.  A cancelled call stays on the heap and is popped as a
-        no-op at ``time`` (so it still counts in :attr:`event_count`).
-        """
-        if not self.now <= time < _INF:
-            raise SimulationError(f"cannot call back at {time} (now={self.now})")
-        self._seq += 1
-        call = Call(callback)
-        heapq.heappush(self._queue, (time, self._seq, call))
-        return call
-
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Run a generator as a concurrent process."""
         return Process(self, generator, name=name)
@@ -572,22 +523,6 @@ class Simulator:
         if ready:
             return ready[0][0] if not queue or ready[0] < queue[0] else queue[0][0]
         return queue[0][0] if queue else _INF
-
-    def step(self) -> None:
-        """Process the globally oldest calendar entry by (time, seq).
-
-        A CPU charge's completion may also take its done bounce in
-        place when nothing else is due (see the module docstring).
-        """
-        ready = self._ready
-        queue = self._queue
-        if ready and (not queue or ready[0] < queue[0]):
-            when, _, obj = ready.popleft()
-        else:
-            when, _, obj = heapq.heappop(queue)
-        self.now = when
-        self._event_count += 1
-        obj._process()
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the calendar empties or ``until`` is reached.

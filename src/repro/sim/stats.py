@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["Deadline", "LogHistogram", "TimeSeries"]
+__all__ = ["LogHistogram", "TimeSeries"]
 
 
 class TimeSeries:
@@ -217,51 +217,3 @@ class LogHistogram:
     def __repr__(self) -> str:  # pragma: no cover
         return f"LogHistogram({self.name}, n={self.count})"
 
-
-class Deadline:
-    """SLO accumulator: counts samples landing over a latency deadline.
-
-    Streaming and mergeable like :class:`LogHistogram` -- O(1) per
-    sample, no per-sample state.  ``record`` returns whether the sample
-    violated the deadline so callers can cross-check against timer-based
-    accounting.
-    """
-
-    __slots__ = ("name", "slo", "count", "violations", "worst")
-
-    def __init__(self, slo: float, name: str = ""):
-        if slo <= 0:
-            raise ValueError(f"SLO deadline must be positive: {slo}")
-        self.name = name
-        self.slo = slo
-        self.count = 0
-        self.violations = 0
-        self.worst = 0.0
-
-    def record(self, latency: float) -> bool:
-        """Record one latency; True when it exceeds the deadline."""
-        self.count += 1
-        if latency > self.worst:
-            self.worst = latency
-        if latency > self.slo:
-            self.violations += 1
-            return True
-        return False
-
-    @property
-    def violation_fraction(self) -> float:
-        """Fraction of samples over the deadline (0.0 when empty)."""
-        return self.violations / self.count if self.count else 0.0
-
-    def merge(self, other: "Deadline") -> "Deadline":
-        """Fold ``other`` (same SLO) into self; returns self."""
-        if other.slo != self.slo:
-            raise ValueError(f"SLO mismatch: {self.slo} vs {other.slo}")
-        self.count += other.count
-        self.violations += other.violations
-        if other.worst > self.worst:
-            self.worst = other.worst
-        return self
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Deadline({self.name}, slo={self.slo}, {self.violations}/{self.count})"

@@ -15,23 +15,23 @@ saturation.  This module supplies that generator:
 * per-request latency (completion minus *arrival*, so queueing counts)
   streamed into a :class:`repro.sim.stats.LogHistogram` -- no
   per-sample list anywhere on the hot path,
-* a per-request SLO deadline armed with :meth:`Simulator.call_at` and
-  cancelled by the response in the common case (the cancelled entry
-  stays on the heap and pops as a no-op), cross-checked against the
-  :class:`repro.sim.stats.Deadline` accumulator.
+* one SLO count: a completed request whose latency exceeds ``slo``
+  counts as one ``slo_violations``.  It is decided at completion, so no
+  timer is armed per request.
 
 Workers survive connection loss (guest crash/restart churn): the failed
-request counts as an error, its deadline is cancelled (so it never
-fires), and the worker reconnects with a short backoff.
+request counts as an error (never as an SLO violation), and the worker
+reconnects with a short backoff.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.sim.stats import Deadline, LogHistogram
+from repro.sim.stats import LogHistogram
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.topology import Cluster
@@ -51,21 +51,16 @@ class ServingProbe:
     name: str
     slo: float
     hist: LogHistogram = field(default_factory=LogHistogram)
-    deadline: Deadline = None  # type: ignore[assignment]
     #: arrivals generated (offered load).
     offered: int = 0
     #: requests completed (response fully received).
     completed: int = 0
     #: requests lost to connection failure (churn).
     errors: int = 0
-    #: SLO deadline timers that fired (request not done by arrival+slo).
-    deadline_fires: int = 0
+    #: completed requests whose latency exceeded ``slo``.
+    slo_violations: int = 0
     #: reconnects performed by workers after a dropped connection.
     reconnects: int = 0
-
-    def __post_init__(self):
-        if self.deadline is None:
-            self.deadline = Deadline(self.slo, name=self.name)
 
     def counters(self) -> dict:
         """Flat numeric summary (sums cleanly across probes)."""
@@ -73,8 +68,7 @@ class ServingProbe:
             "offered": self.offered,
             "completed": self.completed,
             "errors": self.errors,
-            "slo_violations": self.deadline.violations,
-            "deadline_fires": self.deadline_fires,
+            "slo_violations": self.slo_violations,
             "reconnects": self.reconnects,
         }
 
@@ -99,7 +93,6 @@ class ServingResult:
     p99_idx: int
     slo: float
     slo_violations: int
-    deadline_fires: int
     reconnects: int
     probe: ServingProbe
 
@@ -165,6 +158,8 @@ def open_loop_rr(
         raise ValueError(f"rate must be positive: {rate}")
     if pareto_alpha <= 1:
         raise ValueError(f"pareto_alpha must exceed 1 for a finite mean gap: {pareto_alpha}")
+    if not 0.0 < slo < math.inf:
+        raise ValueError(f"slo must be positive and finite: {slo}")
     sim = cluster.sim
     rng = sim.rng
     probe = ServingProbe(name=name, slo=slo)
@@ -197,9 +192,6 @@ def open_loop_rr(
                     waiters[wid] = None
                     waiter.succeed()
 
-    def _deadline_cb() -> None:
-        probe.deadline_fires += 1
-
     def generator():
         for i in range(requests):
             gap = (
@@ -210,8 +202,7 @@ def open_loop_rr(
             if gap > 0.0:
                 yield sim.timeout(gap)
             wid = i % n_workers
-            handle = sim.call_at(sim.now + slo, _deadline_cb)
-            queues[wid].append((sim.now, handle))
+            queues[wid].append(sim.now)
             probe.offered += 1
             waiter = waiters[wid]
             if waiter is not None:
@@ -232,7 +223,7 @@ def open_loop_rr(
                 waiters[wid] = event
                 yield event
                 continue
-            t_arr, handle = queue.popleft()
+            t_arr = queue.popleft()
             try:
                 if conn is None:
                     attempt = 0
@@ -251,18 +242,16 @@ def open_loop_rr(
                 yield from conn.recv_exactly(resp_size)
             except OSError:
                 # Connection died mid-request (crash/migration churn):
-                # the request is lost and counted as an error, and its
-                # deadline is cancelled, so it never fires.
+                # the request is lost and counted as an error.
                 conn = None
                 probe.errors += 1
                 probe.reconnects += 1
-                handle.cancel()
                 _settle()
                 continue
             latency = sim.now - t_arr
-            handle.cancel()
             probe.hist.record(latency)
-            probe.deadline.record(latency)
+            if latency > slo:
+                probe.slo_violations += 1
             probe.completed += 1
             _settle()
         if conn is not None:
@@ -309,8 +298,7 @@ def open_loop_rr(
         p50_idx=p50_idx,
         p99_idx=p99_idx,
         slo=slo,
-        slo_violations=probe.deadline.violations,
-        deadline_fires=probe.deadline_fires,
+        slo_violations=probe.slo_violations,
         reconnects=probe.reconnects,
         probe=probe,
     )

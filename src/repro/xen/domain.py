@@ -77,11 +77,6 @@ class Domain(Node):
         yield self.exec(self.costs.xenstore_op)
         self.machine.xenstore.rm(self.domid, path)
 
-    def xs_ls(self, path: str):
-        """Permission-checked XenStore directory listing (generator)."""
-        yield self.exec(self.costs.xenstore_op)
-        return self.machine.xenstore.ls(self.domid, path)
-
     # -- grant table convenience ------------------------------------------
     @property
     def grant_table(self):

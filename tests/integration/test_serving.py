@@ -8,6 +8,8 @@ the commit).  ``make serving-smoke`` runs this file before the bench
 cells.
 """
 
+import math
+
 import pytest
 
 from repro import scenarios, trace
@@ -43,8 +45,7 @@ def netfront_cell():
 
 class TestDeterminism:
     """Same seed -> bit-identical summary dict.  The arrival process,
-    the SLO deadline timers, the churn schedule, and the loss plan's
-    RNG are all seeded."""
+    the churn schedule, and the loss plan's RNG are all seeded."""
 
     def test_fifo(self, fifo_cell):
         assert scenarios.run_serving_cell(**FIFO_KW) == fifo_cell
@@ -57,8 +58,9 @@ class TestDeterminism:
 
 
 class TestCellGoldens:
-    """``events`` counts every SLO deadline cancelled before its fire
-    time within the run: it stays on the heap and pops as a no-op."""
+    """``slo_violations`` is decided at completion (latency > slo), so
+    the SLO puts nothing on the calendar and no ``events`` count
+    includes it."""
 
     def test_fifo_golden(self, fifo_cell):
         assert fifo_cell == {
@@ -70,7 +72,7 @@ class TestCellGoldens:
             "n_clients": 2,
             "churn": False,
             "loss": 0.0,
-            "events": 60560,
+            "events": 59991,
             "offered": 600,
             "completed": 600,
             "errors": 0,
@@ -82,7 +84,6 @@ class TestCellGoldens:
             "p50_idx": -1686,
             "p99_idx": -1493,
             "slo_violations": 0,
-            "deadline_fires": 0,
             "reconnects": 0,
         }
 
@@ -91,9 +92,7 @@ class TestCellGoldens:
         mid-run (FIFO teardown -> netfront fallback -> channel
         re-establishment) while a bystander crash/restarts.  The p99
         jumps three orders of magnitude over the quiet cell above and
-        the requests stalled behind the migration blow the 2 ms SLO --
-        every one flagged by its deadline timer as it happened
-        (deadline_fires == slo_violations)."""
+        the requests stalled behind the migration blow the 2 ms SLO."""
         assert churn_cell == {
             "scenario": "serving",
             "data_path": "fifo",
@@ -103,7 +102,7 @@ class TestCellGoldens:
             "n_clients": 2,
             "churn": True,
             "loss": 0.0,
-            "events": 67294,
+            "events": 66694,
             "offered": 600,
             "completed": 600,
             "errors": 0,
@@ -115,7 +114,6 @@ class TestCellGoldens:
             "p50_idx": -1687,
             "p99_idx": -182,
             "slo_violations": 78,
-            "deadline_fires": 78,
             "reconnects": 0,
         }
 
@@ -133,7 +131,7 @@ class TestCellGoldens:
             "n_clients": 2,
             "churn": False,
             "loss": 0.01,
-            "events": 65540,
+            "events": 65140,
             "offered": 400,
             "completed": 400,
             "errors": 0,
@@ -145,7 +143,6 @@ class TestCellGoldens:
             "p50_idx": -1332,
             "p99_idx": 19,
             "slo_violations": 172,
-            "deadline_fires": 172,
             "reconnects": 0,
             "frames_dropped": 21,
         }
@@ -169,17 +166,6 @@ class TestServingBehavior:
         assert churn_cell["slo_violations"] > 0
         assert fifo_cell["slo_violations"] == 0
 
-    def test_deadline_fires_match_violations_when_error_free(
-        self, fifo_cell, churn_cell, netloss_cell
-    ):
-        # Two independent accountings of the same SLO: the call_at timer
-        # that fires at t_arrival+slo while the request is in flight,
-        # and the Deadline accumulator fed on completion.  With zero
-        # errors every armed deadline resolves one way or the other.
-        for cell in (fifo_cell, churn_cell, netloss_cell):
-            assert cell["errors"] == 0
-            assert cell["deadline_fires"] == cell["slo_violations"]
-
     def test_all_cells_complete_every_request(
         self, fifo_cell, churn_cell, netloss_cell
     ):
@@ -187,7 +173,42 @@ class TestServingBehavior:
             assert cell["completed"] == cell["offered"] == cell["requests"]
 
 
+class TestSloCount:
+    """One SLO count, decided at completion: it never changes timing,
+    and a request counts only when its latency is strictly over."""
+
+    def test_slo_changes_only_the_violation_count(self):
+        kw = dict(data_path="fifo", requests=300, rate=15_000.0)
+        loose = scenarios.run_serving_cell(slo=0.002, **kw)
+        tight = scenarios.run_serving_cell(slo=50e-6, **kw)
+        assert loose["slo_violations"] == 0 < tight["slo_violations"]
+        del loose["slo_violations"], tight["slo_violations"]
+        assert loose == tight  # ``events`` included
+
+    def test_violation_is_strictly_over_the_slo(self):
+        def run(slo):
+            scn = scenarios.xenloop_serving()
+            scn.warmup()
+            return serving.open_loop_rr(
+                scn, server="srv", clients=["c1", "c2"], requests=100, slo=slo
+            )
+
+        worst = run(0.002).probe.hist.max
+        at_max = run(worst)
+        assert at_max.probe.hist.max == worst
+        assert at_max.slo_violations == 0
+        assert run(math.nextafter(worst, 0)).slo_violations >= 1
+
+
 class TestArguments:
+    @pytest.mark.parametrize("slo", [0, -1e-3, math.nan, math.inf])
+    def test_bad_slo_rejected_before_any_work(self, slo):
+        scn = scenarios.xenloop_serving()
+        events = scn.sim.event_count
+        with pytest.raises(ValueError, match="slo"):
+            serving.open_loop_rr(scn, server="srv", clients=["c1"], slo=slo)
+        assert scn.sim.event_count == events
+
     @pytest.mark.parametrize("alpha", [1.0, 0.5])
     def test_pareto_alpha_without_finite_mean_rejected(self, alpha):
         # alpha <= 1 has no finite mean gap: the same-mean scale factor

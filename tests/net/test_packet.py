@@ -29,6 +29,7 @@ class TestHeaderSerialization:
     def test_arp_roundtrip(self):
         hdr = ArpHeader(1, MacAddr(3), IPv4Addr("10.0.0.1"), MacAddr(0), IPv4Addr("10.0.0.2"))
         assert ArpHeader.from_bytes(hdr.to_bytes()) == hdr
+        assert len(hdr.to_bytes()) == ArpHeader.HEADER_LEN == 22
 
     def test_ipv4_roundtrip(self):
         hdr = IPv4Header(
@@ -63,6 +64,7 @@ class TestHeaderSerialization:
     def test_icmp_roundtrip(self):
         hdr = IcmpHeader(IcmpHeader.ECHO_REQUEST, 0, 42, 7)
         assert IcmpHeader.from_bytes(hdr.to_bytes()) == hdr
+        assert len(hdr.to_bytes()) == IcmpHeader.HEADER_LEN == 8
 
 
 class TestPacketSizes:

@@ -1,8 +1,5 @@
 """Unit tests for the discrete-event engine."""
 
-import math
-import random
-
 import pytest
 
 from repro.sim.engine import (
@@ -193,18 +190,6 @@ class TestProcess:
         with pytest.raises(ValueError, match="kapow"):
             sim.run()
 
-    def test_exception_stored_in_lenient_mode(self):
-        sim = Simulator(strict=False)
-
-        def gen():
-            yield sim.timeout(1.0)
-            raise ValueError("kapow")
-
-        proc = sim.process(gen())
-        sim.run()
-        assert proc.triggered and not proc.ok
-        assert isinstance(proc.value, ValueError)
-
     def test_run_until_complete_deadlock_detection(self, sim):
         ev = sim.event()  # never fires
 
@@ -227,121 +212,6 @@ class TestProcess:
         proc = sim.process(gen())
         with pytest.raises(SimulationError, match="timeout"):
             sim.run_until_complete(proc, timeout=10.0)
-
-
-class TestCallAt:
-    """``Simulator.call_at``: a cancellable callback on the delay heap."""
-
-    def test_runs_callback(self, sim):
-        fired = []
-        sim.call_at(0.25, lambda: fired.append(sim.now))
-        sim.run()
-        assert fired == [0.25]
-
-    def test_absolute_time_from_inside_a_process(self, sim):
-        fired = []
-
-        def proc():
-            yield sim.timeout(0.1)
-            sim.call_at(0.4, lambda: fired.append(sim.now))
-
-        sim.process(proc())
-        sim.run()
-        assert fired == [0.4]
-
-    def test_ties_keep_seq_order_against_timeouts(self, sim):
-        order = []
-        sim.timeout(0.5).callbacks.append(lambda _e: order.append("t1"))
-        sim.call_at(0.5, lambda: order.append("call"))
-        sim.timeout(0.5).callbacks.append(lambda _e: order.append("t2"))
-        # At the current instant a call_at entry sits on the heap while
-        # zero-delay events sit on the ready queue; seq still decides.
-        sim.event().succeed().callbacks.append(lambda _e: order.append("r1"))
-        sim.call_at(0.0, lambda: order.append("now"))
-        sim.event().succeed().callbacks.append(lambda _e: order.append("r2"))
-        sim.run()
-        assert order == ["r1", "now", "r2", "t1", "call", "t2"]
-
-    def test_mixed_with_timeouts_fires_in_time_seq_order(self):
-        for seed in range(20):
-            rng = random.Random(seed)
-            sim = Simulator()
-            fired = []
-            expected = []
-            for i in range(50):
-                when = rng.choice([0.0, 0.5, 1.0, rng.uniform(0.0, 2.0)])
-                expected.append((when, i))
-                if i % 2:
-                    sim.call_at(when, lambda i=i: fired.append((sim.now, i)))
-                else:
-                    t = sim.timeout(when)
-                    t.callbacks.append(lambda _e, i=i: fired.append((sim.now, i)))
-            sim.run()
-            assert fired == sorted(expected), seed
-
-    def test_cancel_is_idempotent_and_stops_callback(self, sim):
-        fired = []
-        keep = sim.call_at(0.2, lambda: fired.append("keep"))
-        drop = sim.call_at(0.1, lambda: fired.append("drop"))
-        assert drop.cancel() is True
-        assert drop.cancel() is False  # already cancelled
-        sim.run()
-        assert fired == ["keep"]
-        assert keep.cancel() is False  # already ran
-
-    def test_cancelled_calls_pop_as_no_ops(self, sim):
-        fired = []
-        calls = [sim.call_at(0.1 + i * 0.01, lambda: fired.append(sim.now)) for i in range(100)]
-        for call in calls[1:]:
-            call.cancel()
-        sim.run()
-        assert fired == [0.1]
-        assert sim.peek() == math.inf
-        assert sim.event_count == 100  # the 99 cancelled entries still pop
-
-    def test_past_or_non_finite_time_rejected(self, sim):
-        sim.timeout(1.0)
-        sim.run()
-        for when in (0.5, math.inf, math.nan):
-            with pytest.raises(SimulationError):
-                sim.call_at(when, lambda: None)
-
-    def test_snapshot_lists_pending_call(self, sim):
-        sim.call_at(0.5, lambda: None)
-        state = sim.snapshot_state()
-        assert state["calendar"] == [[0.5, 1, "Call"]]
-
-    def test_peek_sees_pending_call(self, sim):
-        sim.call_at(0.125, lambda: None)
-        assert sim.peek() == 0.125
-
-    def test_step_runs_pending_call(self, sim):
-        fired = []
-        sim.call_at(0.125, lambda: fired.append(True))
-        sim.step()
-        assert sim.now == 0.125 and fired == [True]
-
-    def test_run_until_complete_times_out_before_call(self, sim):
-        fired = []
-        sim.call_at(10.0, lambda: fired.append(True))
-
-        def sleeper():
-            yield sim.event()  # never succeeds
-
-        proc = sim.process(sleeper())
-        with pytest.raises(SimulationError, match="timeout"):
-            sim.run_until_complete(proc, timeout=1.0)
-        assert not fired and sim.peek() == 10.0
-
-    def test_deadlock_detected_when_only_cancelled_calls_remain(self, sim):
-        sim.call_at(0.1, lambda: None).cancel()
-
-        def waiter():
-            yield sim.event()  # never succeeds
-
-        proc = sim.process(waiter())
-        with pytest.raises(SimulationError, match="deadlock"):
-            sim.run_until_complete(proc, timeout=5.0)
 
 
 class TestInterrupt:

@@ -104,9 +104,10 @@ class TestPersistence:
         # a future format, format 1 (before the engine lost its "wheel"
         # key and announce guests gained a roster view), format 2
         # (whose recipe costs still carry a TCP initial-window field),
-        # format 3 (whose calendar names the old CPU completion kinds)
-        # and format 4 (whose state has no metrics snapshot)
-        for fmt in (SNAPSHOT_FORMAT + 1, 1, 2, 3, 4):
+        # format 3 (whose calendar names the old CPU completion kinds),
+        # format 4 (whose state has no metrics snapshot) and format 5
+        # (whose serving metrics still count deadline timer fires)
+        for fmt in (SNAPSHOT_FORMAT + 1, 1, 2, 3, 4, 5):
             doc["format"] = fmt
             path.write_text(json.dumps(doc))
             with pytest.raises(SnapshotError):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.stats import Deadline, LogHistogram, TimeSeries
+from repro.sim.stats import LogHistogram, TimeSeries
 
 
 class TestTimeSeries:
@@ -122,29 +122,3 @@ class TestLogHistogram:
         assert clone.min == h.min and clone.max == h.max
         assert clone.percentile_index(99) == h.percentile_index(99)
 
-
-class TestDeadline:
-    def test_record_and_violations(self):
-        d = Deadline(slo=0.002)
-        assert d.record(0.001) is False
-        assert d.record(0.002) is False  # exactly at the deadline is OK
-        assert d.record(0.003) is True
-        assert d.violations == 1 and d.count == 3
-        assert d.worst == 0.003
-        assert d.violation_fraction == pytest.approx(1 / 3)
-
-    def test_merge(self):
-        a, b = Deadline(0.01), Deadline(0.01)
-        a.record(0.02)
-        b.record(0.005)
-        b.record(0.05)
-        a.merge(b)
-        assert a.count == 3 and a.violations == 2 and a.worst == 0.05
-
-    def test_merge_slo_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            Deadline(0.01).merge(Deadline(0.02))
-
-    def test_bad_slo_rejected(self):
-        with pytest.raises(ValueError):
-            Deadline(0.0)
