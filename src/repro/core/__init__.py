@@ -27,7 +27,6 @@ from repro.core.control import (
     ChannelEvent,
     ChannelFSM,
     ControlPlane,
-    LifecycleHooks,
     TRANSITIONS,
 )
 from repro.core.discovery import DiscoveryModule
@@ -44,7 +43,6 @@ __all__ = [
     "DiscoveryModule",
     "Fifo",
     "FifoLayoutError",
-    "LifecycleHooks",
     "TRANSITIONS",
     "XenLoopModule",
 ]

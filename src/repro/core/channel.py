@@ -12,10 +12,11 @@ things WHEN -- the bootstrap handshake, retries, teardown causes,
 migration -- lives in :mod:`repro.core.control`: every channel owns a
 :class:`~repro.core.control.ChannelController` (``self.ctrl``) that
 drives it through the table-driven lifecycle FSM.  The channel never
-changes its own state; it reads ``self.state`` (a view of the FSM) to
-gate the data path and reacts to lifecycle notifications through the
-:class:`~repro.core.control.LifecycleHooks` interface (it starts its
-drain worker on ``channel_connected``).
+changes its own state: it reads ``self.state`` (a view of the FSM) to
+gate the data path, and the controller calls it directly for every
+transport action, including starting the drain worker on connect.
+Lifecycle moves go through ``channel.ctrl``; the channel itself has no
+control-plane methods.
 
 Data transfer is two copies -- sender memcpy into the FIFO, receiver
 memcpy out -- which the paper selects over page sharing/transfer and
@@ -29,7 +30,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Optional
 
 from repro import trace
-from repro.core.control import ChannelController, ChannelState, LifecycleHooks
+from repro.core.control import ChannelController, ChannelState
 from repro.core.fifo import Fifo, fifo_pages_for_order
 from repro.core.protocol import CreateChannel
 from repro.net.packet import Packet
@@ -69,7 +70,7 @@ class _ZeroCopySource:
         return 0.0
 
 
-class Channel(LifecycleHooks):
+class Channel:
     """One endpoint's view of the channel with a single co-resident peer."""
 
     def __init__(self, module: "XenLoopModule", peer_domid: int, peer_mac: "MacAddr"):
@@ -83,7 +84,7 @@ class Channel(LifecycleHooks):
         #: :meth:`_drain_one_zero_copy`).  Inherited from the module.
         self.zero_copy_rx = module.zero_copy_rx
         #: the control-plane driver; all lifecycle moves go through it.
-        self.ctrl = ChannelController(self, hooks=(self, module))
+        self.ctrl = ChannelController(self)
 
         self.out_fifo: Optional[Fifo] = None
         self.in_fifo: Optional[Fifo] = None
@@ -166,27 +167,6 @@ class Channel(LifecycleHooks):
             "drain_batches": self.drain_batches,
             "drain_entries": self.drain_entries,
         }
-
-    # ------------------------------------------------------------------
-    # Control-plane compatibility surface (delegates to the controller)
-    # ------------------------------------------------------------------
-    def listener_start(self):
-        return self.ctrl.listener_start()
-
-    def connector_complete(self, msg: CreateChannel):
-        return self.ctrl.connector_complete(msg)
-
-    def on_channel_ack(self) -> None:
-        self.ctrl.on_channel_ack()
-
-    def teardown(self):
-        return self.ctrl.teardown()
-
-    # ------------------------------------------------------------------
-    # LifecycleHooks: data-plane reactions to control-plane transitions
-    # ------------------------------------------------------------------
-    def channel_connected(self, channel: "Channel") -> None:
-        self._start_drain_worker()
 
     # ------------------------------------------------------------------
     # Transport setup -- listener side (called by the controller)
@@ -322,16 +302,8 @@ class Channel(LifecycleHooks):
         descriptor page, and anything we would push after its final
         drain would be lost.  Checking flag-then-push without an
         intervening yield point mirrors the real module's
-        check-under-the-producer-lock.
-
-        Notification suppression (RING_PUSH_REQUESTS_AND_CHECK_NOTIFY
-        shape): after the push lands, the receiver's CONSUMER_WAITING
-        flag in the shared descriptor is read -- with no yield point in
-        between, so the check pairs atomically against the receiver's
-        arm-then-recheck -- and the notify hypercall is issued only when
-        the flag is armed.  The flag is the receiver's to clear; a
-        fault-injected lost notify leaves it armed, so the next push
-        retries."""
+        check-under-the-producer-lock.  The notify that follows a
+        landed push is :meth:`_signal_data`'s."""
         guest = self.guest
         costs = guest.costs
         if not self._usable():
@@ -347,22 +319,11 @@ class Channel(LifecycleHooks):
             self._park(msg_type, parts, nbytes)
             self.out_fifo.set_producer_waiting()
             return True
-        out_fifo = self.out_fifo
-        if out_fifo.push_vec(parts, msg_type):
+        if self.out_fifo.push_vec(parts, msg_type):
             self.pkts_sent += 1
             self.bytes_sent += nbytes
             self.last_activity = guest.sim.now
-            if out_fifo.consumer_waiting:
-                self.notifies += 1
-                NOTIFY_STATS.fifo_notifies += 1
-                yield guest.exec(costs.evtchn_send)
-                if self.port is not None and not self.port.closed:
-                    guest.machine.hypervisor.evtchn.notify(self.port)
-            else:
-                self.notifies_suppressed += 1
-                NOTIFY_STATS.fifo_suppressed += 1
-                if self.port is not None:
-                    self.port.notifies_suppressed += 1
+            yield from self._signal_data(None)
         else:
             self._park(msg_type, parts, nbytes)
             self.out_fifo.set_producer_waiting()
@@ -426,21 +387,39 @@ class Channel(LifecycleHooks):
             pushed = True
         if pushed:
             self.last_activity = guest.sim.now
-            if self.out_fifo.consumer_waiting:
-                self.notifies += 1
-                NOTIFY_STATS.fifo_notifies += 1
-                yield guest.exec(cost + costs.evtchn_send)
-                if self.port is not None and not self.port.closed:
-                    guest.machine.hypervisor.evtchn.notify(self.port)
-            else:
-                self.notifies_suppressed += 1
-                NOTIFY_STATS.fifo_suppressed += 1
-                if self.port is not None:
-                    self.port.notifies_suppressed += 1
-                yield guest.exec(cost)
+            yield from self._signal_data(cost)
             self._wake_waiting_space()
         elif cost:
             yield guest.exec(cost)
+
+    def _signal_data(self, cost: Optional[float]):
+        """Data-available notify after a push landed (generator).
+
+        Notification suppression (RING_PUSH_REQUESTS_AND_CHECK_NOTIFY
+        shape): the receiver's CONSUMER_WAITING flag in the shared
+        descriptor is read with no yield point since the push, so the
+        check pairs atomically against the receiver's arm-then-recheck,
+        and the notify hypercall is issued only when the flag is armed.
+        The flag is the receiver's to clear; a fault-injected lost
+        notify leaves it armed, so the next push retries.  ``cost``
+        is CPU work not yet charged (a flush's pushes and copies), paid
+        in the same segment as the notify -- or alone, even when 0.0,
+        when the notify is suppressed.  ``None``: the caller already
+        charged its work, so a suppressed notify charges nothing."""
+        guest = self.guest
+        if self.out_fifo.consumer_waiting:
+            self.notifies += 1
+            NOTIFY_STATS.fifo_notifies += 1
+            yield guest.exec((cost or 0.0) + guest.costs.evtchn_send)
+            if self.port is not None and not self.port.closed:
+                guest.machine.hypervisor.evtchn.notify(self.port)
+        else:
+            self.notifies_suppressed += 1
+            NOTIFY_STATS.fifo_suppressed += 1
+            if self.port is not None:
+                self.port.notifies_suppressed += 1
+            if cost is not None:
+                yield guest.exec(cost)
 
     def _wake_waiting_space(self) -> None:
         while self._waiting_space_waiters:

@@ -14,16 +14,14 @@ transport:
   channel endpoint can make is one ``(state, event) -> state`` row;
   anything absent from the table is explicitly ignored (e.g. an
   out-of-order ``CREATE_ACK`` arriving after teardown).
-* :class:`LifecycleHooks` -- the shared observer interface.  The
-  module implements it for mapping-table bookkeeping (and the
-  socket-bypass subclass for stream-handler attachment), the channel
-  implements it for data-plane reactions (start the drain worker on
-  connect).
 * :class:`ChannelController` -- the per-channel state machine driver:
   the listener/connector handshake generators, retry/abort logic, and
   teardown sequencing.  It calls into the channel only for transport
-  actions (allocate/map/disengage/drain); the channel never decides
-  lifecycle on its own.
+  actions (allocate/map/disengage/drain, and starting the drain worker
+  on connect); the channel never decides lifecycle on its own.  Every
+  close -- teardown, peer FIN or failed bootstrap -- ends in one direct
+  call, :meth:`ControlPlane.channel_closed`, which drops the channel
+  from the tables.
 * :class:`ControlPlane` -- the per-guest orchestrator extracted from
   :class:`~repro.core.module.XenLoopModule`: the [guest-ID, MAC]
   mapping table (a :class:`~repro.core.roster.RosterView` in both
@@ -68,7 +66,6 @@ __all__ = [
     "ChannelFSM",
     "ChannelState",
     "ControlPlane",
-    "LifecycleHooks",
     "TRANSITIONS",
 ]
 
@@ -165,30 +162,6 @@ for _state in (
 del _state, _event
 
 
-class LifecycleHooks:
-    """Observer interface for control-plane lifecycle notifications.
-
-    Implemented by :class:`~repro.core.module.XenLoopModule` (channel
-    table bookkeeping; the socket-bypass subclass attaches stream
-    handlers in :meth:`channel_created`) and by
-    :class:`~repro.core.channel.Channel` (data-plane reactions
-    such as starting the drain worker).  Every method is an intentional
-    no-op here so implementors override only what they care about.
-    """
-
-    def channel_created(self, channel: "Channel") -> None:
-        """A channel object was created and registered in the table."""
-
-    def channel_connected(self, channel: "Channel") -> None:
-        """The handshake completed; the data path is live."""
-
-    def channel_closed(self, channel: "Channel") -> None:
-        """The channel disengaged (any cause) and left the table."""
-
-    def channel_failed(self, channel: "Channel") -> None:
-        """Bootstrap failed (map error or ack timeout)."""
-
-
 class ChannelFSM:
     """Table-driven state holder for one channel endpoint.
 
@@ -234,15 +207,14 @@ class ChannelController:
 
     Owns the FSM and the handshake/teardown sequencing; calls into the
     data-plane :class:`~repro.core.channel.Channel` only for transport
-    actions (allocate, grant, map, drain, disengage).  Lifecycle
-    observers are notified through the shared :class:`LifecycleHooks`
-    interface -- by construction the channel itself and its module.
+    actions (allocate, grant, map, drain, disengage, start the drain
+    worker) and into its module's :class:`ControlPlane` to leave the
+    tables once the channel is closed.
     """
 
-    def __init__(self, channel: "Channel", hooks: tuple[LifecycleHooks, ...]):
+    def __init__(self, channel: "Channel"):
         self.channel = channel
         self.fsm = ChannelFSM()
-        self.hooks = tuple(hooks)
         self._ack_event = None
         #: handshake sends so far (listener: CREATE_CHANNEL sends;
         #: connector: CONNECT_REQUEST sends) -- the retry-ladder position.
@@ -268,9 +240,16 @@ class ChannelController:
             "bootstrap_started_at": self.bootstrap_started_at,
         }
 
-    def _fire(self, hook_name: str) -> None:
-        for hook in self.hooks:
-            getattr(hook, hook_name)(self.channel)
+    def _fail(self, event: ChannelEvent, degraded_note: Optional[str]) -> None:
+        """Bootstrap-failure tail: record ``event``, fail anything parked
+        on the waiting list, leave the tables, and note the degraded
+        path (``None``: a failure the fault matrix does not count)."""
+        channel = self.channel
+        self.fsm.feed(event)
+        channel.abort_waiting()
+        channel.module.control.channel_closed(channel)
+        if degraded_note is not None:
+            faults.note_degraded(channel.guest.sim, degraded_note)
 
     def _phase_tap(self, phase: str) -> None:
         """Fault tap: crash/migrate rules anchored to a handshake phase
@@ -328,20 +307,15 @@ class ChannelController:
             return
         if self.fsm.feed(ChannelEvent.CREATE_ACK) is None:
             return  # not BOOTSTRAPPING: stale or out-of-order ack
-        self._fire("channel_connected")
+        self.channel._start_drain_worker()
         self._phase_tap("connected")
         if self._ack_event is not None and not self._ack_event.triggered:
             self._ack_event.succeed()
 
     def _abort_bootstrap(self):
-        channel = self.channel
-        guest = channel.guest
-        self.fsm.feed(ChannelEvent.ACK_TIMEOUT)
-        channel.discard_listener_transport()
-        channel.abort_waiting()
-        self._fire("channel_failed")
-        self._fire("channel_closed")
-        faults.note_degraded(guest.sim, "bootstrap_abort")
+        guest = self.channel.guest
+        self.channel.discard_listener_transport()
+        self._fail(ChannelEvent.ACK_TIMEOUT, "bootstrap_abort")
         yield guest.exec(guest.costs.grant_entry_update)
 
     # ------------------------------------------------------------------
@@ -363,10 +337,7 @@ class ChannelController:
             self._phase_tap("bootstrapping")
         peer_table = guest.machine.hypervisor.grant_tables.get(channel.peer_domid)
         if peer_table is None:
-            self.fsm.feed(ChannelEvent.MAP_FAILED)
-            channel.abort_waiting()
-            self._fire("channel_failed")
-            self._fire("channel_closed")
+            self._fail(ChannelEvent.MAP_FAILED, None)
             return False
 
         self._connector_busy = True
@@ -375,16 +346,12 @@ class ChannelController:
         except Exception:  # noqa: BLE001 - any mapping/bind failure aborts cleanly
             self._connector_busy = False
             yield from channel.disengage(notify_peer=False)
-            self.fsm.feed(ChannelEvent.MAP_FAILED)
-            channel.abort_waiting()
-            self._fire("channel_failed")
-            self._fire("channel_closed")
-            faults.note_degraded(guest.sim, "map_failed")
+            self._fail(ChannelEvent.MAP_FAILED, "map_failed")
             return False
         self._connector_busy = False
 
         self.fsm.feed(ChannelEvent.HANDSHAKE_DONE)
-        self._fire("channel_connected")
+        channel._start_drain_worker()
         if self.attempts > 1:
             faults.note_recovered(guest.sim, "connect_retry")
         self._phase_tap("connected")
@@ -396,13 +363,8 @@ class ChannelController:
         exhausted): fail the channel so the next packet to this peer
         re-initiates the bootstrap from scratch.  Reuses the FSM's
         ACK_TIMEOUT rail -- both sides time the same handshake out."""
-        channel = self.channel
-        if self.fsm.feed(ChannelEvent.ACK_TIMEOUT) is None:
-            return
-        channel.abort_waiting()
-        self._fire("channel_failed")
-        self._fire("channel_closed")
-        faults.note_degraded(channel.guest.sim, "bootstrap_abort")
+        if self.fsm.state is ChannelState.BOOTSTRAPPING:
+            self._fail(ChannelEvent.ACK_TIMEOUT, "bootstrap_abort")
 
     # ------------------------------------------------------------------
     # Teardown (paper Sect. 3.3, "Channel teardown")
@@ -426,7 +388,7 @@ class ChannelController:
             # blocked senders), and drop out of the module's table.
             self.fsm.feed(cause)
             channel.abort_waiting()
-            self._fire("channel_closed")
+            channel.module.control.channel_closed(channel)
             return []
         costs = guest.costs
         self.fsm.feed(cause)
@@ -440,7 +402,7 @@ class ChannelController:
         yield from channel.drain_remaining()
         saved = channel.take_saved_packets()
         yield from channel.disengage(notify_peer=False)
-        self._fire("channel_closed")
+        channel.module.control.channel_closed(channel)
         channel.notify_stream_death()
         return saved
 
@@ -452,7 +414,7 @@ class ChannelController:
         yield from channel.drain_remaining()
         saved = channel.take_saved_packets()
         yield from channel.disengage(notify_peer=True)
-        self._fire("channel_closed")
+        channel.module.control.channel_closed(channel)
         channel.notify_stream_death()
         # Anything we had queued goes back out via the standard path.
         for data in saved:
@@ -528,16 +490,9 @@ class ControlPlane:
         return channel
 
     def channel_closed(self, channel: "Channel") -> None:
-        """Drop a closed channel from the tables (LifecycleHooks path)."""
+        """Drop a closed (or never-live) channel from both tables and
+        from the eviction set."""
         self._evicting.discard(channel.peer_mac)
-        current = self.channels.get(channel.peer_mac)
-        if current is channel:
-            del self.channels[channel.peer_mac]
-        if self.channels_by_domid.get(channel.peer_domid) is channel:
-            del self.channels_by_domid[channel.peer_domid]
-
-    def _drop_channel(self, channel: "Channel") -> None:
-        """Remove a not-live channel from both tables immediately."""
         if self.channels.get(channel.peer_mac) is channel:
             del self.channels[channel.peer_mac]
         if self.channels_by_domid.get(channel.peer_domid) is channel:
@@ -694,7 +649,7 @@ class ControlPlane:
                 name="xl-teardown",
             )
         else:
-            self._drop_channel(channel)
+            self.channel_closed(channel)
 
     def handle_peer_info(self, msg: PeerInfo) -> None:
         """Dom0 answered a WhoIs: materialize (or negative-cache) the

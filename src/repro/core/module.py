@@ -15,13 +15,15 @@ describes separately:
   mapping table fed by Dom0 discovery announcements, channel bootstrap
   and teardown, the idle reaper, and the module-unload / guest-shutdown
   / live-migration responses.  Owned by ``self.control``, a
-  :class:`~repro.core.control.ControlPlane`; the module exposes
-  read-only views (``mapping``, ``channels``) for the hook and for
-  observers.
+  :class:`~repro.core.control.ControlPlane`, whose methods the module
+  registers directly as the guest's control-frame handler and its
+  shutdown and migration callbacks; the module exposes read-only views
+  (``mapping``, ``channels``) for the hook and for observers.
 
-The module also implements :class:`~repro.core.control.LifecycleHooks`
-so the control plane can notify it (and subclasses: the socket-bypass
-variant attaches its stream handler in :meth:`channel_created`).
+The control plane tells the module of one lifecycle event only: every
+new channel is passed to :meth:`XenLoopModule.channel_created`, a no-op
+here that the socket-bypass variant overrides to attach its stream
+handler.
 
 Ordering note: packets taking different paths (channel vs. standard)
 can be reordered relative to each other -- a too-big datagram on the
@@ -35,7 +37,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.channel import Channel, ChannelState
-from repro.core.control import ControlPlane, LifecycleHooks
+from repro.core.control import ControlPlane
 from repro.core.fifo import BufferPool
 from repro.net.addr import MacAddr
 from repro.net.ethernet import ETH_P_IP, ETH_P_XENLOOP
@@ -48,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["XenLoopModule"]
 
 
-class XenLoopModule(LifecycleHooks):
+class XenLoopModule:
     """The self-contained guest 'kernel module' of the paper."""
     def __init__(
         self,
@@ -97,16 +99,17 @@ class XenLoopModule(LifecycleHooks):
         self.pkts_via_standard = 0
         self.pkts_too_big = 0
 
+        control = self.control
         stack = guest.stack
         stack.netfilter.register(HookPoint.POST_ROUTING, self._post_routing_hook)
-        stack.register_ethertype(ETH_P_XENLOOP, self._control_input)
-        guest.pre_migrate_callbacks.append(self._pre_migrate)
-        guest.post_migrate_callbacks.append(self._post_migrate)
-        guest.shutdown_callbacks.append(self._shutdown)
+        stack.register_ethertype(ETH_P_XENLOOP, control.control_input)
+        guest.pre_migrate_callbacks.append(control.pre_migrate)
+        guest.post_migrate_callbacks.append(control.post_migrate)
+        guest.shutdown_callbacks.append(control.shutdown)
 
-        guest.spawn(self._advertise(), name="xenloop-advertise")
+        guest.spawn(control.advertise(), name="xenloop-advertise")
         if idle_timeout is not None:
-            guest.spawn(self._idle_monitor(), name="xenloop-idle")
+            guest.spawn(control.idle_monitor(), name="xenloop-idle")
 
     # ------------------------------------------------------------------
     # Read-only views of the control plane's tables
@@ -139,12 +142,6 @@ class XenLoopModule(LifecycleHooks):
             "pkts_via_standard": self.pkts_via_standard,
             "pkts_too_big": self.pkts_too_big,
         }
-
-    # ------------------------------------------------------------------
-    # XenStore advertisement (soft-state discovery, Sect. 3.2)
-    # ------------------------------------------------------------------
-    def _advertise(self):
-        yield from self.control.advertise()
 
     # ------------------------------------------------------------------
     # The netfilter hook (sender context) -- the data plane
@@ -208,7 +205,7 @@ class XenLoopModule(LifecycleHooks):
         return Verdict.STOLEN
 
     # ------------------------------------------------------------------
-    # Control-plane delegates (the wire-facing surface stays on the
+    # Control-plane services (the wire-facing surface stays on the
     # module: send_control is monkeypatch-friendly)
     # ------------------------------------------------------------------
     def send_control(self, dst_mac: MacAddr, msg):
@@ -233,15 +230,10 @@ class XenLoopModule(LifecycleHooks):
         for _ in range(repeats):
             yield from guest.stack.link_output(vif, dst_mac, ETH_P_XENLOOP, payload)
 
-    def _control_input(self, packet: Packet, dev):
-        yield from self.control.control_input(packet, dev)
-
-    # ------------------------------------------------------------------
-    # LifecycleHooks (control plane -> module notifications)
-    # ------------------------------------------------------------------
-    def channel_closed(self, channel: Channel) -> None:
-        """Channel callback: drop a closed channel from the table."""
-        self.control.channel_closed(channel)
+    def channel_created(self, channel: Channel) -> None:
+        """The control plane registered a new channel (any handshake
+        path).  A no-op here; the socket-bypass variant overrides it to
+        attach its stream handler."""
 
     def resend_via_standard_path(self, l3_bytes: bytes) -> None:
         """Re-send a saved packet over netfront (after teardown/migration)."""
@@ -271,9 +263,10 @@ class XenLoopModule(LifecycleHooks):
         if not self.loaded:
             return
         self.loaded = False
-        yield from self.control.unadvertise()
-        for channel in list(self.control.channels.values()):
-            saved = yield from channel.teardown()
+        control = self.control
+        yield from control.unadvertise()
+        for channel in list(control.channels.values()):
+            saved = yield from channel.ctrl.teardown()
             for data in saved:
                 self.resend_via_standard_path(data)
         guest = self.guest
@@ -281,27 +274,12 @@ class XenLoopModule(LifecycleHooks):
         guest.stack.unregister_ethertype(ETH_P_XENLOOP)
         if guest.stack.transport_intercept is self:
             guest.stack.transport_intercept = None
-        if self._pre_migrate in guest.pre_migrate_callbacks:
-            guest.pre_migrate_callbacks.remove(self._pre_migrate)
-        if self._post_migrate in guest.post_migrate_callbacks:
-            guest.post_migrate_callbacks.remove(self._post_migrate)
-        if self._shutdown in guest.shutdown_callbacks:
-            guest.shutdown_callbacks.remove(self._shutdown)
-
-    def _shutdown(self):
-        yield from self.control.shutdown()
-
-    def _pre_migrate(self):
-        yield from self.control.pre_migrate()
-
-    def _post_migrate(self):
-        yield from self.control.post_migrate()
-
-    # ------------------------------------------------------------------
-    # Optional idle-channel reaper
-    # ------------------------------------------------------------------
-    def _idle_monitor(self):
-        yield from self.control.idle_monitor()
+        if control.pre_migrate in guest.pre_migrate_callbacks:
+            guest.pre_migrate_callbacks.remove(control.pre_migrate)
+        if control.post_migrate in guest.post_migrate_callbacks:
+            guest.post_migrate_callbacks.remove(control.post_migrate)
+        if control.shutdown in guest.shutdown_callbacks:
+            guest.shutdown_callbacks.remove(control.shutdown)
 
     def stats(self) -> dict[str, int]:
         """Snapshot of per-module packet and channel counters."""

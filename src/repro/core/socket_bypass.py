@@ -26,6 +26,12 @@ connections are therefore errored out when the channel dies, and the
 module refuses to create new ones while any peer relationship is
 unstable.  The ablation benchmark quantifies the protocol-processing
 saving this buys on the steady-state data path.
+
+Wiring: the control plane calls :meth:`SocketBypassModule.channel_created`
+(the module's one lifecycle call) for every new channel, which attaches
+the stream demultiplexer as the channel's ``stream_handler``; the
+channel's controller reports the channel's death at teardown by calling
+that handler with ``None``.
 """
 
 from __future__ import annotations
@@ -321,8 +327,8 @@ class SocketBypassModule(XenLoopModule):
         channel.stream_handler = handler
 
     def channel_created(self, channel: Channel) -> None:
-        """LifecycleHooks: every new channel -- whichever handshake path
-        created it -- gets the stream demultiplexer attached."""
+        """Every new channel -- whichever handshake path created it --
+        gets the stream demultiplexer attached."""
         if channel.stream_handler is None:
             self._attach_stream_handler(channel)
 

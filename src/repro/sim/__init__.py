@@ -21,7 +21,7 @@ from repro.sim.engine import (
     Simulator,
     Timeout,
 )
-from repro.sim.resources import CPUCores, Resource, Store
+from repro.sim.resources import CPUCores, Store
 from repro.sim.stats import LogHistogram, TimeSeries
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "Interrupt",
     "LogHistogram",
     "Process",
-    "Resource",
     "SimulationError",
     "Simulator",
     "Store",

@@ -575,9 +575,10 @@ class Simulator:
     def run_until_complete(self, process: Process, timeout: Optional[float] = None) -> Any:
         """Run until ``process`` finishes and return its value.
 
-        Raises the process's exception if it failed, and
-        :class:`SimulationError` if the calendar empties (or ``timeout``
-        simulated seconds elapse) before it finishes.
+        An uncaught exception in any process propagates out of this call
+        as it is raised.  Raises :class:`SimulationError` if the calendar
+        empties (or ``timeout`` simulated seconds elapse) before
+        ``process`` finishes.
         """
         deadline = _INF if timeout is None else self.now + timeout
         ready = self._ready
@@ -608,6 +609,4 @@ class Simulator:
                 entry[2]._process()
         finally:
             self._event_count += count
-        if not process.ok:
-            raise process.value
         return process.value

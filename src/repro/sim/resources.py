@@ -1,6 +1,5 @@
 """Shared-resource primitives built on the event engine.
 
-* :class:`Resource` -- counting semaphore with FIFO fairness.
 * :class:`Store` -- FIFO item buffer with blocking get (and optional
   bounded capacity with blocking put).
 * :class:`CPUCores` -- the physical-CPU model: ``n`` identical cores
@@ -17,47 +16,11 @@ from collections import deque
 from heapq import heappush
 from typing import Any, Deque, Hashable, Optional
 
-from repro.sim.engine import IDLE, PENDING, PROCESSED, TRIGGERED, Event, SimulationError, Simulator
+from repro.sim.engine import IDLE, PENDING, PROCESSED, TRIGGERED, Event, Simulator
 
-__all__ = ["CPUCores", "Resource", "Store"]
+__all__ = ["CPUCores", "Store"]
 
 _INF = float("inf")
-
-
-class Resource:
-    """Counting semaphore.  ``yield res.acquire()`` ... ``res.release()``."""
-
-    def __init__(self, sim: Simulator, capacity: int = 1):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.sim = sim
-        self.capacity = capacity
-        self.in_use = 0
-        self._waiters: Deque[Event] = deque()
-
-    def acquire(self) -> Event:
-        """Request a unit; the returned event fires when granted."""
-        ev = Event(self.sim, "resource.acquire")
-        if self.in_use < self.capacity:
-            self.in_use += 1
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def release(self) -> None:
-        """Return a unit, admitting the oldest waiter if any."""
-        if self.in_use <= 0:
-            raise SimulationError("release of an idle resource")
-        if self._waiters:
-            self._waiters.popleft().succeed()
-        else:
-            self.in_use -= 1
-
-    @property
-    def queued(self) -> int:
-        """Number of acquirers currently waiting."""
-        return len(self._waiters)
 
 
 class Store:

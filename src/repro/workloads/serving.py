@@ -48,8 +48,6 @@ class ServingProbe:
     """Streaming accumulators for one serving run (its :meth:`counters`
     feed the simulator's ``serving`` metrics group)."""
 
-    name: str
-    slo: float
     hist: LogHistogram = field(default_factory=LogHistogram)
     #: arrivals generated (offered load).
     offered: int = 0
@@ -57,7 +55,7 @@ class ServingProbe:
     completed: int = 0
     #: requests lost to connection failure (churn).
     errors: int = 0
-    #: completed requests whose latency exceeded ``slo``.
+    #: completed requests whose latency exceeded the run's ``slo``.
     slo_violations: int = 0
     #: reconnects performed by workers after a dropped connection.
     reconnects: int = 0
@@ -139,7 +137,6 @@ def open_loop_rr(
     slo: float = 0.002,
     port: int = 5401,
     timeout: float = 600.0,
-    name: str = "serving",
 ) -> ServingResult:
     """Drive ``requests`` open-loop request/response transactions from
     ``clients`` into ``server`` and return tail-latency statistics.
@@ -162,7 +159,7 @@ def open_loop_rr(
         raise ValueError(f"slo must be positive and finite: {slo}")
     sim = cluster.sim
     rng = sim.rng
-    probe = ServingProbe(name=name, slo=slo)
+    probe = ServingProbe()
     sim.metrics.register("serving", probe.counters)
     echo_server(cluster, server, req_size, resp_size, port)
     server_ip = cluster.guests[server].stack.ip

@@ -7,7 +7,8 @@ lost event-channel notifies."""
 import pytest
 
 from repro import faults, scenarios
-from repro.core.channel import Channel, ChannelState
+from repro.core.channel import ENTRY_IPV4, Channel, ChannelDeadError, ChannelState
+from repro.core.control import ChannelEvent
 
 from .conftest import FAST, first_channel, udp_once
 
@@ -123,6 +124,56 @@ class TestRetryLadder:
         assert _drive_until_connected(scn, module, view=view)
         assert plan.injected["control_drop"] == 1
         assert plan.recovered["connreq_resend"] == 1
+
+    def test_connector_retry_exhaustion_fails_cleanly_and_falls_back(self):
+        """Every CONNECT_REQUEST is lost: the connector resends on the
+        announcement clock until ``bootstrap_retries`` sends are spent,
+        then aborts to FAILED, leaves both tables, fails its parked
+        entries and blocked senders, and traffic keeps flowing over
+        netfront."""
+        scn = scenarios.xenloop(FAST)
+        plan = _plan(
+            scn,
+            faults.FaultRule(faults.CONTROL_DROP, message="ConnectRequest", times=None),
+        )
+        sim = scn.sim
+        view = scn.view("vm2", "vm1")  # vm2 (larger domid) is the connector
+        module = scn.xenloop_module(scn.guests["vm2"])
+        control = module.control
+        end = sim.now + 3.0
+        while not module.channels and sim.now < end:
+            assert udp_once(view, PAYLOAD) == PAYLOAD
+            sim.run(until=sim.now + 0.1)
+        (ch,) = module.channels.values()
+        assert not ch.is_listener
+        assert ch.state is ChannelState.BOOTSTRAPPING
+        assert control.channels_by_domid[ch.peer_domid] is ch
+        # Stage a scatter-gather entry (pooled buffer) and block a sender
+        # on the waiting list, as a backpressured channel would.
+        ch._park(ENTRY_IPV4, (b"head", memoryview(b"payload")), 11)
+        waiter = ch.wait_waiting_space()
+        assert module.staging_pool.outstanding == 1
+
+        retries = FAST.bootstrap_retries
+        end = sim.now + FAST.discovery_period * (retries + 2)
+        while ch.state is ChannelState.BOOTSTRAPPING and sim.now < end:
+            sim.run(until=sim.now + FAST.discovery_period)
+        assert ch.state is ChannelState.FAILED
+        assert ch.ctrl.fsm.history[-1][0] is ChannelEvent.ACK_TIMEOUT
+        assert ch.ctrl.attempts == retries
+        assert plan.injected["control_drop"] == retries
+        assert plan.recovered["connreq_resend"] == retries - 1
+        assert plan.degraded["bootstrap_abort"] == 1
+        assert ch not in control.channels.values()
+        assert ch.peer_domid not in control.channels_by_domid
+        assert not ch.waiting_list and ch.waiting_bytes == 0
+        assert module.staging_pool.outstanding == 0
+        assert waiter.triggered and not waiter.ok
+        assert isinstance(waiter.value, ChannelDeadError)
+
+        via_channel = module.pkts_via_channel
+        assert udp_once(view, PAYLOAD * 2) == PAYLOAD * 2
+        assert module.pkts_via_channel == via_channel == 0
 
     def test_map_failure_aborts_then_fresh_channel_connects(self):
         scn = scenarios.xenloop(FAST)

@@ -103,17 +103,17 @@ class TestControllerIntegration:
         scn = xl
         ch = first_channel(scn, scn.node_a)
         listener_ch = ch if ch.is_listener else first_channel(scn, scn.node_b)
-        proc = scn.sim.process(listener_ch.teardown(), name="test-teardown")
+        proc = scn.sim.process(listener_ch.ctrl.teardown(), name="test-teardown")
         scn.sim.run_until_complete(proc, timeout=5.0)
         assert listener_ch.state is S.CLOSED
-        listener_ch.on_channel_ack()  # out-of-order ack after teardown
+        listener_ch.ctrl.on_channel_ack()  # out-of-order ack after teardown
         assert listener_ch.state is S.CLOSED
 
     def test_teardown_is_idempotent(self, xl):
         scn = xl
         ch = first_channel(scn, scn.node_a)
         for _ in range(2):
-            proc = scn.sim.process(ch.teardown(), name="test-teardown")
+            proc = scn.sim.process(ch.ctrl.teardown(), name="test-teardown")
             scn.sim.run_until_complete(proc, timeout=5.0)
             assert ch.state is S.CLOSED
 

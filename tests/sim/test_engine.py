@@ -181,7 +181,7 @@ class TestProcess:
         ev.fail(RuntimeError("bad"))
         assert sim.run_until_complete(proc) == "caught bad"
 
-    def test_exception_propagates_in_strict_mode(self, sim):
+    def test_uncaught_exception_propagates_out_of_run(self, sim):
         def gen():
             yield sim.timeout(1.0)
             raise ValueError("kapow")
@@ -189,6 +189,16 @@ class TestProcess:
         sim.process(gen())
         with pytest.raises(ValueError, match="kapow"):
             sim.run()
+
+    def test_uncaught_exception_propagates_out_of_run_until_complete(self, sim):
+        def gen():
+            yield sim.timeout(1.0)
+            raise ValueError("kapow")
+
+        proc = sim.process(gen())
+        with pytest.raises(ValueError, match="kapow"):
+            sim.run_until_complete(proc)
+        assert sim.now == 1.0
 
     def test_run_until_complete_deadlock_detection(self, sim):
         ev = sim.event()  # never fires

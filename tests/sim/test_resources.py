@@ -1,65 +1,10 @@
-"""Tests for Resource, Store, and the CPU-core model."""
+"""Tests for Store and the CPU-core model."""
 
 import pytest
 
-from repro.sim.engine import SimulationError, Simulator
-from repro.sim.resources import CPUCores, Resource, Store
+from repro.sim.engine import Simulator
+from repro.sim.resources import CPUCores, Store
 from tests.conftest import run_gen
-
-
-class TestResource:
-    def test_capacity_validation(self, sim):
-        with pytest.raises(ValueError):
-            Resource(sim, capacity=0)
-
-    def test_acquire_release(self, sim):
-        res = Resource(sim, capacity=1)
-
-        def gen():
-            yield res.acquire()
-            assert res.in_use == 1
-            res.release()
-            assert res.in_use == 0
-            return True
-
-        assert run_gen(sim, gen())
-
-    def test_fifo_fairness(self, sim):
-        res = Resource(sim, capacity=1)
-        order = []
-
-        def worker(i):
-            yield res.acquire()
-            order.append(i)
-            yield sim.timeout(1.0)
-            res.release()
-
-        for i in range(4):
-            sim.process(worker(i))
-        sim.run()
-        assert order == [0, 1, 2, 3]
-
-    def test_release_idle_raises(self, sim):
-        res = Resource(sim)
-        with pytest.raises(SimulationError):
-            res.release()
-
-    def test_queued_count(self, sim):
-        res = Resource(sim, capacity=1)
-
-        def holder():
-            yield res.acquire()
-            yield sim.timeout(10.0)
-            res.release()
-
-        def waiter():
-            yield res.acquire()
-            res.release()
-
-        sim.process(holder())
-        sim.process(waiter())
-        sim.run(until=1.0)
-        assert res.queued == 1
 
 
 class TestStore:
