@@ -95,12 +95,10 @@ class Channel:
         # Connector-side map bookkeeping: (gref, page) pairs.
         self._mapped_grefs: list[int] = []
 
-        #: entries (msg_type, data, staging_buf) that did not fit in the
-        #: FIFO, "placed in a waiting list to be sent once enough
-        #: resources are available".  ``data`` is bytes or a memoryview
-        #: into ``staging_buf``, a buffer borrowed from the module's
-        #: BufferPool (returned once the entry leaves the list).
-        self.waiting_list: deque[tuple[int, object, Optional[bytearray]]] = deque()
+        #: entries (msg_type, data) that did not fit in the FIFO,
+        #: "placed in a waiting list to be sent once enough resources
+        #: are available"; ``data`` is the entry joined into one bytes.
+        self.waiting_list: deque[tuple[int, bytes]] = deque()
         self.waiting_bytes = 0
         self._waiting_space_waiters: deque = deque()
         #: optional handler for ENTRY_STREAM entries (socket bypass);
@@ -282,12 +280,6 @@ class Channel:
         )
         return taken
 
-    def send_entry(self, msg_type: int, data: bytes):
-        """Copy one pre-joined typed entry into the outgoing FIFO
-        (generator, sender context)."""
-        taken = yield from self.send_entry_parts(msg_type, (data,))
-        return taken
-
     def send_entry_parts(self, msg_type: int, parts, precharge: float = 0.0):
         """Copy one typed entry -- given as a sequence of buffer views
         forming its wire format -- into the outgoing FIFO (generator,
@@ -316,36 +308,25 @@ class Channel:
             return False
         if self.waiting_list:
             # Preserve ordering behind already-waiting entries.
-            self._park(msg_type, parts, nbytes)
+            self._park(msg_type, parts)
             self.out_fifo.set_producer_waiting()
             return True
-        if self.out_fifo.push_vec(parts, msg_type):
+        if self.out_fifo.push(parts, msg_type):
             self.pkts_sent += 1
             self.bytes_sent += nbytes
             self.last_activity = guest.sim.now
             yield from self._signal_data(None)
         else:
-            self._park(msg_type, parts, nbytes)
+            self._park(msg_type, parts)
             self.out_fifo.set_producer_waiting()
         return True
 
-    def _park(self, msg_type: int, parts, nbytes: int) -> None:
-        """Stage an entry on the waiting list.  A single-bytes entry is
-        parked as-is; a scatter-gather entry is joined into a buffer
-        borrowed from the module's staging pool (returned to the pool
-        when the entry leaves the list), so a backpressure burst reuses
-        the same few buffers instead of allocating per parked packet."""
-        if len(parts) == 1 and type(parts[0]) is bytes:
-            self.waiting_list.append((msg_type, parts[0], None))
-        else:
-            buf = self.module.staging_pool.acquire(nbytes)
-            pos = 0
-            for part in parts:
-                n = len(part)
-                buf[pos : pos + n] = part
-                pos += n
-            self.waiting_list.append((msg_type, memoryview(buf)[:nbytes], buf))
-        self.waiting_bytes += nbytes
+    def _park(self, msg_type: int, parts) -> None:
+        """Stage an entry on the waiting list, its parts joined once into
+        durable bytes (the views may alias buffers the sender reuses)."""
+        data = b"".join(parts)
+        self.waiting_list.append((msg_type, data))
+        self.waiting_bytes += len(data)
 
     def _usable(self) -> bool:
         return (
@@ -371,9 +352,9 @@ class Channel:
         cost = 0.0
         pushed = False
         while self.waiting_list and self._usable():
-            msg_type, data, buf = self.waiting_list[0]
+            msg_type, data = self.waiting_list[0]
             cost += costs.xenloop_fifo_op
-            if not self.out_fifo.push(data, msg_type):
+            if not self.out_fifo.push((data,), msg_type):
                 self.out_fifo.set_producer_waiting()
                 break
             self.waiting_list.popleft()
@@ -381,9 +362,6 @@ class Channel:
             self.pkts_sent += 1
             self.bytes_sent += len(data)
             cost += costs.copy_cost(len(data))
-            if buf is not None:
-                data = None  # drop the view before recycling its buffer
-                self.module.staging_pool.release(buf)
             pushed = True
         if pushed:
             self.last_activity = guest.sim.now
@@ -519,18 +497,7 @@ class Channel:
                 now = guest.sim.now
                 self.last_activity = now
                 for msg_type, data in burst:
-                    if msg_type == ENTRY_IPV4:
-                        packet = Packet.from_l3_bytes(data)
-                        packet.meta["via"] = "xenloop"
-                        trace.adopt(packet, guest.sim)
-                        trace.mark(packet, "xenloop-fifo-pop", now)
-                        self.pkts_received += 1
-                        self.bytes_received += len(data)
-                        guest.stack.rx_network(packet)
-                    elif msg_type == ENTRY_STREAM and self.stream_handler is not None:
-                        self.pkts_received += 1
-                        self.bytes_received += len(data)
-                        self.stream_handler(data)
+                    self._deliver(msg_type, data, now)
                 drained += len(burst)
             # Space-available notification for a waiting producer --
             # unconditional: the peer parked entries and is expecting it.
@@ -558,6 +525,23 @@ class Channel:
                 continue  # loop top clears the flag and drains
             self._drain_kick = guest.sim.event(name="xl-drain-kick")
             yield self._drain_kick
+
+    def _deliver(self, msg_type: int, data: bytes, now: float) -> None:
+        """Hand one popped entry up: an ENTRY_IPV4 packet to the stack,
+        an ENTRY_STREAM frame to the stream handler (entries of other
+        types, or frames with no handler, are dropped)."""
+        if msg_type == ENTRY_IPV4:
+            packet = Packet.from_l3_bytes(data)
+            packet.meta["via"] = "xenloop"
+            trace.adopt(packet, self.guest.sim)
+            trace.mark(packet, "xenloop-fifo-pop", now)
+            self.pkts_received += 1
+            self.bytes_received += len(data)
+            self.guest.stack.rx_network(packet)
+        elif msg_type == ENTRY_STREAM and self.stream_handler is not None:
+            self.pkts_received += 1
+            self.bytes_received += len(data)
+            self.stream_handler(data)
 
     def _drain_one_zero_copy(self):
         """The receive-side zero-copy design alternative (Sect. 3.3,
@@ -597,34 +581,18 @@ class Channel:
     def take_saved_packets(self) -> list[bytes]:
         """Flush the waiting list into a resendable snapshot: ENTRY_IPV4
         wire images survive (the module resends them via netfront);
-        ENTRY_STREAM frames cannot be resent and are dropped."""
-        saved = []
-        pool = self.module.staging_pool
-        for msg_type, data, buf in self.waiting_list:
-            if msg_type == ENTRY_IPV4:
-                # Materialize pooled views: the saved bytes outlive the
-                # staging buffer, which goes back to the pool now.
-                saved.append(bytes(data) if buf is not None else data)
-            if buf is not None:
-                data = None
-                pool.release(buf)
-        self.waiting_list.clear()
-        self.waiting_bytes = 0
-        self._fail_waiting_space()
+        ENTRY_STREAM frames cannot be resent and are dropped; blocked
+        senders are failed as in :meth:`abort_waiting`."""
+        saved = [data for msg_type, data in self.waiting_list if msg_type == ENTRY_IPV4]
+        self.abort_waiting()
         return saved
 
     def abort_waiting(self) -> int:
         """Empty the waiting list without saving anything (bootstrap
-        abort / never-connected teardown): parked staging buffers go
-        back to the module's pool and blocked senders are failed with
-        :class:`ChannelDeadError`.  Returns the number of entries
+        abort / never-connected teardown): blocked senders are failed
+        with :class:`ChannelDeadError`.  Returns the number of entries
         dropped."""
-        pool = self.module.staging_pool
         dropped = len(self.waiting_list)
-        for _msg_type, data, buf in self.waiting_list:
-            if buf is not None:
-                data = None  # drop the view before recycling its buffer
-                pool.release(buf)
         self.waiting_list.clear()
         self.waiting_bytes = 0
         self._fail_waiting_space()
@@ -636,7 +604,8 @@ class Channel:
 
     def drain_remaining(self):
         """Receive whatever is still pending in the incoming FIFO
-        (generator; teardown path)."""
+        (generator; teardown path), one charged entry at a time,
+        delivered as the drain worker delivers it."""
         guest = self.guest
         costs = guest.costs
         while self.in_fifo is not None:
@@ -645,11 +614,7 @@ class Channel:
                 return
             msg_type, data = entry
             yield guest.exec(costs.xenloop_fifo_op + costs.copy_cost(len(data)))
-            if msg_type == ENTRY_IPV4:
-                packet = Packet.from_l3_bytes(data)
-                packet.meta["via"] = "xenloop"
-                self.pkts_received += 1
-                guest.stack.rx_network(packet)
+            self._deliver(msg_type, data, guest.sim.now)
 
     def disengage(self, notify_peer: bool):
         """Unmap/revoke shared memory and close our event-channel port.

@@ -240,16 +240,15 @@ class ChannelController:
             "bootstrap_started_at": self.bootstrap_started_at,
         }
 
-    def _fail(self, event: ChannelEvent, degraded_note: Optional[str]) -> None:
+    def _fail(self, event: ChannelEvent, degraded_note: str) -> None:
         """Bootstrap-failure tail: record ``event``, fail anything parked
         on the waiting list, leave the tables, and note the degraded
-        path (``None``: a failure the fault matrix does not count)."""
+        path."""
         channel = self.channel
         self.fsm.feed(event)
         channel.abort_waiting()
         channel.module.control.channel_closed(channel)
-        if degraded_note is not None:
-            faults.note_degraded(channel.guest.sim, degraded_note)
+        faults.note_degraded(channel.guest.sim, degraded_note)
 
     def _phase_tap(self, phase: str) -> None:
         """Fault tap: crash/migrate rules anchored to a handshake phase
@@ -337,7 +336,7 @@ class ChannelController:
             self._phase_tap("bootstrapping")
         peer_table = guest.machine.hypervisor.grant_tables.get(channel.peer_domid)
         if peer_table is None:
-            self._fail(ChannelEvent.MAP_FAILED, None)
+            self._fail(ChannelEvent.MAP_FAILED, "map_failed")
             return False
 
         self._connector_busy = True

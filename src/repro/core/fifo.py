@@ -41,7 +41,7 @@ import numpy as np
 from repro.net.packet import WIRE_STATS
 from repro.xen.page import PAGE_SIZE, SharedRegion
 
-__all__ = ["BufferPool", "Fifo", "FifoLayoutError", "fifo_pages_for_order"]
+__all__ = ["Fifo", "FifoLayoutError", "fifo_pages_for_order"]
 
 #: descriptor-page word offsets (uint32).
 _MAGIC_WORD = 0
@@ -230,29 +230,13 @@ class Fifo:
         return self.slots_needed(nbytes) <= self.size
 
     # -- the lockless operations ------------------------------------------
-    def push(self, data, msg_type: int = 1) -> bool:
-        """Producer: append one entry.  Returns False when there is no room
-        (the caller puts the packet on its waiting list, Sect. 3.1)."""
-        need = 1 + (len(data) + 7) // 8
-        desc = self._desc_mv
-        back = desc[_BACK_WORD]
-        if need > self.size - ((back - desc[_FRONT_WORD]) & INDEX_MASK):
-            self.push_failures += 1
-            return False
-        slot = back & self.mask
-        _META.pack_into(self._data_mv, slot * 8, len(data), msg_type, 0)
-        self._write_stream((back + 1) & self.mask, (data,))
-        # Single index store *after* the data write publishes the entry.
-        desc[_BACK_WORD] = (back + need) & INDEX_MASK
-        self.pushes += 1
-        WIRE_STATS.fifo_bytes_in += len(data)
-        return True
-
-    def push_vec(self, parts, msg_type: int = 1) -> bool:
-        """Producer: scatter-gather append.  ``parts`` is a sequence of
-        buffers (bytes/memoryview) that together form one entry; each is
-        written straight into the ring -- header and payload views never
-        get joined into an intermediate bytes object on this path."""
+    def push(self, parts, msg_type: int = 1) -> bool:
+        """Producer: append one entry.  ``parts`` is a sequence of buffers
+        (bytes/memoryview) that together form the entry; each is written
+        straight into the ring, so header and payload views never get
+        joined into an intermediate bytes object.  Returns False when
+        there is no room (the caller puts the entry on its waiting list,
+        Sect. 3.1)."""
         total = 0
         for part in parts:
             total += len(part)
@@ -265,44 +249,25 @@ class Fifo:
         slot = back & self.mask
         _META.pack_into(self._data_mv, slot * 8, total, msg_type, 0)
         self._write_stream((back + 1) & self.mask, parts)
+        # Single index store *after* the data write publishes the entry.
         desc[_BACK_WORD] = (back + need) & INDEX_MASK
         self.pushes += 1
         WIRE_STATS.fifo_bytes_in += total
         return True
 
     def pop(self) -> Optional[tuple[int, bytes]]:
-        """Consumer: remove the oldest entry; returns (type, payload)."""
-        entry = self.peek()
+        """Consumer: remove the oldest entry; returns (type, payload).
+
+        The payload is materialized in a single pass even when the entry
+        wraps around the ring edge (one join of the two ring views)."""
+        entry = self.peek_view()
         if entry is None:
             return None
-        msg_type, payload, need = entry
+        msg_type, segments, need = entry
+        payload = bytes(segments[0]) if len(segments) == 1 else b"".join(segments)
+        WIRE_STATS.fifo_bytes_out += len(payload)
         self.advance(need)
         return msg_type, payload
-
-    def peek(self) -> Optional[tuple[int, bytes, int]]:
-        """Consumer: read the oldest entry WITHOUT freeing its slots.
-
-        Returns (type, payload, slots); call :meth:`advance` afterwards.
-        The payload is materialized in a single pass even when the entry
-        wraps around the ring edge (one join of the two ring views, not
-        two intermediate ``bytes`` copies).
-        """
-        desc = self._desc_mv
-        front = desc[_FRONT_WORD]
-        if front == desc[_BACK_WORD]:
-            return None
-        mv = self._data_mv
-        length, msg_type, _rsvd = _META.unpack_from(mv, (front & self.mask) * 8)
-        need = 1 + (length + 7) // 8
-        start = ((front + 1) & self.mask) * 8
-        end = start + length
-        ring_bytes = self._ring_bytes
-        if end <= ring_bytes:
-            payload = bytes(mv[start:end])
-        else:
-            payload = b"".join((mv[start:ring_bytes], mv[: end - ring_bytes]))
-        WIRE_STATS.fifo_bytes_out += length
-        return msg_type, payload, need
 
     def peek_view(self) -> Optional[tuple[int, tuple, int]]:
         """Consumer: zero-copy view of the oldest entry's payload.
@@ -313,10 +278,11 @@ class Fifo:
         stay valid until :meth:`advance` releases the slots, so callers
         must finish reading (or materialize -- e.g. via
         ``Packet.from_l3_bytes``, the receive path's single
-        materialization point) before advancing.  Used by the zero-copy
-        receive variant (the design alternative of Sect. 3.3 in which
-        the sk_buff points into the FIFO and the space is released only
-        after protocol processing).
+        materialization point) before advancing.  :meth:`pop` copies
+        the views out; the zero-copy receive variant (the design
+        alternative of Sect. 3.3 in which the sk_buff points into the
+        FIFO and the space is released only after protocol processing)
+        reads them in place.
         """
         desc = self._desc_mv
         front = desc[_FRONT_WORD]
@@ -335,7 +301,7 @@ class Fifo:
         return msg_type, segments, need
 
     def advance(self, slots: int) -> None:
-        """Consumer: release ``slots`` (from a previous :meth:`peek`)."""
+        """Consumer: release ``slots`` (from a previous :meth:`peek_view`)."""
         desc = self._desc_mv
         desc[_FRONT_WORD] = (desc[_FRONT_WORD] + slots) & INDEX_MASK
         self.pops += 1
@@ -382,61 +348,3 @@ class Fifo:
             f"<Fifo k={self.k} used={self.used_slots}/{self.size} "
             f"{'active' if self.active else 'inactive'}>"
         )
-
-
-class BufferPool:
-    """A small per-node freelist of reusable staging buffers.
-
-    The real module recycles sk_buff staging memory rather than
-    allocating per packet; the analogue here is the waiting-list path:
-    when the outgoing FIFO is full, a scatter-gather entry must be
-    joined into one durable buffer until space frees up.  Those staging
-    buffers come from (and return to) this pool, so a backpressure
-    burst does not allocate per parked packet.
-
-    ``acquire(n)`` returns a ``bytearray`` of at least ``n`` bytes
-    (callers track the logical length, e.g. via ``memoryview(buf)[:n]``);
-    ``release(buf)`` returns it for reuse.  Oversized buffers and
-    overflow beyond ``max_buffers`` are dropped for the GC.
-    """
-
-    __slots__ = ("_buffers", "max_buffers", "max_buffer_bytes", "outstanding")
-
-    def __init__(self, max_buffers: int = 32, max_buffer_bytes: int = 1 << 16):
-        self._buffers: list[bytearray] = []
-        self.max_buffers = max_buffers
-        self.max_buffer_bytes = max_buffer_bytes
-        #: buffers currently loaned out (acquired, not yet released).
-        #: Leak detector: after every channel is torn down this must be
-        #: zero -- a positive count means a waiting-list entry kept its
-        #: staging buffer past teardown.
-        self.outstanding = 0
-
-    def __len__(self) -> int:
-        return len(self._buffers)
-
-    def snapshot_state(self) -> dict:
-        """Pool occupancy for the snapshot manifest (the loan counter is
-        the leak detector the fault matrix asserts on)."""
-        return {
-            "pooled": len(self._buffers),
-            "pooled_bytes": sum(len(b) for b in self._buffers),
-            "outstanding": self.outstanding,
-        }
-
-    def acquire(self, nbytes: int) -> bytearray:
-        """Get a buffer of at least ``nbytes`` (pooled if one fits)."""
-        self.outstanding += 1
-        buffers = self._buffers
-        for i in range(len(buffers) - 1, -1, -1):
-            if len(buffers[i]) >= nbytes:
-                WIRE_STATS.pool_hits += 1
-                return buffers.pop(i)
-        WIRE_STATS.pool_misses += 1
-        return bytearray(nbytes)
-
-    def release(self, buf: bytearray) -> None:
-        """Return a buffer to the pool (dropped if full or oversized)."""
-        self.outstanding -= 1
-        if len(buf) <= self.max_buffer_bytes and len(self._buffers) < self.max_buffers:
-            self._buffers.append(buf)

@@ -38,7 +38,6 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.core.channel import Channel, ChannelState
 from repro.core.control import ControlPlane
-from repro.core.fifo import BufferPool
 from repro.net.addr import MacAddr
 from repro.net.ethernet import ETH_P_IP, ETH_P_XENLOOP
 from repro.net.netfilter import HookPoint, Verdict
@@ -90,9 +89,6 @@ class XenLoopModule:
         #: the control plane: mapping/channel tables, bootstrap,
         #: teardown, idle reaping, migration response.
         self.control = ControlPlane(self)
-        #: per-node staging buffers shared by all this guest's channels
-        #: (waiting-list joins of scatter-gather entries; see BufferPool).
-        self.staging_pool = BufferPool()
 
         # Statistics (data-plane dispatch counters).
         self.pkts_via_channel = 0
@@ -129,7 +125,7 @@ class XenLoopModule:
         return self.control.announcements_seen
 
     def snapshot_state(self) -> dict:
-        """Control plane, staging pool, and dispatch counters -- the
+        """Control plane and dispatch counters -- the
         whole per-guest module state for the snapshot manifest."""
         return {
             "loaded": self.loaded,
@@ -137,7 +133,6 @@ class XenLoopModule:
             "channel_budget": self.channel_budget,
             "delta_discovery": self.delta_discovery,
             "control": self.control.snapshot_state(),
-            "staging_pool": self.staging_pool.snapshot_state(),
             "pkts_via_channel": self.pkts_via_channel,
             "pkts_via_standard": self.pkts_via_standard,
             "pkts_too_big": self.pkts_too_big,

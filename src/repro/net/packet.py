@@ -83,8 +83,6 @@ WIRE_STATS = Counters(
     "bytes_parsed",
     "fifo_bytes_in",
     "fifo_bytes_out",
-    "pool_hits",
-    "pool_misses",
 )
 
 _ETH = struct.Struct("!6s6sH")
@@ -369,7 +367,7 @@ class Packet:
         payload by reference.
 
         The scatter-gather send path: parts go straight into the FIFO
-        ring via :meth:`repro.core.fifo.Fifo.push_vec` without ever being
+        ring via :meth:`repro.core.fifo.Fifo.push` without ever being
         joined into one bytes object.  The IP header goes out with the
         true total length; a stale ``ip.total_length`` is corrected in
         the wire copy only, never in the live header.

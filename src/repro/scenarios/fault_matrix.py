@@ -7,9 +7,9 @@ builds a fresh two-guest cluster, binds a seeded
 :class:`~repro.faults.FaultPlan` for one fault, drives UDP traffic
 through the disruption, and then checks the convergence invariants --
 every surviving channel endpoint is CONNECTED (or cleanly gone from the
-table), no grant entries, event-channel ports, staging-pool buffers,
-ARP waiters, or reassembly buffers leak, and (where the cell expects
-it) the traffic completed anyway via the standard path.
+table), no grant entries, event-channel ports, ARP waiters, or
+reassembly buffers leak, and (where the cell expects it) the traffic
+completed anyway via the standard path.
 
 ``run_fault_matrix`` runs every cell and returns result dicts that
 :func:`repro.report.format_fault_matrix` renders; the CLI exposes it as
@@ -245,10 +245,6 @@ def _check_invariants(cluster: topology.Cluster, received: int, sent: int, cell:
             continue
         for mac, channel in module.channels.items():
             problems.append(f"{name}: channel to {mac} still {channel.state.value}")
-        if module.staging_pool.outstanding:
-            problems.append(
-                f"{name}: {module.staging_pool.outstanding} staging buffers leaked"
-            )
 
     for machine in cluster.machines:
         hyper = getattr(machine, "hypervisor", None)

@@ -40,7 +40,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.calibration import DEFAULT_COSTS, CostModel
-from repro.core.channel import ChannelState
 from repro.core.discovery import DiscoveryModule
 from repro.core.module import XenLoopModule
 from repro.net.addr import IPv4Addr, MacAddr
@@ -86,9 +85,7 @@ class GuestSpec:
     ip: Optional[str] = None
     module: Optional[str] = "xenloop"
     fifo_order: int = 13
-    idle_timeout: Optional[float] = None
     zero_copy_rx: bool = False
-    vcpus: int = 1
     mac: Optional[str] = None
     channel_budget: Optional[int] = None
 
@@ -179,22 +176,6 @@ class Cluster(Scenario):
     machines_by_name: dict = field(default_factory=dict)
     #: all Dom0 discovery modules (Scenario.discovery is the first).
     discoveries: list = field(default_factory=list)
-
-    def _channels_connected(self) -> bool:
-        # Unlike a two-guest Scenario, a cluster may carry many modules
-        # whose channels form lazily on their own first traffic: warmup
-        # only waits for the *measured endpoints* to connect.
-        endpoint_modules = [
-            m
-            for m in (self.modules.get(self.node_a.name), self.modules.get(self.node_b.name))
-            if m is not None
-        ]
-        if not endpoint_modules:
-            return True
-        return all(
-            any(ch.state is ChannelState.CONNECTED for ch in m.channels.values())
-            for m in endpoint_modules
-        )
 
     # -- checkpoint / replay -------------------------------------------
     def snapshot(self, recipe: Optional[dict] = None, label: str = "") -> "object":
@@ -302,19 +283,10 @@ class Cluster(Scenario):
             ip=ips[name],
             mac=MacAddr(gspec.mac) if gspec.mac else None,
             prefix_len=self.spec.prefix_len,
-            vcpus=gspec.vcpus,
         )
         self.guests[name] = guest
         if gspec.module is not None:
-            module_cls = _module_class(gspec.module)
-            self.modules[name] = module_cls(
-                guest,
-                fifo_order=gspec.fifo_order,
-                idle_timeout=gspec.idle_timeout,
-                zero_copy_rx=gspec.zero_copy_rx,
-                channel_budget=gspec.channel_budget,
-                delta_discovery=self.spec.discovery_mode == "delta",
-            )
+            self.modules[name] = _load_module(gspec, guest, self.spec.discovery_mode)
         guest.stack.arp.announce()
         # Re-aim the measurement endpoints at the new incarnation.
         if self.node_a is old:
@@ -451,7 +423,6 @@ class ClusterSpec:
                     ip=ips[gspec.name],
                     mac=MacAddr(gspec.mac) if gspec.mac else None,
                     prefix_len=self.prefix_len,
-                    vcpus=gspec.vcpus,
                 )
 
         # Phase 4: guest modules, in global guest order.
@@ -460,17 +431,10 @@ class ClusterSpec:
             if mspec.kind != "xen":
                 continue
             for gspec in mspec.guests:
-                if gspec.module is None:
-                    continue
-                module_cls = _module_class(gspec.module)
-                modules[gspec.name] = module_cls(
-                    guests[gspec.name],
-                    fifo_order=gspec.fifo_order,
-                    idle_timeout=gspec.idle_timeout,
-                    zero_copy_rx=gspec.zero_copy_rx,
-                    channel_budget=gspec.channel_budget,
-                    delta_discovery=self.discovery_mode == "delta",
-                )
+                if gspec.module is not None:
+                    modules[gspec.name] = _load_module(
+                        gspec, guests[gspec.name], self.discovery_mode
+                    )
 
         # Phase 5: Dom0 discovery, in machine order.
         discoveries = []
@@ -510,7 +474,7 @@ class ClusterSpec:
         )
 
     def _resolve_expect_channels(self, modules: dict, end_a: str, end_b: str) -> bool:
-        # Cluster._channels_connected only watches the endpoint modules,
+        # Scenario._channels_connected only watches the endpoint modules,
         # so warmup can wait whenever the measured pair are co-resident
         # module-loaded guests (other guests connect lazily on their
         # own first traffic); endpoints on different machines can only
@@ -528,14 +492,24 @@ class ClusterSpec:
         return home[end_a] == home[end_b]
 
 
-def _module_class(kind: str):
-    if kind == "xenloop":
-        return XenLoopModule
-    if kind == "socket_bypass":
+def _load_module(gspec: GuestSpec, guest, discovery_mode: str):
+    """Load ``gspec``'s guest-resident module into ``guest`` (at build
+    time and again when a guest is restarted)."""
+    if gspec.module == "xenloop":
+        module_cls = XenLoopModule
+    elif gspec.module == "socket_bypass":
         from repro.core.socket_bypass import SocketBypassModule
 
-        return SocketBypassModule
-    raise ValueError(f"unknown guest module {kind!r}")
+        module_cls = SocketBypassModule
+    else:
+        raise ValueError(f"unknown guest module {gspec.module!r}")
+    return module_cls(
+        guest,
+        fifo_order=gspec.fifo_order,
+        zero_copy_rx=gspec.zero_copy_rx,
+        channel_budget=gspec.channel_budget,
+        delta_discovery=discovery_mode == "delta",
+    )
 
 
 def _ip_allocator(spec: ClusterSpec):

@@ -39,8 +39,8 @@ class Domain(Node):
         self.machine = machine
         self.domid = domid
         self.is_dom0 = is_dom0
-        #: Dom0 gets a vCPU per physical core (Xen default); guests are
-        #: created with one vCPU unless create_guest says otherwise.
+        #: Dom0 gets a vCPU per physical core (Xen default); guests get
+        #: one.
         self.vcpus = len(machine.cpus.cores) if is_dom0 else 1
         self.state = RUNNING
         #: the guest vif's MAC (set when networking is wired up).

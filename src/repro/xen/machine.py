@@ -90,18 +90,16 @@ class XenMachine(Machine):
         ip: Optional[IPv4Addr] = None,
         mac: Optional[MacAddr] = None,
         prefix_len: int = 24,
-        vcpus: int = 1,
     ) -> Domain:
         """Create a guest domain; when ``ip`` is given, wire up the full
         netfront/netback split-driver path onto the Dom0 bridge.
 
-        Guests default to one vCPU, matching the paper's testbed
-        (dual-core machine, 512 MB single-vCPU guests)."""
+        Guests get one vCPU (set by :class:`Domain`), matching the
+        paper's testbed (dual-core machine, 512 MB single-vCPU guests)."""
         domid = self.hypervisor.alloc_domid()
         guest = Domain(self, domid, name)
         self.hypervisor.register_domain(guest)
-        guest.vcpus = vcpus
-        self.cpus.set_vcpu_limit(guest.sched_key, vcpus)
+        self.cpus.set_vcpu_limit(guest.sched_key, guest.vcpus)
         self.xenstore.write(0, f"/local/domain/{domid}/name", name)
         if ip is not None:
             if mac is None:
@@ -122,7 +120,7 @@ class XenMachine(Machine):
         guest._bind_cpus(self.cpus)
         guest.domid = self.hypervisor.alloc_domid()
         self.hypervisor.register_domain(guest)
-        self.cpus.set_vcpu_limit(guest.sched_key, getattr(guest, "vcpus", 1))
+        self.cpus.set_vcpu_limit(guest.sched_key, guest.vcpus)
         self.xenstore.write(0, f"/local/domain/{guest.domid}/name", guest.name)
         if guest.stack is not None:
             from repro.xennet.setup import connect_vif

@@ -13,33 +13,37 @@ class TestFifoPeekAdvance:
     def _fifo(self, k=9):
         return Fifo(SharedRegion(1, 1 + fifo_pages_for_order(k)), k=k)
 
+    def _peek(self, fifo):
+        msg_type, segments, slots = fifo.peek_view()
+        return msg_type, b"".join(segments), slots
+
     def test_peek_does_not_consume(self):
         fifo = self._fifo()
-        fifo.push(b"held", msg_type=2)
-        assert fifo.peek() == (2, b"held", fifo.slots_needed(4))
-        assert fifo.peek() == (2, b"held", fifo.slots_needed(4))
+        fifo.push((b"held",), msg_type=2)
+        assert self._peek(fifo) == (2, b"held", fifo.slots_needed(4))
+        assert self._peek(fifo) == (2, b"held", fifo.slots_needed(4))
         assert fifo.used_slots > 0
 
     def test_advance_frees_slots(self):
         fifo = self._fifo()
-        fifo.push(b"x" * 100)
-        _t, _d, slots = fifo.peek()
+        fifo.push((b"x" * 100,))
+        _t, _d, slots = fifo.peek_view()
         fifo.advance(slots)
         assert fifo.is_empty
 
     def test_space_held_during_peek_blocks_producer(self):
         fifo = self._fifo(4)  # 16 slots
-        assert fifo.push(b"a" * 100)  # 14 slots
-        _t, _d, slots = fifo.peek()
-        assert not fifo.push(b"b" * 100)  # no room while held
+        assert fifo.push((b"a" * 100,))  # 14 slots
+        _t, _d, slots = fifo.peek_view()
+        assert not fifo.push((b"b" * 100,))  # no room while held
         fifo.advance(slots)
-        assert fifo.push(b"b" * 100)
+        assert fifo.push((b"b" * 100,))
 
     def test_pop_equals_peek_plus_advance(self):
         f1, f2 = self._fifo(), self._fifo()
         for f in (f1, f2):
-            f.push(b"same")
-        t, d, slots = f1.peek()
+            f.push((b"same",))
+        t, d, slots = self._peek(f1)
         f1.advance(slots)
         assert (t, d) == f2.pop()
         assert f1.front == f2.front

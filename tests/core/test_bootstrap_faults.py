@@ -9,6 +9,7 @@ import pytest
 from repro import faults, scenarios
 from repro.core.channel import ENTRY_IPV4, Channel, ChannelDeadError, ChannelState
 from repro.core.control import ChannelEvent
+from repro.core.protocol import CreateChannel
 
 from .conftest import FAST, first_channel, udp_once
 
@@ -93,7 +94,6 @@ class TestRetryLadder:
         machine = scn.machines[0]
         assert _guest_grants(machine) == []
         assert _channel_ports(machine) == []
-        assert module.staging_pool.outstanding == 0
 
     def test_dropped_ack_recovers_via_duplicate_create(self):
         scn = scenarios.xenloop(FAST)
@@ -148,11 +148,10 @@ class TestRetryLadder:
         assert not ch.is_listener
         assert ch.state is ChannelState.BOOTSTRAPPING
         assert control.channels_by_domid[ch.peer_domid] is ch
-        # Stage a scatter-gather entry (pooled buffer) and block a sender
+        # Stage a scatter-gather entry (joined on park) and block a sender
         # on the waiting list, as a backpressured channel would.
-        ch._park(ENTRY_IPV4, (b"head", memoryview(b"payload")), 11)
+        ch._park(ENTRY_IPV4, (b"head", memoryview(b"payload")))
         waiter = ch.wait_waiting_space()
-        assert module.staging_pool.outstanding == 1
 
         retries = FAST.bootstrap_retries
         end = sim.now + FAST.discovery_period * (retries + 2)
@@ -167,7 +166,6 @@ class TestRetryLadder:
         assert ch not in control.channels.values()
         assert ch.peer_domid not in control.channels_by_domid
         assert not ch.waiting_list and ch.waiting_bytes == 0
-        assert module.staging_pool.outstanding == 0
         assert waiter.triggered and not waiter.ok
         assert isinstance(waiter.value, ChannelDeadError)
 
@@ -195,6 +193,40 @@ class TestRetryLadder:
         ]
         assert connected
         assert len(_channel_ports(machine)) == 2  # one bound pair
+
+
+class TestCreateFromVanishedPeer:
+    def test_create_from_domid_without_grant_table_fails_cleanly(self):
+        """A CREATE_CHANNEL whose sender's domain is gone (its grant
+        table dropped with it) cannot be mapped: the connector fails the
+        fresh channel, leaves both tables, notes ``map_failed`` and
+        holds no grant or port."""
+        scn = scenarios.xenloop(FAST)
+        plan = _plan(scn)
+        sim = scn.sim
+        vm1, vm2 = scn.guests["vm1"], scn.guests["vm2"]
+        assert vm1.domid < vm2.domid  # vm2 is the connector
+        machine = scn.machines[0]
+        dead_domid, dead_mac = vm1.domid, vm1.mac
+        vm1.crash()
+        assert dead_domid not in machine.hypervisor.grant_tables
+
+        control = scn.xenloop_module(vm2).control
+        control.handle_create_channel(
+            CreateChannel(sender_domid=dead_domid, gref_out=1, gref_in=2, evtchn_port=3),
+            dead_mac,
+        )
+        ch = control.channels[dead_mac]
+        assert not ch.is_listener
+        sim.run(until=sim.now + 0.01)
+
+        assert ch.state is ChannelState.FAILED
+        assert ch.ctrl.fsm.history[-1][0] is ChannelEvent.MAP_FAILED
+        assert ch not in control.channels.values()
+        assert dead_domid not in control.channels_by_domid
+        assert plan.degraded["map_failed"] == 1
+        assert _guest_grants(machine) == []
+        assert _channel_ports(machine) == []
 
 
 class TestCrashDuringBootstrap:
@@ -227,7 +259,6 @@ class TestCrashDuringBootstrap:
         machine = scn.machines[0]
         assert _guest_grants(machine) == []
         assert _channel_ports(machine) == []
-        assert module.staging_pool.outstanding == 0
         assert scn.node_a.stack.arp._waiters == {}
 
 

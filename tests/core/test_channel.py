@@ -169,7 +169,7 @@ class TestWaitingList:
         # receiver frees the slots but doesn't deliver them).  In real
         # operation the peer always has a pending notify by the time the
         # FIFO is full; the direct fill bypassed that, so notify once.
-        while ch_a.out_fifo.push(bytes(2000), msg_type=99):
+        while ch_a.out_fifo.push((bytes(2000),), msg_type=99):
             pass
         assert ch_a.out_fifo.push_failures > 0
         xl.node_a.machine.hypervisor.evtchn.notify(ch_a.port)
@@ -182,7 +182,7 @@ class TestWaitingList:
     def test_order_preserved_behind_waiting_list(self, xl):
         sim = xl.sim
         ch_a = first_channel(xl, xl.node_a)
-        while ch_a.out_fifo.push(bytes(2000), msg_type=99):
+        while ch_a.out_fifo.push((bytes(2000),), msg_type=99):
             pass
         xl.node_a.machine.hypervisor.evtchn.notify(ch_a.port)
         server = xl.node_b.stack.udp_socket(7114, rcvbuf=1 << 22)

@@ -72,7 +72,7 @@ class TestLayout:
 class TestPushPop:
     def test_roundtrip(self):
         fifo = make_fifo()
-        assert fifo.push(b"hello", msg_type=3)
+        assert fifo.push((b"hello",), msg_type=3)
         assert fifo.pop() == (3, b"hello")
         assert fifo.is_empty
 
@@ -82,27 +82,27 @@ class TestPushPop:
     def test_fifo_order(self):
         fifo = make_fifo()
         for i in range(10):
-            fifo.push(bytes([i]) * (i + 1))
+            fifo.push((bytes([i]) * (i + 1),))
         for i in range(10):
             assert fifo.pop() == (1, bytes([i]) * (i + 1))
 
     def test_zero_length_payload(self):
         fifo = make_fifo()
-        fifo.push(b"")
+        fifo.push((b"",))
         assert fifo.pop() == (1, b"")
 
     def test_full_rejects_push(self):
         fifo = make_fifo(9)  # 512 slots = 4096 bytes of slots
         big = bytes(1000)  # 126 slots each
         pushed = 0
-        while fifo.push(big):
+        while fifo.push((big,)):
             pushed += 1
         assert pushed == 4  # 4*126=504 slots; a 5th (126) cannot fit in 8
         assert fifo.push_failures == 1
 
     def test_exact_fill(self):
         fifo = make_fifo(4)  # 16 slots
-        assert fifo.push(bytes(15 * 8))  # needs exactly 16 slots
+        assert fifo.push((bytes(15 * 8),))  # needs exactly 16 slots
         assert fifo.used_slots == fifo.size
         assert fifo.free_slots == 0
         assert not fifo.is_empty
@@ -111,9 +111,9 @@ class TestPushPop:
     def test_interleaved_producer_consumer_views(self):
         producer = make_fifo(9)
         consumer = Fifo(producer.region)
-        producer.push(b"one")
+        producer.push((b"one",))
         assert consumer.pop() == (1, b"one")
-        producer.push(b"two")
+        producer.push((b"two",))
         assert consumer.pop() == (1, b"two")
         assert consumer.pop() is None
 
@@ -122,11 +122,11 @@ class TestWraparound:
     def test_data_wraps_ring_boundary(self):
         fifo = make_fifo(6)  # 64 slots
         filler = bytes(8 * 50)
-        fifo.push(filler)
+        fifo.push((filler,))
         fifo.pop()
         # ring position is now near the end; this entry must wrap
         payload = bytes(range(100))
-        assert fifo.push(payload)
+        assert fifo.push((payload,))
         assert fifo.pop() == (1, payload)
 
     def test_index_wraps_mod_2_32(self):
@@ -137,7 +137,7 @@ class TestWraparound:
         fifo._desc[3] = INDEX_MASK - 5  # back
         assert fifo.is_empty
         payload = bytes(40)
-        assert fifo.push(payload)
+        assert fifo.push((payload,))
         assert fifo.used_slots == 6
         assert fifo.pop() == (1, payload)
         assert fifo.front == (INDEX_MASK - 5 + 6) & INDEX_MASK
@@ -146,7 +146,7 @@ class TestWraparound:
         fifo = make_fifo(5)  # 32 slots
         for i in range(500):
             data = bytes([i % 256]) * (i % 64)
-            assert fifo.push(data, msg_type=2)
+            assert fifo.push((data,), msg_type=2)
             assert fifo.pop() == (2, data)
 
 
@@ -224,7 +224,7 @@ class TestProperties:
     @given(st.lists(st.binary(min_size=0, max_size=300), max_size=50))
     def test_push_all_pop_all(self, payloads):
         fifo = make_fifo(12)
-        accepted = [p for p in payloads if fifo.push(p)]
+        accepted = [p for p in payloads if fifo.push((p,))]
         popped = []
         while (entry := fifo.pop()) is not None:
             popped.append(entry[1])
@@ -245,7 +245,7 @@ class TestProperties:
         model = []
         for op, arg in ops:
             if op == "push":
-                ok = fifo.push(arg)
+                ok = fifo.push((arg,))
                 model_ok = fifo.slots_needed(len(arg)) <= 64 - sum(
                     fifo.slots_needed(len(m)) for m in model
                 )
@@ -271,6 +271,6 @@ class TestProperties:
         fifo._desc[2] = origin
         fifo._desc[3] = origin
         data = bytes(77)
-        assert fifo.push(data)
+        assert fifo.push((data,))
         assert fifo.pop() == (1, data)
         assert fifo.is_empty

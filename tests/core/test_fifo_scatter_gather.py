@@ -1,15 +1,14 @@
-"""Scatter-gather FIFO I/O and the staging-buffer pool.
+"""Scatter-gather FIFO I/O.
 
-``push_vec`` must be byte-equivalent to joining the parts and calling
-``push``; ``peek_view`` must expose the same bytes with zero copies
-(two ring segments iff the entry wraps); ``BufferPool`` recycles
-waiting-list staging buffers.
+A vectored ``push`` must be byte-equivalent to pushing the joined
+parts; ``peek_view`` must expose the same bytes with zero copies (two
+ring segments iff the entry wraps), and ``pop`` must copy them out.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.fifo import BufferPool, Fifo, fifo_pages_for_order
+from repro.core.fifo import Fifo, fifo_pages_for_order
 from repro.net.packet import WIRE_STATS
 from repro.xen.page import SharedRegion
 
@@ -22,33 +21,33 @@ def make_fifo(k=9):
 class TestPushVec:
     def test_vectored_entry_round_trips(self):
         fifo = make_fifo()
-        assert fifo.push_vec((b"head", b"body", b"tail"), msg_type=2)
+        assert fifo.push((b"head", b"body", b"tail"), msg_type=2)
         assert fifo.pop() == (2, b"headbodytail")
 
     def test_matches_joined_push(self):
         parts = (b"\x01\x02", b"", b"abcdefg", b"\xff" * 9)
         vec, plain = make_fifo(), make_fifo()
-        assert vec.push_vec(parts)
-        assert plain.push(b"".join(parts))
+        assert vec.push(parts)
+        assert plain.push((b"".join(parts),))
         assert vec.pop() == plain.pop()
 
     def test_memoryview_parts(self):
         fifo = make_fifo()
         buf = bytearray(b"0123456789")
-        assert fifo.push_vec((memoryview(buf)[:4], memoryview(buf)[4:]))
+        assert fifo.push((memoryview(buf)[:4], memoryview(buf)[4:]))
         assert fifo.pop() == (1, b"0123456789")
 
     def test_full_fifo_rejected(self):
         fifo = make_fifo(k=6)  # 64 slots -> 63 usable
         big = b"x" * (fifo.capacity_bytes - 8)
-        assert fifo.push_vec((big[:10], big[10:]))
-        assert not fifo.push_vec((b"y",))
+        assert fifo.push((big[:10], big[10:]))
+        assert not fifo.push((b"y",))
         assert fifo.push_failures == 1
 
     def test_counts_fifo_bytes(self):
         fifo = make_fifo()
         before = WIRE_STATS.snapshot()
-        fifo.push_vec((b"ab", b"cde"))
+        fifo.push((b"ab", b"cde"))
         fifo.pop()
         after = WIRE_STATS.snapshot()
         assert after["fifo_bytes_in"] - before["fifo_bytes_in"] == 5
@@ -67,7 +66,7 @@ class TestPushVec:
         expected = []
         for parts in entries:
             joined = b"".join(parts)
-            if fifo.push_vec(parts):
+            if fifo.push(parts):
                 expected.append(joined)
         got = []
         while True:
@@ -81,7 +80,7 @@ class TestPushVec:
 class TestPeekView:
     def test_contiguous_single_segment(self):
         fifo = make_fifo()
-        fifo.push(b"hello world", msg_type=3)
+        fifo.push((b"hello world",), msg_type=3)
         msg_type, segments, slots = fifo.peek_view()
         assert msg_type == 3
         assert len(segments) == 1
@@ -96,20 +95,20 @@ class TestPeekView:
         # wrap around the ring edge.
         first = bytes(range(256)) * 4
         first = first[: cap // 2 + 64]
-        assert fifo.push(first)
+        assert fifo.push((first,))
         assert fifo.pop() == (1, first)
         second = bytes(reversed(range(200)))
-        assert fifo.push(second)
-        msg_type, segments, slots = fifo.peek_view()
+        assert fifo.push((second,))
+        _msg_type, segments, _slots = fifo.peek_view()
         assert len(segments) == 2
         assert b"".join(bytes(s) for s in segments) == second
-        # peek() must materialize the same bytes (single join).
-        assert fifo.peek()[1] == second
-        fifo.advance(slots)
+        # pop() must materialize the same bytes (single join).
+        assert fifo.pop() == (1, second)
+        assert fifo.is_empty
 
     def test_views_alias_ring_until_advance(self):
         fifo = make_fifo()
-        fifo.push(b"aaaa")
+        fifo.push((b"aaaa",))
         _, segments, slots = fifo.peek_view()
         view = segments[0]
         assert bytes(view) == b"aaaa"
@@ -117,33 +116,3 @@ class TestPeekView:
         assert view.obj is fifo._data_mv.obj
         del view, segments
         fifo.advance(slots)
-
-
-class TestBufferPool:
-    def test_miss_then_hit(self):
-        pool = BufferPool()
-        before = WIRE_STATS.snapshot()
-        buf = pool.acquire(100)
-        assert len(buf) == 100
-        pool.release(buf)
-        again = pool.acquire(80)
-        assert again is buf  # recycled, large enough
-        after = WIRE_STATS.snapshot()
-        assert after["pool_misses"] - before["pool_misses"] == 1
-        assert after["pool_hits"] - before["pool_hits"] == 1
-
-    def test_too_small_buffers_skipped(self):
-        pool = BufferPool()
-        pool.release(bytearray(8))
-        buf = pool.acquire(64)
-        assert len(buf) == 64  # fresh allocation, the 8-byte one stays pooled
-        assert len(pool) == 1
-
-    def test_capacity_caps(self):
-        pool = BufferPool(max_buffers=2, max_buffer_bytes=128)
-        for _ in range(3):
-            pool.release(bytearray(16))
-        assert len(pool) == 2  # overflow dropped
-        pool_big = BufferPool(max_buffers=4, max_buffer_bytes=128)
-        pool_big.release(bytearray(4096))
-        assert len(pool_big) == 0  # oversized dropped

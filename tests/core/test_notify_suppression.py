@@ -48,12 +48,12 @@ class TestPreSleepRace:
                 raced["done"] = True
                 # The racing producer: its push landed, its flag read
                 # came back clear, so it sent no notify.
-                assert fifo.push(b"raced", ENTRY_STREAM)
+                assert fifo.push((b"raced",), ENTRY_STREAM)
 
         fifo.set_consumer_waiting = arm_then_race
 
         notifies_before = ch_a.notifies
-        run_gen(sim, ch_a.send_entry(ENTRY_STREAM, b"first"))
+        run_gen(sim, ch_a.send_entry_parts(ENTRY_STREAM, (b"first",)))
         sim.run(until=sim.now + 0.01)
 
         assert raced["done"], "drain worker never re-armed"
@@ -78,10 +78,10 @@ class TestPreSleepRace:
             if payload == b"first":
                 # Mid-drain push, CONSUMER_WAITING is clear: suppressed.
                 assert not ch_b.in_fifo.consumer_waiting
-                assert ch_b.in_fifo.push(b"mid-drain", ENTRY_STREAM)
+                assert ch_b.in_fifo.push((b"mid-drain",), ENTRY_STREAM)
 
         ch_b.stream_handler = handler
-        run_gen(sim, ch_a.send_entry(ENTRY_STREAM, b"first"))
+        run_gen(sim, ch_a.send_entry_parts(ENTRY_STREAM, (b"first",)))
         sim.run(until=sim.now + 0.01)
         assert got == [b"first", b"mid-drain"]
         assert ch_b.in_fifo.is_empty

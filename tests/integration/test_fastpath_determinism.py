@@ -38,8 +38,6 @@ GOLDEN_WIRE_COUNTERS = {
     "bytes_parsed": 8068476,
     "fifo_bytes_in": 8107816,
     "fifo_bytes_out": 8107816,
-    "pool_hits": 0,
-    "pool_misses": 0,
 }
 
 #: event-channel suppression counters for the same warm run: the

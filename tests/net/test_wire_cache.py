@@ -181,7 +181,7 @@ class TestCountersReporting:
         snap = WIRE_STATS.snapshot()
         assert f"lazy_l4_parses={snap['lazy_l4_parses']:,}" in out
         assert f"bytes_packed={snap['bytes_packed']:,}" in out
-        assert "l3_cache_hits=" in out and "pool_hits=" in out
+        assert "l3_cache_hits=" in out and "fifo_bytes_in=" in out
 
     def test_counters_reset(self):
         make_udp_packet().to_l3_bytes()

@@ -107,7 +107,7 @@ class TestPersistence:
         # format 3 (whose calendar names the old CPU completion kinds),
         # format 4 (whose state has no metrics snapshot) and format 5
         # (whose serving metrics still count deadline timer fires)
-        for fmt in (SNAPSHOT_FORMAT + 1, 1, 2, 3, 4, 5):
+        for fmt in (SNAPSHOT_FORMAT + 1, 1, 2, 3, 4, 5, 6):
             doc["format"] = fmt
             path.write_text(json.dumps(doc))
             with pytest.raises(SnapshotError):

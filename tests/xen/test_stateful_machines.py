@@ -108,13 +108,26 @@ class FifoMachine(RuleBasedStateMachine):
         self.consumer = Fifo(region)  # peer view over the same memory
         self.model: list[tuple[int, bytes]] = []
 
-    @rule(payload=st.binary(max_size=300), msg_type=st.integers(1, 10))
-    def push(self, payload, msg_type):
+    def _push(self, parts, msg_type):
+        payload = b"".join(parts)
         used = sum(Fifo.slots_needed(len(p)) for _t, p in self.model)
         fits = Fifo.slots_needed(len(payload)) <= (1 << self.K) - used
-        assert self.producer.push(payload, msg_type) == fits
+        assert self.producer.push(parts, msg_type) == fits
         if fits:
             self.model.append((msg_type, payload))
+
+    @rule(payload=st.binary(max_size=300), msg_type=st.integers(1, 10))
+    def push(self, payload, msg_type):
+        self._push((payload,), msg_type)
+
+    @rule(
+        parts=st.lists(st.binary(max_size=120), min_size=2, max_size=4),
+        msg_type=st.integers(1, 10),
+    )
+    def push_scatter_gather(self, parts, msg_type):
+        """A multi-part entry (headers + payload, some as memoryviews)
+        lands as its joined bytes, wrapping the ring edge like any other."""
+        self._push([memoryview(p) if i % 2 else p for i, p in enumerate(parts)], msg_type)
 
     @rule()
     def pop(self):
@@ -126,11 +139,11 @@ class FifoMachine(RuleBasedStateMachine):
 
     @rule()
     def peek_then_advance(self):
-        entry = self.consumer.peek()
+        entry = self.consumer.peek_view()
         if self.model:
             msg_type, payload = self.model.pop(0)
             assert entry is not None
-            assert entry[0] == msg_type and entry[1] == payload
+            assert entry[0] == msg_type and b"".join(entry[1]) == payload
             self.consumer.advance(entry[2])
         else:
             assert entry is None

@@ -32,7 +32,7 @@ from repro.xen.event_channel import NOTIFY_STATS
 _SER_BUCKETS = (
     ("pack", "net/packet.py", ("to_bytes", "to_l3_bytes", "to_l3_parts", "_pack")),
     ("parse", "net/packet.py", ("from_bytes", "from_l3_bytes")),
-    ("copy", "core/fifo.py", ("push", "push_vec", "pop", "peek", "peek_view", "_write_stream")),
+    ("copy", "core/fifo.py", ("push", "pop", "peek_view", "_write_stream")),
 )
 
 
