@@ -4,22 +4,18 @@ Not a paper figure: the paper's evaluation stops at a handful of
 guests, but the roadmap's north star is a control plane that survives
 three orders of magnitude more.  This bench builds reduced and full
 variants of the ``xenloop_bigcluster`` scenario (delta discovery,
-sparse rosters, per-guest channel budget) and records, per guest
+sparse rosters, per-guest channel budget) and prints, per guest
 count:
 
 * engine events/sec over build + warmup + churn (the control plane IS
   the workload here -- there is no bulk data stream);
 * control-plane message counts (scans, delta/full-sync frames, WhoIs
-  queries) so O(changes)-per-scan behaviour is visible in the history;
+  queries) so O(changes)-per-scan behaviour is visible in the output;
 * peak RSS, measured in a **forked child per size** so each figure is
   the high-water mark of exactly one cluster, not of the largest one
   measured earlier in the same process.
 
-Entries append to ``BENCH_engine.json`` with ``kind="cluster_scale"``
-and are grouped by ``n_guests`` in ``tools/check_bench_regression.py``,
-so a 100-guest entry is never gated against the 1,000-guest one.
-
-Run standalone (the recorded sweep)::
+Run standalone (the full sweep, one line printed per size)::
 
     PYTHONPATH=src python benchmarks/bench_cluster_scale.py
 
@@ -37,13 +33,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import pathlib
 import resource
 import sys
 import time
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-DEFAULT_OUTPUT = REPO_ROOT / "BENCH_engine.json"
 DEFAULT_SIZES = (100, 300, 1000)
 
 #: Discovery period for the bench (seconds, simulated).  The churn
@@ -183,45 +176,14 @@ def check_scale_invariants(measured: dict) -> list[str]:
     return problems
 
 
-def _git_sha() -> str:
-    from bench_engine_throughput import _git_sha as sha  # noqa: PLC0415
-
-    return sha()
-
-
-def _append_entry(entry: dict, output: pathlib.Path) -> int:
-    from bench_engine_throughput import _load_history  # noqa: PLC0415
-
-    history = _load_history(output)
-    history.append(entry)
-    data = json.loads(output.read_text()) if output.exists() else {}
-    workload = data.get("workload") if isinstance(data, dict) else None
-    output.write_text(
-        json.dumps({"workload": workload, "history": history}, indent=2) + "\n"
-    )
-    return len(history)
-
-
 def run(
-    sizes: tuple[int, ...] = DEFAULT_SIZES,
-    settle: float = 2.0,
-    output: pathlib.Path = DEFAULT_OUTPUT,
-    seed: int = 7,
-    record: bool = True,
+    sizes: tuple[int, ...] = DEFAULT_SIZES, settle: float = 2.0, seed: int = 7
 ) -> list[dict]:
-    """Measure every size in a fresh child, print and append entries."""
-    sha = _git_sha()
-    date = time.strftime("%Y-%m-%dT%H:%M:%S")
+    """Measure every size in a fresh child and print one line per size."""
     entries = []
     for n_guests in sizes:
         measured = _measure_forked(n_guests, settle, seed)
-        entry = {
-            "sha": sha,
-            "date": date,
-            "kind": "cluster_scale",
-            **measured,
-        }
-        entries.append(entry)
+        entries.append(measured)
         control = measured["control"]
         print(
             f"n={n_guests:>5}: {measured['events']:,} events in "
@@ -231,17 +193,12 @@ def run(
             f"channels<= {measured['channels_max']}, "
             f"peak RSS {measured['peak_rss_kb'] / 1024:.0f} MB"
         )
-        if record:
-            count = _append_entry(entry, output)
-            print(f"  wrote {output} ({count} history entries)")
     return entries
 
 
-def run_smoke(
-    n_guests: int = 100, output: pathlib.Path = DEFAULT_OUTPUT, record: bool = True
-) -> int:
+def run_smoke(n_guests: int = 100) -> int:
     """The CI smoke: one reduced-size run gated on the scale invariants."""
-    entries = run(sizes=(n_guests,), output=output, record=record)
+    entries = run(sizes=(n_guests,))
     problems = check_scale_invariants(entries[0])
     for problem in problems:
         print(f"FAIL: {problem}")
@@ -271,25 +228,18 @@ def main() -> int:
     )
     parser.add_argument("--settle", type=float, default=2.0,
                         help="simulated seconds to run past the last churn action")
-    parser.add_argument("--output", type=pathlib.Path, default=DEFAULT_OUTPUT)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument(
         "--smoke", action="store_true",
         help="single ~100-guest run asserting the scale invariants "
         "(exit 1 on violation)",
     )
-    parser.add_argument(
-        "--no-record", action="store_true",
-        help="measure and assert without appending to the history file",
-    )
     args = parser.parse_args()
     if args.smoke:
-        return run_smoke(output=args.output, record=not args.no_record)
-    run(tuple(args.sizes), args.settle, args.output, args.seed,
-        record=not args.no_record)
+        return run_smoke()
+    run(tuple(args.sizes), args.settle, args.seed)
     return 0
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
     sys.exit(main())

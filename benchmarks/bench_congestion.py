@@ -1,11 +1,8 @@
 """Congestion-cell benchmark: incast + fairness, FIFO vs netfront,
 lossless vs bridge loss.
 
-Runs the :mod:`repro.scenarios.congestion` cells, prints the
-goodput/fairness/retransmit summary per cell, and appends one
-``kind="congestion"`` entry per cell to ``BENCH_engine.json`` so the
-regression gate (``tools/check_bench_regression.py``) tracks the
-events/s of each cell like-for-like by its ``cell`` label.
+Runs the :mod:`repro.scenarios.congestion` cells and prints the
+goodput/fairness/retransmit summary and events/s of each cell.
 
 ``--smoke`` shrinks the transfer sizes for CI (``make
 congestion-smoke``); the full run records the comparison quoted in
@@ -15,15 +12,11 @@ EXPERIMENTS.md.
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 import time
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-DEFAULT_OUTPUT = REPO_ROOT / "BENCH_engine.json"
-sys.path.insert(0, str(REPO_ROOT / "src"))
-sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 #: (scenario, data_path, loss) cells measured per run.
 CELLS = (
@@ -63,27 +56,11 @@ def run_cell(scenario: str, data_path: str, loss: float, smoke: bool) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true", help="small CI-sized cells")
-    parser.add_argument(
-        "--dry-run", action="store_true", help="measure without appending history"
-    )
-    parser.add_argument("--output", default=DEFAULT_OUTPUT, type=pathlib.Path)
     args = parser.parse_args()
 
-    from bench_engine_throughput import _git_sha, _load_history
-
-    sha = _git_sha()
-    entries = []
     for scenario, data_path, loss in CELLS:
         label = _cell_label(scenario, data_path, loss)
         summary = run_cell(scenario, data_path, loss, smoke=args.smoke)
-        entry = {
-            "kind": "congestion",
-            "cell": label,
-            "sha": sha,
-            "smoke": bool(args.smoke),
-            **summary,
-        }
-        entries.append(entry)
         parts = [
             f"{label:<28}",
             f"{summary['aggregate_mbps']:>9.1f} Mbit/s" if summary.get("aggregate_mbps") else f"{summary.get('elephant_mbps', 0):>7.1f}+{summary.get('mice_mbps', 0):.1f} Mbit/s",
@@ -94,16 +71,6 @@ def main() -> int:
             f"{summary['events_per_sec']:,.0f} events/s",
         ]
         print("  ".join(parts))
-
-    if not args.dry_run:
-        history = _load_history(args.output)
-        history.extend(entries)
-        data = json.loads(args.output.read_text()) if args.output.exists() else {}
-        workload = data.get("workload", {}) if isinstance(data, dict) else {}
-        args.output.write_text(
-            json.dumps({"workload": workload, "history": history}, indent=2) + "\n"
-        )
-        print(f"wrote {args.output} ({len(history)} history entries)")
     return 0
 
 

@@ -9,11 +9,10 @@ is that cell's high-water mark alone (and proves the streaming
 histogram holds memory flat at any request count: no per-sample list
 exists anywhere on the hot path).
 
-Appends one ``kind="serving"`` entry per cell to ``BENCH_engine.json``
-so the regression gate (``tools/check_bench_regression.py``) tracks
-each cell's events/s like-for-like by its ``cell`` label.  ``--smoke``
-shrinks the request counts for CI (``make serving-smoke``); the full
-run drives >= 100k open-loop requests through the FIFO path.
+Prints one line per cell: its latency percentiles, SLO violations,
+events/s and peak RSS.  ``--smoke`` shrinks the request counts for CI
+(``make serving-smoke``); the full run drives >= 100k open-loop
+requests through the FIFO path.
 """
 
 from __future__ import annotations
@@ -25,10 +24,7 @@ import pathlib
 import sys
 import time
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-DEFAULT_OUTPUT = REPO_ROOT / "BENCH_engine.json"
-sys.path.insert(0, str(REPO_ROOT / "src"))
-sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 #: offered-load fractions of the probed capacity swept per data path.
 LOAD_FRACTIONS = (0.5, 0.8, 0.95)
@@ -124,20 +120,12 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true", help="small CI-sized cells")
     parser.add_argument(
-        "--dry-run", action="store_true", help="measure without appending history"
-    )
-    parser.add_argument("--output", default=DEFAULT_OUTPUT, type=pathlib.Path)
-    parser.add_argument(
         "--data-paths", default="fifo,netfront",
         help="comma-separated data paths to sweep (default: fifo,netfront)",
     )
     args = parser.parse_args()
 
-    from bench_engine_throughput import _git_sha, _load_history
-
-    sha = _git_sha()
     requests_by_path = SMOKE_REQUESTS if args.smoke else FULL_REQUESTS
-    entries = []
     for data_path in args.data_paths.split(","):
         capacity = probe_capacity(data_path, smoke=args.smoke)
         print(f"{data_path}: capacity {capacity:,.0f} req/s")
@@ -145,16 +133,6 @@ def main() -> int:
             label = _cell_label(data_path, fraction)
             rate = capacity * fraction
             summary = _measure_forked(data_path, requests_by_path[data_path], rate)
-            entry = {
-                "kind": "serving",
-                "cell": label,
-                "sha": sha,
-                "smoke": bool(args.smoke),
-                "capacity_rps": round(capacity, 1),
-                "load_fraction": fraction,
-                **summary,
-            }
-            entries.append(entry)
             print(
                 f"  {label:<26} rate={rate:>9,.0f}/s  "
                 f"p50={summary['p50_us']:>8.1f}us  p99={summary['p99_us']:>9.1f}us  "
@@ -163,16 +141,6 @@ def main() -> int:
                 f"{summary['events_per_sec']:>10,.0f} events/s  "
                 f"rss={summary['peak_rss_kb']:,}kB"
             )
-
-    if not args.dry_run:
-        history = _load_history(args.output)
-        history.extend(entries)
-        data = json.loads(args.output.read_text()) if args.output.exists() else {}
-        workload = data.get("workload", {}) if isinstance(data, dict) else {}
-        args.output.write_text(
-            json.dumps({"workload": workload, "history": history}, indent=2) + "\n"
-        )
-        print(f"wrote {args.output} ({len(history)} history entries)")
     return 0
 
 

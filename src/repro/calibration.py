@@ -79,8 +79,6 @@ class CostModel:
     ip_layer: float = 0.5e-6
     #: ICMP processing per message.
     icmp_layer: float = 0.5e-6
-    #: invoking one netfilter hook chain.
-    netfilter_hook: float = 0.05e-6
     #: building/parsing one IP fragment beyond the first.
     ip_fragment: float = 0.45e-6
     #: neighbour-cache (ARP) lookup.

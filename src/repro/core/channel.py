@@ -33,7 +33,7 @@ from repro import trace
 from repro.core.control import ChannelController, ChannelState
 from repro.core.fifo import Fifo, fifo_pages_for_order
 from repro.core.protocol import CreateChannel
-from repro.net.packet import Packet
+from repro.net.packet import WIRE_STATS, Packet
 from repro.xen.event_channel import NOTIFY_STATS
 from repro.xen.grant_table import GrantError
 from repro.xen.page import SharedRegion
@@ -550,7 +550,9 @@ class Channel:
         the protocol stack has completed processing -- which holds
         "precious space in FIFO ... during protocol processing" and
         back-pressures the sender.  Implemented (and rejected) by the
-        authors; reproduced here for the ablation benchmark."""
+        authors; reproduced here for the ablation benchmark.  Entries
+        that are not packets take :meth:`_deliver`, as in a copying
+        drain."""
         guest = self.guest
         costs = guest.costs
         entry = self.in_fifo.peek_view()
@@ -558,15 +560,20 @@ class Channel:
             return False
         msg_type, segments, slots = entry
         yield guest.exec(costs.xenloop_fifo_op)  # no copy!
-        if msg_type == ENTRY_IPV4:
-            # The ring views stay valid until advance(); the bytes
-            # materialize exactly once, inside from_l3_bytes.
-            data = segments[0] if len(segments) == 1 else b"".join(segments)
+        # The ring views stay valid until advance(); the bytes
+        # materialize exactly once, inside from_l3_bytes for a packet.
+        data = segments[0] if len(segments) == 1 else b"".join(segments)
+        WIRE_STATS.fifo_bytes_out += len(data)
+        now = self.last_activity = guest.sim.now
+        if msg_type != ENTRY_IPV4:
+            self._deliver(msg_type, bytes(data), now)
+        else:
             packet = Packet.from_l3_bytes(data)
             packet.meta["via"] = "xenloop-zerocopy"
+            trace.adopt(packet, guest.sim)
+            trace.mark(packet, "xenloop-fifo-pop", now)
             self.pkts_received += 1
             self.bytes_received += packet.l3_len
-            self.last_activity = guest.sim.now
             # Protocol processing runs inline, with the FIFO space held...
             yield from guest.stack.ipv4.input(packet, _ZeroCopySource())
             # ...and stays held until the application's read copies the

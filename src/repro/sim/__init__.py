@@ -15,7 +15,6 @@ from repro.sim.engine import (
     AllOf,
     AnyOf,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Simulator,
@@ -29,7 +28,6 @@ __all__ = [
     "AnyOf",
     "CPUCores",
     "Event",
-    "Interrupt",
     "LogHistogram",
     "Process",
     "SimulationError",

@@ -7,8 +7,6 @@ The engine is deliberately small and dependency-free.  It provides:
 * :class:`Timeout` -- an event that fires after a simulated delay.
 * :class:`Process` -- a generator-based coroutine driven by the engine.
 * :class:`AnyOf` / :class:`AllOf` -- composite wait conditions.
-* :class:`Interrupt` -- exception injected into a process by
-  :meth:`Process.interrupt`.
 
 Time is a float in **seconds**.  Events scheduled for the same instant
 fire in FIFO order of scheduling (a monotonically increasing sequence
@@ -21,7 +19,7 @@ engine and its per-event allocations, so the hot paths are organised
 around four ideas:
 
 * **Immediate run queue.**  Zero-delay scheduling (``succeed()``,
-  process init, bounces, interrupts -- the overwhelming majority of
+  process init, bounces -- the overwhelming majority of
   events) appends to a plain deque instead of the heap.  Because
   simulated time never decreases, the deque is always sorted by
   ``(time, seq)``; :meth:`Simulator.run` merges the deque head with the
@@ -29,9 +27,9 @@ around four ideas:
   keyed on ``(time, seq)`` -- same-time FIFO semantics are preserved
   exactly, at O(1) instead of O(log n) per event.
 * **Allocation-free resume.**  Process resumption dispatches through
-  bound methods and tiny ``__slots__`` records (:class:`_Resume`,
-  :class:`_InterruptResume`) rather than per-resume lambda closures and
-  full :class:`Event` bounce objects.
+  bound methods and tiny ``__slots__`` :class:`_Resume` records
+  rather than per-resume lambda closures and full :class:`Event`
+  bounce objects.
 * **Allocation-free CPU charges.**  ``yield node.exec(cost)`` -- one per
   simulated hop -- yields the running process's own reusable charge
   record (``Process._charge``, see
@@ -64,7 +62,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Event",
-    "Interrupt",
     "Process",
     "SimulationError",
     "Simulator",
@@ -76,18 +73,6 @@ _INF = float("inf")
 
 class SimulationError(Exception):
     """Raised for engine misuse (e.g. triggering an event twice)."""
-
-
-class Interrupt(Exception):
-    """Raised inside a process when another process interrupts it.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`Process.interrupt`.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 # Event lifecycle states.
@@ -222,23 +207,6 @@ class _Resume:
         proc._step(self.value, self.ok)
 
 
-class _InterruptResume:
-    """Calendar entry that throws :class:`Interrupt` into a process."""
-
-    __slots__ = ("process", "cause")
-
-    def __init__(self, process: "Process", cause: Any):
-        self.process = process
-        self.cause = cause
-
-    def _process(self) -> None:
-        proc = self.process
-        if proc._state != PENDING:
-            return  # process finished before the interrupt fired
-        proc._detach()
-        proc._step(Interrupt(self.cause), False)
-
-
 class _Condition(Event):
     """Base for AnyOf/AllOf.  Fires when ``_check`` says it is satisfied."""
 
@@ -328,31 +296,7 @@ class Process(Event):
         """True while the generator has not finished."""
         return self._state == PENDING
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a dead process is an error; interrupting a process
-        that is about to be resumed is handled gracefully (the interrupt
-        wins; the original event's value is discarded for this wakeup).
-        """
-        if self._state != PENDING:
-            raise SimulationError(f"cannot interrupt dead process {self.name}")
-        sim = self.sim
-        sim._seq += 1
-        sim._ready.append((sim.now, sim._seq, _InterruptResume(self, cause)))
-
     # -- engine internals ----------------------------------------------
-    def _detach(self) -> None:
-        target = self._waiting_on
-        # A charge record has no callback list: once we stop waiting on
-        # it, its segment still ends and frees its core, but resumes no one.
-        if target is not None and target is not self._charge and target._state != PROCESSED:
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._waiting_on = None
-
     def _resume(self, event: Event) -> None:
         self._waiting_on = None
         self._step(event._value, event._ok)
@@ -445,9 +389,10 @@ class Simulator:
         """Calendar entries processed since construction.
 
         Counts everything the main loop pops -- events, timeouts, and the
-        engine's internal resume records -- so ``event_count / wall_s``
-        is the engine-throughput figure tracked by
-        ``benchmarks/bench_engine_throughput.py``.
+        engine's internal resume records.  The count is deterministic for
+        a given seed: ``tests/integration/test_perf_ledger.py`` pins it
+        for each benchmark workload, and ``perfbench/run.py`` reports it
+        per op as ``sim.events_per_op``.
         """
         return self._event_count
 

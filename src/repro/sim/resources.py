@@ -170,7 +170,7 @@ class _Segment:
             self._state = IDLE
             proc._waiting_on = None
             proc._step(None, True)
-        else:  # interrupted, or waiting on another event first
+        else:  # it charged twice before one yield and waits on the other first
             self._state = PROCESSED
 
 
@@ -229,8 +229,8 @@ class CPUCores:
 
         The result is the process's reusable charge record, good for one
         yield.  Outside any process, or while that record is still in
-        flight (two charges before one yield, or an interrupted waiter),
-        this is :meth:`execute` and the result an Event.
+        flight (two charges before one yield), this is :meth:`execute`
+        and the result an Event.
         """
         proc = self.sim.active_process
         if proc is not None:

@@ -48,7 +48,7 @@ __all__ = [
 
 #: manifest format version; bump on any change to the captured tree's
 #: shape so a stale manifest fails loudly instead of digest-mismatching.
-SNAPSHOT_FORMAT = 7
+SNAPSHOT_FORMAT = 8
 
 class SnapshotError(RuntimeError):
     """Base error for the snapshot subsystem."""

@@ -3,8 +3,8 @@
 The paper's evaluation uses a handful of hand-wired 2-3 VM setups; the
 roadmap's churn-heavy many-VM experiments need topologies that compose.
 This module is the declarative layer: you describe a cluster --
-machines, guests, per-guest module configuration, workloads, churn
-schedule -- as plain dataclasses, and :meth:`ClusterSpec.build` turns
+machines, guests, per-guest module configuration, churn schedule --
+as plain dataclasses, and :meth:`ClusterSpec.build` turns
 the description into a live :class:`Cluster` (a
 :class:`~repro.scenarios.Scenario` subclass, so every existing
 workload, report, and trace helper works on it unchanged).
@@ -17,7 +17,7 @@ same event sequence every time, and the hand-written paper scenarios
 re-expressed as specs (see :mod:`repro.scenarios.paper`) reproduce
 their golden results bit-identically.
 
-Example -- eight guests across two Xen machines with a workload::
+Example -- eight guests across two Xen machines, one UDP stream::
 
     spec = ClusterSpec(
         name="two_racks",
@@ -25,11 +25,10 @@ Example -- eight guests across two Xen machines with a workload::
             MachineSpec("xenA", guests=[GuestSpec(f"a{i}") for i in range(4)]),
             MachineSpec("xenB", guests=[GuestSpec(f"b{i}") for i in range(4)]),
         ],
-        workloads=[WorkloadSpec("udp_stream", client="a0", server="a1")],
     )
     cluster = spec.build(costs, seed=7)
     cluster.warmup()
-    results = cluster.run_workloads()
+    result = netperf.udp_stream(cluster.view("a0", "a1"))
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ __all__ = [
     "ClusterSpec",
     "GuestSpec",
     "MachineSpec",
-    "WorkloadSpec",
 ]
 
 #: OUI base for auto-assigned physical NIC MACs (matches the paper
@@ -111,22 +109,6 @@ class MachineSpec:
         if self.kind not in ("xen", "native"):
             raise ValueError(f"machine kind must be 'xen' or 'native', not {self.kind!r}")
         object.__setattr__(self, "guests", tuple(self.guests))
-
-
-@dataclass(frozen=True)
-class WorkloadSpec:
-    """One measurement between two named guests.
-
-    ``kind`` names a :mod:`repro.workloads.netperf` workload
-    (``udp_stream``, ``tcp_stream``, ``tcp_rr``, ``udp_rr``,
-    ``tcp_crr``); ``params`` are passed through (msg_size, duration,
-    ...).  Workloads run sequentially in list order.
-    """
-
-    kind: str
-    client: str
-    server: str
-    params: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -205,20 +187,6 @@ class Cluster(Scenario):
         return dataclasses.replace(
             self, node_a=a, node_b=b, ip_a=a.stack.ip, ip_b=b.stack.ip
         )
-
-    # -- workloads -----------------------------------------------------
-    def run_workloads(self) -> list[tuple[WorkloadSpec, object]]:
-        """Run the spec's workloads sequentially; returns (spec, result)
-        pairs."""
-        from repro.workloads import netperf
-
-        results = []
-        for wl in self.spec.workloads if self.spec else ():
-            fn = getattr(netperf, wl.kind, None)
-            if fn is None:
-                raise ValueError(f"unknown workload kind {wl.kind!r}")
-            results.append((wl, fn(self.view(wl.client, wl.server), **wl.params)))
-        return results
 
     # -- churn ---------------------------------------------------------
     def start_churn(self) -> None:
@@ -319,7 +287,6 @@ class ClusterSpec:
     #: channel; None = auto (True iff the endpoints are co-resident
     #: module-loaded guests and are the only module-loaded guests).
     expect_channels: Optional[bool] = None
-    workloads: tuple[WorkloadSpec, ...] = ()
     churn: tuple[ChurnAction, ...] = ()
     #: discovery protocol: "announce" (the paper's full-roster unicast,
     #: default -- byte-identical to the historical build) or "delta"
@@ -334,7 +301,6 @@ class ClusterSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "machines", tuple(self.machines))
-        object.__setattr__(self, "workloads", tuple(self.workloads))
         object.__setattr__(self, "churn", tuple(self.churn))
         if self.discovery_mode not in ("announce", "delta"):
             raise ValueError(f"unknown discovery_mode {self.discovery_mode!r}")

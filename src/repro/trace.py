@@ -31,7 +31,6 @@ __all__ = [
     "hops",
     "mark",
     "traced_ping",
-    "traced_ping_by_name",
 ]
 
 _KEY = "trace"
@@ -93,11 +92,9 @@ def engine_stats(sim, wall_s: Optional[float] = None) -> dict:
     """Snapshot of the simulator's engine-level and subsystem counters.
 
     Returns ``{"events": <calendar entries processed>, "sim_time": now}``
-    plus, when the caller supplies the measured wall-clock seconds,
-    ``wall_s`` and the derived ``events_per_sec`` -- the throughput
-    number tracked by ``benchmarks/bench_engine_throughput.py`` (see
-    :attr:`repro.sim.engine.Simulator.event_count` for what counts as an
-    event).
+    (see :attr:`repro.sim.engine.Simulator.event_count` for what counts
+    as an event) plus, when the caller supplies the measured wall-clock
+    seconds, ``wall_s`` and the derived ``events_per_sec``.
 
     Two groups are process-global, not per-simulator: ``serialization``
     (:data:`repro.net.packet.WIRE_STATS`, pack, parse and bytes-copied
@@ -163,13 +160,3 @@ def traced_ping(scenario: "Scenario", size: int = 56) -> list[tuple[str, float]]
         return []
     t0 = records[0][1]
     return [(stage, (t - t0) * 1e6) for stage, t in records]
-
-
-def traced_ping_by_name(name: str, size: int = 56, **kwargs) -> list[tuple[str, float]]:
-    """Build a registered scenario by name, warm it up, and trace one
-    ping through it.  ``kwargs`` go to :func:`repro.scenarios.build`."""
-    from repro import scenarios
-
-    scn = scenarios.build(name, **kwargs)
-    scn.warmup()
-    return traced_ping(scn, size=size)

@@ -2,11 +2,20 @@
 
 import pytest
 
-from repro import scenarios
+from repro import scenarios, trace
+from repro.core.channel import ENTRY_STREAM
 from repro.core.fifo import Fifo, fifo_pages_for_order
+from repro.net.packet import WIRE_STATS
 from repro.workloads import netperf
 from repro.xen.page import SharedRegion
+from tests.conftest import run_gen
 from tests.core.conftest import FAST, first_channel, udp_once
+
+
+def _zero_copy_scenario():
+    scn = scenarios.xenloop(FAST, zero_copy_rx=True)
+    scn.warmup(max_wait=10.0)
+    return scn
 
 
 class TestFifoPeekAdvance:
@@ -51,8 +60,7 @@ class TestFifoPeekAdvance:
 
 class TestZeroCopyVariant:
     def test_correctness_preserved(self):
-        scn = scenarios.xenloop(FAST, zero_copy_rx=True)
-        scn.warmup(max_wait=10.0)
+        scn = _zero_copy_scenario()
         payload = bytes(range(256)) * 16
         assert udp_once(scn, payload, port=7701) == payload
         ch = first_channel(scn, scn.node_a)
@@ -67,6 +75,31 @@ class TestZeroCopyVariant:
             scn.warmup(max_wait=10.0)
             results[zc] = netperf.udp_stream(scn, duration=0.02, msg_size=8192).mbps
         assert results[False] > results[True]
+
+    def test_every_byte_pushed_is_counted_out(self):
+        """Five 1,000 B datagrams: 1,028 B of IPv4 packet each go into
+        the FIFO, and the zero-copy drain reads all of them out."""
+        scn = _zero_copy_scenario()
+        WIRE_STATS.reset()
+        for i in range(5):
+            assert udp_once(scn, bytes([i]) * 1000, port=7702 + i) == bytes([i]) * 1000
+        assert (WIRE_STATS.fifo_bytes_in, WIRE_STATS.fifo_bytes_out) == (5140, 5140)
+
+    def test_traced_ping_marks_the_fifo_pop(self):
+        stages = [stage for stage, _ in trace.traced_ping(_zero_copy_scenario())]
+        assert stages[:3] == ["ip-output", "xenloop-fifo-push", "xenloop-fifo-pop"]
+
+    def test_stream_frames_reach_the_stream_handler(self):
+        scn = _zero_copy_scenario()
+        ch_a = first_channel(scn, scn.node_a)
+        ch_b = first_channel(scn, scn.node_b)
+        got = []
+        ch_b.stream_handler = got.append
+        pkts, nbytes = ch_b.pkts_received, ch_b.bytes_received
+        assert run_gen(scn.sim, ch_a.send_entry_parts(ENTRY_STREAM, (b"frame-", memoryview(b"1"))))
+        scn.sim.run(until=scn.sim.now + 0.001)
+        assert got == [b"frame-1"]
+        assert (ch_b.pkts_received, ch_b.bytes_received) == (pkts + 1, nbytes + 7)
 
 
 class TestCoalescingToggle:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.calibration import DEFAULT_COSTS
 from repro.net.node import Node
-from repro.sim.engine import Event, Interrupt, SimulationError, Simulator
+from repro.sim.engine import Event, SimulationError, Simulator
 from repro.sim.resources import CPUCores
 
 # Dyadic costs keep float sums exact, so completions tie often.
@@ -138,69 +138,6 @@ class TestEdges:
         assert via_record == via_event
         # the second charge fell back to an Event: the record was in flight
         assert kinds[1][0] is not Event and kinds[1][1] is Event
-
-    def test_interrupt_while_waiting_on_charge(self):
-        def scenario(sim, charge, log):
-            def victim():
-                try:
-                    yield charge(2.0)
-                    log.append(("victim-done", sim.now))
-                except Interrupt:
-                    log.append(("victim-interrupted", sim.now))
-                yield charge(1.0)  # the record is still in flight
-                log.append(("victim-again", sim.now))
-                yield sim.timeout(5.0)
-                yield charge(1.0)  # its segment ended long ago
-                log.append(("victim-last", sim.now))
-
-            def queued():
-                yield charge(1.0)  # behind the victim's segment
-                log.append(("queued", sim.now))
-
-            proc = sim.process(victim())
-
-            def interrupter():
-                yield sim.timeout(1.0)
-                proc.interrupt("stop")
-
-            return [queued(), interrupter()]
-
-        via_event = _trace(Simulator(), scenario, via_node=False)
-        via_record = _trace(Simulator(), scenario, via_node=True)
-        assert via_record == via_event
-        log = via_record[0]
-        # interrupted once, never resumed a second time by the old charge;
-        # the old segment still ran to t=2 and then freed the core
-        assert log == [
-            ("victim-interrupted", 1.0),
-            ("queued", 3.0),
-            ("victim-again", 4.0),
-            ("victim-last", 10.0),
-        ]
-
-    def test_rewait_on_charge_after_interrupt(self):
-        def scenario(sim, charge, log):
-            def victim():
-                pending = charge(2.0)
-                try:
-                    yield pending
-                except Interrupt:
-                    log.append(("interrupted", sim.now))
-                    yield pending
-                log.append(("done", sim.now))
-
-            proc = sim.process(victim())
-
-            def interrupter():
-                yield sim.timeout(1.0)
-                proc.interrupt()
-
-            return [interrupter()]
-
-        via_event = _trace(Simulator(), scenario, via_node=False)
-        via_record = _trace(Simulator(), scenario, via_node=True)
-        assert via_record == via_event
-        assert via_record[0] == [("interrupted", 1.0), ("done", 2.0)]
 
     def test_yield_none_before_any_charge_rejected(self, sim):
         def gen():

@@ -6,7 +6,6 @@ from repro.sim.engine import (
     AllOf,
     AnyOf,
     Event,
-    Interrupt,
     SimulationError,
     Simulator,
     Timeout,
@@ -222,51 +221,6 @@ class TestProcess:
         proc = sim.process(gen())
         with pytest.raises(SimulationError, match="timeout"):
             sim.run_until_complete(proc, timeout=10.0)
-
-
-class TestInterrupt:
-    def test_interrupt_carries_cause(self, sim):
-        def gen():
-            try:
-                yield sim.timeout(100.0)
-            except Interrupt as intr:
-                return ("interrupted", intr.cause, sim.now)
-
-        proc = sim.process(gen())
-
-        def interrupter():
-            yield sim.timeout(3.0)
-            proc.interrupt("reason")
-
-        sim.process(interrupter())
-        assert sim.run_until_complete(proc) == ("interrupted", "reason", 3.0)
-
-    def test_interrupt_dead_process_raises(self, sim):
-        def gen():
-            yield sim.timeout(1.0)
-
-        proc = sim.process(gen())
-        sim.run()
-        with pytest.raises(SimulationError):
-            proc.interrupt()
-
-    def test_interrupted_process_can_continue(self, sim):
-        def gen():
-            try:
-                yield sim.timeout(100.0)
-            except Interrupt:
-                pass
-            yield sim.timeout(1.0)
-            return sim.now
-
-        proc = sim.process(gen())
-
-        def interrupter():
-            yield sim.timeout(2.0)
-            proc.interrupt()
-
-        sim.process(interrupter())
-        assert sim.run_until_complete(proc) == 3.0
 
 
 class TestConditions:

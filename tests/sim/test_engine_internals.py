@@ -1,71 +1,8 @@
-"""Engine internals: callback detachment, interrupt races, rng."""
+"""Engine internals: rng determinism, process semantics."""
 
 import pytest
 
-from repro.sim.engine import Interrupt, SimulationError, Simulator
-
-
-class TestInterruptRaces:
-    def test_interrupt_detaches_from_shared_event(self, sim):
-        """Interrupting a process waiting on an event must remove its
-        callback so a later firing doesn't resume it twice."""
-        shared = sim.event()
-        log = []
-
-        def gen():
-            try:
-                yield shared
-                log.append("event")
-            except Interrupt:
-                log.append("interrupt")
-                yield sim.timeout(5.0)
-                log.append("slept")
-
-        proc = sim.process(gen())
-
-        def driver():
-            yield sim.timeout(1.0)
-            proc.interrupt()
-            yield sim.timeout(1.0)
-            shared.succeed("late")  # must NOT resume proc again
-
-        sim.process(driver())
-        sim.run()
-        assert log == ["interrupt", "slept"]
-
-    def test_interrupt_racing_with_completion(self, sim):
-        """Interrupt issued in the same instant the waited event fires:
-        exactly one resume wins and nothing crashes."""
-        ev = sim.event()
-        outcome = []
-
-        def gen():
-            try:
-                value = yield ev
-                outcome.append(("value", value))
-            except Interrupt as intr:
-                outcome.append(("interrupt", intr.cause))
-
-        proc = sim.process(gen())
-
-        def driver():
-            yield sim.timeout(1.0)
-            ev.succeed("win")
-            if proc.is_alive:
-                proc.interrupt("race")
-
-        sim.process(driver())
-        sim.run()
-        assert len(outcome) == 1
-
-    def test_interrupting_finished_process_during_same_step(self, sim):
-        def quick():
-            yield sim.timeout(1.0)
-
-        proc = sim.process(quick())
-        sim.run()
-        with pytest.raises(SimulationError):
-            proc.interrupt()
+from repro.sim.engine import Simulator
 
 
 class TestDeterminism:

@@ -105,9 +105,11 @@ class TestPersistence:
         # key and announce guests gained a roster view), format 2
         # (whose recipe costs still carry a TCP initial-window field),
         # format 3 (whose calendar names the old CPU completion kinds),
-        # format 4 (whose state has no metrics snapshot) and format 5
-        # (whose serving metrics still count deadline timer fires)
-        for fmt in (SNAPSHOT_FORMAT + 1, 1, 2, 3, 4, 5, 6):
+        # format 4 (whose state has no metrics snapshot), format 5
+        # (whose serving metrics still count deadline timer fires),
+        # format 6 (whose module tree has a staging pool) and format 7
+        # (whose recipe costs carry a netfilter hook cost)
+        for fmt in (SNAPSHOT_FORMAT + 1, 1, 2, 3, 4, 5, 6, 7):
             doc["format"] = fmt
             path.write_text(json.dumps(doc))
             with pytest.raises(SnapshotError):

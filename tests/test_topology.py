@@ -1,11 +1,12 @@
 """Declarative topology layer: spec validation, build semantics, and a
-full cluster (8 guests, 2 machines) running warmup + workloads + churn."""
+full cluster (8 guests, 2 machines) running warmup + a UDP stream + churn."""
 
 import pytest
 
 from repro import scenarios, topology
 from repro.calibration import DEFAULT_COSTS
 from repro.core.channel import ChannelState
+from repro.workloads import netperf
 
 FAST = DEFAULT_COSTS.replace(discovery_period=0.2, bootstrap_timeout=0.01)
 
@@ -133,18 +134,8 @@ class TestClusterEndToEnd:
     def test_eight_guests_two_machines_warmup_and_udp(self):
         """The acceptance topology: 8 XenLoop guests on 2 machines run
         discovery, connect the co-resident endpoint pair, and carry a
-        UDP workload declared in the spec."""
-        spec = two_machine_spec(
-            endpoints=("m0g0", "m0g1"),
-            workloads=(
-                topology.WorkloadSpec(
-                    kind="udp_stream",
-                    client="m0g0",
-                    server="m0g1",
-                    params={"duration": 0.02, "msg_size": 8192},
-                ),
-            ),
-        )
+        UDP stream between two named guests."""
+        spec = two_machine_spec(endpoints=("m0g0", "m0g1"))
         cluster = spec.build(FAST)
         assert len(cluster.guests) == 8
         cluster.warmup(max_wait=10.0)
@@ -152,10 +143,7 @@ class TestClusterEndToEnd:
         assert any(
             ch.state is ChannelState.CONNECTED for ch in module.channels.values()
         )
-        results = cluster.run_workloads()
-        assert len(results) == 1
-        wl, res = results[0]
-        assert wl.kind == "udp_stream"
+        res = netperf.udp_stream(cluster.view("m0g0", "m0g1"), duration=0.02, msg_size=8192)
         assert res.mbps > 0
 
     @pytest.mark.slow
