@@ -4,7 +4,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-all bench-smoke bigcluster-smoke congestion-smoke serving-smoke fault-matrix snapshot-smoke examples clean
+.PHONY: install test bench bench-all bench-smoke congestion-smoke serving-smoke fault-matrix snapshot-smoke examples clean
 
 install:
 	@$(PYTHON) -m pip install -e . 2>/dev/null || ( \
@@ -23,19 +23,12 @@ bench:
 bench-all:
 	PYTHONPATH=src $(PYTHON) tools/run_benches.py
 
-# Quick bench pulse: the Table 3 latency bench alone.  Its simulated
-# latencies are deterministic, so CI checks benchmarks/results/
-# table3_latency.txt is unchanged afterwards.
+# Quick bench pulse: the Table 3 latency bench and the discovery
+# ablation.  Their simulated results are deterministic, so CI checks
+# benchmarks/results/table3_latency.txt and ablation_discovery.txt are
+# unchanged afterwards.
 bench-smoke:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_table3_latency.py --benchmark-only -s
-
-# Control-plane scale smoke: a ~100-guest delta-discovery cluster under
-# churn; asserts O(changes) control messages per scan (announce mode
-# would be O(n) frames / O(n^2) receptions), channel tables bounded by
-# the per-guest budget, and sparse per-guest rosters.  Exits nonzero on
-# any violation.
-bigcluster-smoke:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_cluster_scale.py --smoke
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_table3_latency.py benchmarks/bench_ablation_discovery.py --benchmark-only -s
 
 # Congestion smoke: the incast + fairness golden tests, then the
 # CI-sized congestion cells (FIFO vs netfront, lossless vs bridge

@@ -472,10 +472,16 @@ class Channel:
             while True:
                 if self.zero_copy_rx:
                     advanced = yield from self._drain_one_zero_copy()
-                    if not advanced:
-                        break
-                    drained += 1
-                    continue
+                    if advanced:
+                        drained += 1
+                        continue
+                    # One batch per wake that drained anything.
+                    if drained:
+                        self.drain_batches += 1
+                        self.drain_entries += drained
+                        NOTIFY_STATS.drain_batches += 1
+                        NOTIFY_STATS.drain_entries += drained
+                    break
                 # Pop a batch, charge ONE aggregated segment for the
                 # FIFO bookkeeping + copies, then deliver the batch.
                 burst = []

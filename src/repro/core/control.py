@@ -24,9 +24,9 @@ transport:
   from the tables.
 * :class:`ControlPlane` -- the per-guest orchestrator extracted from
   :class:`~repro.core.module.XenLoopModule`: the [guest-ID, MAC]
-  mapping table (a :class:`~repro.core.roster.RosterView` in both
-  discovery modes), control-frame dispatch, bootstrap initiation, the
-  idle-channel reaper, and the migration/shutdown/unload responses.
+  mapping table (the latest announced roster), control-frame dispatch,
+  bootstrap initiation, the idle-channel reaper, and the
+  migration/shutdown/unload responses.
 
 Determinism note: the FSM itself is pure bookkeeping (no simulated
 time, no event-calendar entries), so driving the existing handshake
@@ -42,18 +42,12 @@ from typing import TYPE_CHECKING, Optional
 
 from repro import faults
 from repro.core.protocol import (
-    DOM0_MAC,
     Announce,
     ChannelAck,
     ConnectRequest,
     CreateChannel,
-    FullSync,
-    PeerInfo,
-    RosterDelta,
-    WhoIs,
     parse_message,
 )
-from repro.core.roster import RosterView
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.channel import Channel
@@ -434,28 +428,17 @@ class ControlPlane:
     def __init__(self, module: "XenLoopModule"):
         self.module = module
         self.guest = module.guest
-        #: the guest's view of the Dom0 roster: a mirror of every
-        #: announced peer in announce mode, the sparse O(active peers)
-        #: view in delta mode.
-        self.roster = RosterView(self.guest.mac, track_all=not module.delta_discovery)
         #: MAC -> guest-ID of co-resident XenLoop-willing guests: the
-        #: roster view's entry table, one dict for the data path and
-        #: the roster bookkeeping.
-        self.mapping: dict["MacAddr", int] = self.roster.entries
+        #: latest announced roster, never including this guest's own MAC.
+        self.mapping: dict["MacAddr", int] = {}
         #: MAC -> live Channel endpoint.
         self.channels: dict["MacAddr", "Channel"] = {}
         #: guest-ID -> live Channel: the data path's domid-hashed index,
         #: kept in lockstep with ``channels``.
         self.channels_by_domid: dict[int, "Channel"] = {}
-        #: per-MAC timestamp of the last WhoIs sent (rate limiter).
-        self._whois_at: dict["MacAddr", float] = {}
-        #: MACs with a budget eviction already in flight.
-        self._evicting: set["MacAddr"] = set()
         #: packets saved across a migration (resent on the new machine).
         self.saved_packets: list[bytes] = []
         self.announcements_seen = 0
-        self.whois_sent = 0
-        self.budget_evictions = 0
 
     def snapshot_state(self) -> dict:
         """Mapping table, per-channel FSM/controller state, and the
@@ -466,13 +449,8 @@ class ControlPlane:
                 str(mac): ch.snapshot_state() for mac, ch in self.channels.items()
             },
             "channels_by_domid": sorted(self.channels_by_domid),
-            "roster": self.roster.snapshot_state(),
-            "whois_at": {str(mac): t for mac, t in self._whois_at.items()},
-            "evicting": sorted(str(mac) for mac in self._evicting),
             "saved_packets": len(self.saved_packets),
             "announcements_seen": self.announcements_seen,
-            "whois_sent": self.whois_sent,
-            "budget_evictions": self.budget_evictions,
         }
 
     # ------------------------------------------------------------------
@@ -485,45 +463,14 @@ class ControlPlane:
         self.channels[mac] = channel
         self.channels_by_domid[peer_domid] = channel
         self.module.channel_created(channel)
-        self._enforce_budget()
         return channel
 
     def channel_closed(self, channel: "Channel") -> None:
-        """Drop a closed (or never-live) channel from both tables and
-        from the eviction set."""
-        self._evicting.discard(channel.peer_mac)
+        """Drop a closed (or never-live) channel from both tables."""
         if self.channels.get(channel.peer_mac) is channel:
             del self.channels[channel.peer_mac]
         if self.channels_by_domid.get(channel.peer_domid) is channel:
             del self.channels_by_domid[channel.peer_domid]
-
-    def _enforce_budget(self) -> None:
-        """Evict least-recently-active CONNECTED channels above the
-        module's ``channel_budget`` (no-op when unset).  Handshakes in
-        flight are never evicted -- the table may transiently exceed the
-        budget until they connect and the next enforcement pass runs."""
-        budget = self.module.channel_budget
-        if budget is None:
-            return
-        excess = len(self.channels) - len(self._evicting) - budget
-        if excess <= 0:
-            return
-        victims = sorted(
-            (
-                ch
-                for ch in self.channels.values()
-                if ch.state is ChannelState.CONNECTED
-                and ch.peer_mac not in self._evicting
-            ),
-            key=lambda ch: (ch.last_activity, ch.peer_domid),
-        )
-        for channel in victims[:excess]:
-            self._evicting.add(channel.peer_mac)
-            self.budget_evictions += 1
-            self.guest.spawn(
-                self._teardown_and_fallback(channel, ChannelEvent.IDLE_EXPIRED),
-                name="xl-evict",
-            )
 
     # ------------------------------------------------------------------
     # XenStore advertisement (soft-state discovery, Sect. 3.2)
@@ -548,28 +495,6 @@ class ControlPlane:
             msg = parse_message(packet.payload)
         except ValueError:
             return
-        if isinstance(msg, (RosterDelta, FullSync)):
-            # Receive-side fault tap: deltas and full syncs travel as
-            # ONE multicast frame, so per-recipient drop/delay/dup (the
-            # rule's ``guest`` matches the recipient, same convention as
-            # Announce) must be applied here rather than at the single
-            # send.  Duplicate application is safe: the epoch check in
-            # the roster view makes a re-applied frame a no-op.
-            applications = 1
-            plan = guest.sim.fault_plan
-            if plan is not None and plan.has_control_rules:
-                deliver, delay, dup = plan.on_control(guest.name, type(msg).__name__)
-                if not deliver:
-                    return
-                if delay > 0.0:
-                    yield guest.sim.timeout(delay)
-                applications += dup
-            for _ in range(applications):
-                if isinstance(msg, RosterDelta):
-                    self.handle_roster_delta(msg)
-                else:
-                    self.handle_full_sync(msg)
-            return
         if isinstance(msg, Announce):
             self.handle_announce(msg)
         elif isinstance(msg, ConnectRequest):
@@ -584,55 +509,36 @@ class ControlPlane:
             # the incarnation check.
             if channel is not None and channel.peer_domid == msg.sender_domid:
                 channel.ctrl.on_channel_ack()
-        elif isinstance(msg, PeerInfo):
-            self.handle_peer_info(msg)
 
     def handle_announce(self, msg: Announce) -> None:
+        """Make ``mapping`` the announced roster (minus this guest) and
+        retire the channels of peers that vanished or changed identity
+        (migrated away, died, or unloaded their module): soft-state
+        pruning, Sect. 3.2."""
         self.announcements_seen += 1
-        if not self.roster.track_all:
-            # Mixed-protocol clusters are unsupported: a delta-mode
-            # guest's sparse mapping must only be grown by WhoIs answers
-            # and inbound handshakes, never by a full-roster frame.
-            return
-        # An announcement is an epoch-free full sync: peers that vanished
-        # or changed identity (migrated away, died, or unloaded their
-        # module) lose their channels.
-        self._apply_roster_changes(self.roster.reconcile(msg.entries))
-        self._nudge_connectors()
-
-    # ------------------------------------------------------------------
-    # Delta discovery (thousand-guest control plane)
-    # ------------------------------------------------------------------
-    def handle_roster_delta(self, msg: RosterDelta) -> None:
-        self.announcements_seen += 1
-        if self.roster.track_all:
-            return
-        retire = self.roster.apply_delta(msg)
-        if retire is not None:
-            self._apply_roster_changes(retire)
-
-    def handle_full_sync(self, msg: FullSync) -> None:
-        self.announcements_seen += 1
-        if self.roster.track_all:
-            return
-        retire = self.roster.apply_full_sync(msg)
-        if retire is None:
-            return
-        self._apply_roster_changes(retire)
-        self._nudge_connectors()
-
-    def _apply_roster_changes(self, retire: list["MacAddr"]) -> None:
-        """Retire the channels of peers the roster view just dropped or
-        re-identified (the view has already updated ``mapping``)."""
+        own_mac = self.guest.mac
+        roster = {mac: domid for domid, mac in msg.entries if mac != own_mac}
+        mapping = self.mapping
+        retire: list["MacAddr"] = []
+        for mac, known in list(mapping.items()):
+            actual = roster.get(mac)
+            if actual is None:
+                del mapping[mac]
+                retire.append(mac)
+            elif actual != known:
+                mapping[mac] = actual
+                retire.append(mac)
+        for mac, domid in roster.items():
+            mapping.setdefault(mac, domid)
         for mac in retire:
             channel = self.channels.get(mac)
             if channel is not None:
                 self._retire(channel)
+        self._nudge_connectors()
 
     def _nudge_connectors(self) -> None:
         """Confirm every channel whose peer the roster still lists.  The
-        full roster (every announcement; every ``full_sync_every`` scans
-        in delta mode) doubles as the connector-retry clock."""
+        periodic announcement doubles as the connector-retry clock."""
         for mac, channel in list(self.channels.items()):
             if self.mapping.get(mac) == channel.peer_domid:
                 channel.ctrl.fsm.feed(ChannelEvent.ANNOUNCE_SEEN)
@@ -650,39 +556,6 @@ class ControlPlane:
         else:
             self.channel_closed(channel)
 
-    def handle_peer_info(self, msg: PeerInfo) -> None:
-        """Dom0 answered a WhoIs: materialize (or negative-cache) the
-        peer.  The next packet to the MAC then hits the mapping and
-        triggers the normal lazy bootstrap."""
-        if self.roster.track_all:
-            return
-        if not msg.found:
-            self.roster.note_negative(msg.mac)
-            return
-        known = self.mapping.get(msg.mac)
-        if known is not None and known != msg.domid:
-            self._refresh_identity(msg.mac, msg.domid)
-            return
-        self.roster.track(msg.mac, msg.domid)
-
-    def note_mapping_miss(self, mac: "MacAddr") -> None:
-        """Data-path mapping miss (delta mode): maybe ask Dom0 who owns
-        ``mac``.  Negative-cached and rate-limited to one WhoIs per
-        discovery period per MAC; the packet itself has already taken
-        the bridge path, so resolution is pure background work."""
-        if mac in self.roster.negative:
-            return
-        now = self.guest.sim.now
-        last = self._whois_at.get(mac)
-        if last is not None and now - last < self.guest.costs.discovery_period:
-            return
-        self._whois_at[mac] = now
-        self.whois_sent += 1
-        self.guest.spawn(
-            self.module.send_control(DOM0_MAC, WhoIs(self.guest.domid, mac)),
-            name="xl-whois",
-        )
-
     def _refresh_identity(self, mac: "MacAddr", domid: int) -> None:
         """Record a [guest-ID, MAC] pair learned from an inbound control
         frame, replacing a stale guest-ID left by a crash/restart that
@@ -695,7 +568,8 @@ class ControlPlane:
             channel = self.channels.get(mac)
             if channel is not None and channel.peer_domid != domid:
                 self._retire(channel)
-        self.roster.track(mac, domid)
+        if mac != self.guest.mac:
+            self.mapping[mac] = domid
 
     def handle_connect_request(self, msg: ConnectRequest) -> None:
         mac = msg.sender_mac
@@ -859,10 +733,6 @@ class ControlPlane:
                     yield from self._teardown_and_fallback(
                         channel, ChannelEvent.IDLE_EXPIRED
                     )
-            # The reaper also polices the channel budget: handshakes
-            # that pushed the table over the cap while eviction was
-            # deferred are trimmed once they connect.
-            self._enforce_budget()
 
     def _teardown_and_fallback(self, channel: "Channel", cause: ChannelEvent):
         """Tear a channel down and re-route its parked packets through
@@ -897,12 +767,6 @@ class ControlPlane:
             saved = yield from channel.ctrl.teardown(ChannelEvent.PRE_MIGRATE)
             self.saved_packets.extend(saved)
         self.mapping.clear()
-        # The destination machine's Dom0 numbers its own epochs: forget
-        # ours and wait for its next full sync (or announcement).
-        self.roster.epoch = 0
-        self.roster.desynced = True
-        self.roster.negative.clear()
-        self._whois_at.clear()
 
     def post_migrate(self):
         """After resuming on the new machine: re-advertise under the new

@@ -57,8 +57,6 @@ class XenLoopModule:
         fifo_order: int = 13,
         idle_timeout: Optional[float] = None,
         zero_copy_rx: bool = False,
-        channel_budget: Optional[int] = None,
-        delta_discovery: bool = False,
     ):
         """Load the module into ``guest``.
 
@@ -68,13 +66,6 @@ class XenLoopModule:
         for this many seconds ("conserve system resources", Sect. 3.1).
         ``zero_copy_rx``: use the receive-side zero-copy variant the
         paper evaluated and rejected (ablation only).
-        ``channel_budget``: LRU cap on concurrent channels -- the
-        least-recently-active connected channel is evicted (idle-expiry
-        rail) when the table exceeds it, so channel count tracks the
-        working set instead of the cluster size.
-        ``delta_discovery``: this guest's Dom0 runs delta-mode discovery
-        (RosterDelta/FullSync multicasts + WhoIs lookups): keep a sparse
-        O(active-peers) roster view instead of the full-roster mapping.
         """
         if guest.stack is None or guest.netfront is None:
             raise ValueError("XenLoop needs a guest with a vif network stack")
@@ -82,8 +73,6 @@ class XenLoopModule:
         self.fifo_order = fifo_order
         self.idle_timeout = idle_timeout
         self.zero_copy_rx = zero_copy_rx
-        self.channel_budget = channel_budget
-        self.delta_discovery = delta_discovery
         self.loaded = True
 
         #: the control plane: mapping/channel tables, bootstrap,
@@ -130,8 +119,6 @@ class XenLoopModule:
         return {
             "loaded": self.loaded,
             "fifo_order": self.fifo_order,
-            "channel_budget": self.channel_budget,
-            "delta_discovery": self.delta_discovery,
             "control": self.control.snapshot_state(),
             "pkts_via_channel": self.pkts_via_channel,
             "pkts_via_standard": self.pkts_via_standard,
@@ -168,12 +155,6 @@ class XenLoopModule:
         peer_domid = control.mapping.get(mac)
         if peer_domid is None:
             yield guest.exec(lookup)
-            if not control.roster.track_all:
-                # Sparse mapping (delta mode): the miss may just mean we
-                # never asked.  Query Dom0 in the background; this and
-                # every packet until the answer arrives stay on the
-                # bridge path, so delivery order is preserved.
-                control.note_mapping_miss(mac)
             self.pkts_via_standard += 1
             return Verdict.ACCEPT
         channel = control.channels_by_domid.get(peer_domid)
@@ -284,6 +265,4 @@ class XenLoopModule:
             "too_big": self.pkts_too_big,
             "channels": len(self.control.channels),
             "announcements": self.control.announcements_seen,
-            "whois_sent": self.control.whois_sent,
-            "budget_evictions": self.control.budget_evictions,
         }

@@ -13,29 +13,12 @@ shared-memory channel they negotiate (paper Sect. 3.2-3.3):
 * ``CREATE_CHANNEL`` -- listener -> connector: grant references of the
   two FIFO descriptor pages plus the unbound event-channel port.
 * ``CHANNEL_ACK``  -- connector -> listener: channel is mapped and bound.
-
-The thousand-guest control plane adds the *delta* discovery protocol
-(the full-roster Announce is O(cluster) bytes per guest per scan and
-collapses long before 1,000 guests):
-
-* ``ROSTER_DELTA`` -- Dom0 -> all local guests (one link-local
-  multicast frame): the joins and leaves of ONE scan, tagged with a
-  monotonically increasing ``epoch``.  Empty scans send nothing.
-* ``FULL_SYNC``    -- Dom0 -> all local guests, every
-  ``full_sync_every`` scans: the entire roster plus the current epoch,
-  so a guest that missed a delta (frame loss, late boot) resynchronises
-  within one full-sync period.
-* ``WHOIS``        -- guest -> Dom0 (unicast to :data:`DOM0_MAC`): "is
-  MAC x a co-resident XenLoop guest, and what is its domid?"  Sent on
-  a data-path mapping miss; the sparse guest only ever stores roster
-  entries for peers it actually talks to.
-* ``PEER_INFO``    -- Dom0 -> asking guest: the answer (found + domid).
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.net.addr import MacAddr
 
@@ -45,11 +28,6 @@ __all__ = [
     "ConnectRequest",
     "CreateChannel",
     "DOM0_MAC",
-    "FullSync",
-    "PeerInfo",
-    "RosterDelta",
-    "WhoIs",
-    "XENLOOP_MCAST",
     "parse_message",
 ]
 
@@ -57,40 +35,11 @@ MSG_ANNOUNCE = 1
 MSG_CONNECT_REQUEST = 2
 MSG_CREATE_CHANNEL = 3
 MSG_CHANNEL_ACK = 4
-MSG_ROSTER_DELTA = 5
-MSG_FULL_SYNC = 6
-MSG_WHOIS = 7
-MSG_PEER_INFO = 8
 
-#: destination MAC of RosterDelta/FullSync frames: an IEEE 802.1D
-#: link-local multicast address.  Bridges never forward the 01:80:c2
-#: reserved range out of the machine, so delta discovery stays strictly
-#: machine-local even though it is a single flooded frame.
-XENLOOP_MCAST = MacAddr("01:80:c2:00:00:0e")
-
-#: Dom0's bridge-facing identity: the source MAC of discovery frames
-#: and the unicast target of guests' WhoIs queries.
+#: Dom0's bridge-facing identity: the source MAC of every Announce.
 DOM0_MAC = MacAddr("fe:ff:ff:ff:ff:ff")
 
 _HDR = struct.Struct("!HI")  # msg type, sender domid
-
-
-def _pack_entries(entries: list[tuple[int, MacAddr]]) -> list[bytes]:
-    out = [struct.pack("!H", len(entries))]
-    for domid, mac in entries:
-        out.append(struct.pack("!I6s", domid, mac.to_bytes()))
-    return out
-
-
-def _unpack_entries(body: bytes, offset: int) -> tuple[list[tuple[int, MacAddr]], int]:
-    (count,) = struct.unpack_from("!H", body, offset)
-    offset += 2
-    entries = []
-    for _ in range(count):
-        domid, mac = struct.unpack_from("!I6s", body, offset)
-        entries.append((domid, MacAddr.from_bytes(mac)))
-        offset += 10
-    return entries, offset
 
 
 @dataclass
@@ -175,106 +124,11 @@ class ChannelAck:
         return cls(sender)
 
 
-@dataclass
-class RosterDelta:
-    """One scan's roster changes: epoch-tagged joins and leaves.
-
-    A receiver applies a delta only when ``epoch`` is exactly one past
-    the epoch it last applied (or adopts the first epoch it ever sees);
-    a gap means a missed delta, and the receiver waits for the next
-    :class:`FullSync` instead of applying a diff against unknown state.
-    """
-
-    sender_domid: int
-    epoch: int
-    joins: list[tuple[int, MacAddr]] = field(default_factory=list)
-    leaves: list[tuple[int, MacAddr]] = field(default_factory=list)
-
-    def to_bytes(self) -> bytes:
-        """Serialize to the XenLoop-type wire format."""
-        out = [_HDR.pack(MSG_ROSTER_DELTA, self.sender_domid), struct.pack("!I", self.epoch)]
-        out.extend(_pack_entries(self.joins))
-        out.extend(_pack_entries(self.leaves))
-        return b"".join(out)
-
-    @classmethod
-    def _parse(cls, sender: int, body: bytes) -> "RosterDelta":
-        (epoch,) = struct.unpack_from("!I", body)
-        joins, offset = _unpack_entries(body, 4)
-        leaves, _ = _unpack_entries(body, offset)
-        return cls(sender, epoch, joins, leaves)
-
-
-@dataclass
-class FullSync:
-    """The complete roster at ``epoch`` (periodic resync broadcast)."""
-
-    sender_domid: int
-    epoch: int
-    entries: list[tuple[int, MacAddr]] = field(default_factory=list)
-
-    def to_bytes(self) -> bytes:
-        """Serialize to the XenLoop-type wire format."""
-        out = [_HDR.pack(MSG_FULL_SYNC, self.sender_domid), struct.pack("!I", self.epoch)]
-        out.extend(_pack_entries(self.entries))
-        return b"".join(out)
-
-    @classmethod
-    def _parse(cls, sender: int, body: bytes) -> "FullSync":
-        (epoch,) = struct.unpack_from("!I", body)
-        entries, _ = _unpack_entries(body, 4)
-        return cls(sender, epoch, entries)
-
-
-@dataclass
-class WhoIs:
-    """Guest asking Dom0 whether ``mac`` is a co-resident XenLoop peer."""
-
-    sender_domid: int
-    mac: MacAddr
-
-    def to_bytes(self) -> bytes:
-        """Serialize to the XenLoop-type wire format."""
-        return _HDR.pack(MSG_WHOIS, self.sender_domid) + struct.pack(
-            "!6s", self.mac.to_bytes()
-        )
-
-    @classmethod
-    def _parse(cls, sender: int, body: bytes) -> "WhoIs":
-        (mac,) = struct.unpack_from("!6s", body)
-        return cls(sender, MacAddr.from_bytes(mac))
-
-
-@dataclass
-class PeerInfo:
-    """Dom0's answer to a :class:`WhoIs` (``domid`` is 0 when not found)."""
-
-    sender_domid: int
-    mac: MacAddr
-    domid: int
-    found: bool
-
-    def to_bytes(self) -> bytes:
-        """Serialize to the XenLoop-type wire format."""
-        return _HDR.pack(MSG_PEER_INFO, self.sender_domid) + struct.pack(
-            "!6sIB", self.mac.to_bytes(), self.domid, int(self.found)
-        )
-
-    @classmethod
-    def _parse(cls, sender: int, body: bytes) -> "PeerInfo":
-        mac, domid, found = struct.unpack_from("!6sIB", body)
-        return cls(sender, MacAddr.from_bytes(mac), domid, bool(found))
-
-
 _PARSERS = {
     MSG_ANNOUNCE: Announce._parse,
     MSG_CONNECT_REQUEST: ConnectRequest._parse,
     MSG_CREATE_CHANNEL: CreateChannel._parse,
     MSG_CHANNEL_ACK: ChannelAck._parse,
-    MSG_ROSTER_DELTA: RosterDelta._parse,
-    MSG_FULL_SYNC: FullSync._parse,
-    MSG_WHOIS: WhoIs._parse,
-    MSG_PEER_INFO: PeerInfo._parse,
 }
 
 

@@ -58,17 +58,6 @@ class MacAddr:
         """True when the I/G bit of the first octet is set."""
         return bool((self.value >> 40) & 0x01)
 
-    @property
-    def is_link_local(self) -> bool:
-        """True for the IEEE 802.1D reserved range 01:80:c2:00:00:0x.
-
-        802.1D-conformant bridges must never forward frames addressed
-        to this block out of another port toward the wider network --
-        XenLoop's delta-discovery multicast rides on this guarantee to
-        stay machine-local.
-        """
-        return (self.value & ~0xF) == 0x0180C2000000
-
     def to_bytes(self) -> bytes:
         """6-byte big-endian wire representation."""
         return self.value.to_bytes(6, "big")

@@ -88,11 +88,6 @@ class Bridge:
         """Purge one learned MAC (e.g. after a guest migrates away)."""
         self._fdb.pop(mac, None)
 
-    def pin(self, mac: MacAddr, port: BridgePort) -> None:
-        """Statically map ``mac`` to ``port`` (e.g. Dom0's control port,
-        which never transmits through the bridge and so is never learned)."""
-        self._fdb[mac] = port
-
     def input(self, in_port: Optional[BridgePort], packet: Packet) -> None:
         """A frame enters the bridge; forwarding happens in a Dom0 process.
 
@@ -129,12 +124,7 @@ class Bridge:
                 yield from out.deliver(packet)
             return
         self.frames_flooded += 1
-        # 802.1D: frames to the 01:80:c2 link-local block must not leave
-        # the bridge via the uplink.
-        link_local = eth.dst.is_link_local
         for port in list(self.ports):
             if port is in_port:
-                continue
-            if link_local and isinstance(port, NicBridgePort):
                 continue
             yield from port.deliver(packet.clone())

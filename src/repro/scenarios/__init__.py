@@ -27,7 +27,6 @@ from repro.scenarios.registry import (
 )
 
 # Importing the builders registers them (must come after registry).
-from repro.scenarios.bigcluster import bigcluster_spec, xenloop_bigcluster
 from repro.scenarios.congestion import (
     run_fairness_cell,
     run_incast_cell,
@@ -53,7 +52,6 @@ __all__ = [
     "SCENARIO_SPECS",
     "Scenario",
     "ScenarioSpec",
-    "bigcluster_spec",
     "build",
     "fault_matrix",
     "inter_machine",
@@ -67,7 +65,6 @@ __all__ = [
     "scenario",
     "scenario_names",
     "xenloop",
-    "xenloop_bigcluster",
     "xenloop_cluster",
     "xenloop_fairness",
     "xenloop_incast",

@@ -65,8 +65,7 @@ _PHYS_MAC_BASE = 0x0002B3000001
 class GuestSpec:
     """One guest (Xen machine) or one host node (native machine).
 
-    ``ip=None`` auto-assigns ``10.0.<h>.<l>`` by global guest position
-    (the historical ``10.0.0.<n>`` for the first 254 guests).
+    ``ip=None`` auto-assigns ``10.0.0.<n>`` by global guest position.
     ``mac=None`` auto-assigns from the Xen OUI counter; a pinned MAC is
     *reused* when the guest is restarted after a crash/shutdown --
     modelling a config with a fixed ``vif mac=`` line -- so peers see
@@ -75,8 +74,6 @@ class GuestSpec:
     default for guests in an all-Xen cluster), ``"socket_bypass"`` for
     the experimental transport-layer variant, or ``None`` for a plain
     guest on the standard netfront/netback path.
-    ``channel_budget`` caps concurrent channels per guest (LRU eviction
-    above it); None = unbounded (the paper's behaviour).
     """
 
     name: str
@@ -85,7 +82,6 @@ class GuestSpec:
     fifo_order: int = 13
     zero_copy_rx: bool = False
     mac: Optional[str] = None
-    channel_budget: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -250,11 +246,10 @@ class Cluster(Scenario):
             name,
             ip=ips[name],
             mac=MacAddr(gspec.mac) if gspec.mac else None,
-            prefix_len=self.spec.prefix_len,
         )
         self.guests[name] = guest
         if gspec.module is not None:
-            self.modules[name] = _load_module(gspec, guest, self.spec.discovery_mode)
+            self.modules[name] = _load_module(gspec, guest)
         guest.stack.arp.announce()
         # Re-aim the measurement endpoints at the new incarnation.
         if self.node_a is old:
@@ -288,22 +283,10 @@ class ClusterSpec:
     #: module-loaded guests and are the only module-loaded guests).
     expect_channels: Optional[bool] = None
     churn: tuple[ChurnAction, ...] = ()
-    #: discovery protocol: "announce" (the paper's full-roster unicast,
-    #: default -- byte-identical to the historical build) or "delta"
-    #: (the thousand-guest control plane: RosterDelta/FullSync
-    #: multicasts, WhoIs lookups, sparse per-guest rosters).
-    discovery_mode: str = "announce"
-    #: delta mode: scans between FullSync heartbeats.
-    full_sync_every: int = 8
-    #: subnet prefix for auto-configured guest stacks.  The default /24
-    #: caps auto-IP allocation at 254 guests; big clusters use 16.
-    prefix_len: int = 24
 
     def __post_init__(self):
         object.__setattr__(self, "machines", tuple(self.machines))
         object.__setattr__(self, "churn", tuple(self.churn))
-        if self.discovery_mode not in ("announce", "delta"):
-            raise ValueError(f"unknown discovery_mode {self.discovery_mode!r}")
         names = [g.name for m in self.machines for g in m.guests]
         if len(names) != len(set(names)):
             raise ValueError(f"duplicate guest names in cluster {self.name!r}")
@@ -371,7 +354,7 @@ class ClusterSpec:
             else:
                 for gspec in mspec.guests:
                     node = Node(sim, machine.cpus, costs, gspec.name)
-                    NetworkStack(node, ips[gspec.name], prefix_len=self.prefix_len)
+                    NetworkStack(node, ips[gspec.name])
                     if switch is not None:
                         nic = PhysNIC(node, costs, f"{node.name}.eth0", _phys_mac(mspec.nic_mac))
                         nic.connect(switch)
@@ -388,7 +371,6 @@ class ClusterSpec:
                     gspec.name,
                     ip=ips[gspec.name],
                     mac=MacAddr(gspec.mac) if gspec.mac else None,
-                    prefix_len=self.prefix_len,
                 )
 
         # Phase 4: guest modules, in global guest order.
@@ -398,9 +380,7 @@ class ClusterSpec:
                 continue
             for gspec in mspec.guests:
                 if gspec.module is not None:
-                    modules[gspec.name] = _load_module(
-                        gspec, guests[gspec.name], self.discovery_mode
-                    )
+                    modules[gspec.name] = _load_module(gspec, guests[gspec.name])
 
         # Phase 5: Dom0 discovery, in machine order.
         discoveries = []
@@ -411,13 +391,7 @@ class ClusterSpec:
             if wants is None:
                 wants = any(g.name in modules for g in mspec.guests)
             if wants:
-                discoveries.append(
-                    DiscoveryModule(
-                        machine,
-                        mode=self.discovery_mode,
-                        full_sync_every=self.full_sync_every,
-                    )
-                )
+                discoveries.append(DiscoveryModule(machine))
 
         end_a, end_b = self.resolved_endpoints()
         return Cluster(
@@ -458,7 +432,7 @@ class ClusterSpec:
         return home[end_a] == home[end_b]
 
 
-def _load_module(gspec: GuestSpec, guest, discovery_mode: str):
+def _load_module(gspec: GuestSpec, guest):
     """Load ``gspec``'s guest-resident module into ``guest`` (at build
     time and again when a guest is restarted)."""
     if gspec.module == "xenloop":
@@ -473,22 +447,15 @@ def _load_module(gspec: GuestSpec, guest, discovery_mode: str):
         guest,
         fifo_order=gspec.fifo_order,
         zero_copy_rx=gspec.zero_copy_rx,
-        channel_budget=gspec.channel_budget,
-        delta_discovery=discovery_mode == "delta",
     )
 
 
 def _ip_allocator(spec: ClusterSpec):
     """Yield (GuestSpec, IPv4Addr) in global declaration order, honouring
-    explicit ``ip`` fields and auto-assigning ``10.0.<h>.<l>``.
+    explicit ``ip`` fields and auto-assigning ``10.0.0.<position>``.
 
-    Positions 1-254 get the historical ``10.0.0.<position>`` addresses
-    (so small-cluster goldens are untouched); the low octet then wraps
-    within 1-254 and the third octet climbs -- a /16 pool good for
-    64,516 guests.  Auto addresses beyond the spec's ``prefix_len``
-    capacity are rejected: a thousand-guest cluster must say
-    ``prefix_len=16`` or packets to high guests would be routed through
-    the (nonexistent) gateway.
+    Guest stacks are configured as /24s, so auto addresses stop at
+    position 254.
     """
     position = 0
     for mspec in spec.machines:
@@ -496,19 +463,11 @@ def _ip_allocator(spec: ClusterSpec):
             position += 1
             if gspec.ip:
                 ip = IPv4Addr(gspec.ip)
+            elif position > 254:
+                raise ValueError(
+                    f"cluster {spec.name!r}: auto-IP pool exhausted at "
+                    f"guest position {position} (max 254)"
+                )
             else:
-                high, low = divmod(position - 1, 254)
-                if high > 255:
-                    raise ValueError(
-                        f"cluster {spec.name!r}: auto-IP pool exhausted at "
-                        f"guest position {position} (max 64516)"
-                    )
-                ip = IPv4Addr(f"10.0.{high}.{low + 1}")
-                if high > 0 and spec.prefix_len > 16:
-                    raise ValueError(
-                        f"cluster {spec.name!r}: guest position {position} "
-                        f"needs auto-IP {ip}, outside the /{spec.prefix_len} "
-                        f"subnet -- set ClusterSpec(prefix_len=16) for "
-                        f"clusters beyond 254 auto-addressed guests"
-                    )
+                ip = IPv4Addr(f"10.0.0.{position}")
             yield gspec, ip

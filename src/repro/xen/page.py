@@ -10,24 +10,19 @@ share memory exactly as mapped grant pages do on real Xen.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 __all__ = ["PAGE_SIZE", "Page", "SharedRegion"]
 
 PAGE_SIZE = 4096
 
-_frame_counter = itertools.count(1)
-
 
 class Page:
     """One 4 KiB machine page."""
 
-    __slots__ = ("frame", "buf", "owner", "region")
+    __slots__ = ("buf", "owner", "region")
 
     def __init__(self, owner: int, buf: np.ndarray | None = None, region: "SharedRegion | None" = None):
-        self.frame = next(_frame_counter)
         if buf is None:
             buf = np.zeros(PAGE_SIZE, dtype=np.uint8)
         if buf.dtype != np.uint8 or buf.shape != (PAGE_SIZE,):
@@ -43,7 +38,7 @@ class Page:
         self.buf[:] = 0
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"<Page frame={self.frame} owner=dom{self.owner}>"
+        return f"<Page owner=dom{self.owner}>"
 
 
 class SharedRegion:

@@ -84,6 +84,9 @@ class TestZeroCopyVariant:
         for i in range(5):
             assert udp_once(scn, bytes([i]) * 1000, port=7702 + i) == bytes([i]) * 1000
         assert (WIRE_STATS.fifo_bytes_in, WIRE_STATS.fifo_bytes_out) == (5140, 5140)
+        scn.sim.run(until=scn.sim.now + 0.001)  # let the drain wake end
+        ch_b = first_channel(scn, scn.node_b)
+        assert ch_b.drain_entries == ch_b.pkts_received and ch_b.drain_batches >= 1
 
     def test_traced_ping_marks_the_fifo_pop(self):
         stages = [stage for stage, _ in trace.traced_ping(_zero_copy_scenario())]

@@ -72,8 +72,6 @@ class TestDispatch:
             "too_big",
             "channels",
             "announcements",
-            "whois_sent",
-            "budget_evictions",
         }
         assert stats["channels"] == 1
 

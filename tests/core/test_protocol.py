@@ -9,10 +9,6 @@ from repro.core.protocol import (
     ChannelAck,
     ConnectRequest,
     CreateChannel,
-    FullSync,
-    PeerInfo,
-    RosterDelta,
-    WhoIs,
     parse_message,
 )
 from repro.net.addr import MacAddr
@@ -60,66 +56,6 @@ class TestRoundtrips:
     def test_announce_roundtrip_property(self, entries):
         back = parse_message(Announce(0, entries).to_bytes())
         assert back.entries == entries
-
-
-class TestDeltaFrames:
-    """Wire round-trips for the delta-discovery control frames."""
-
-    def test_roster_delta(self):
-        msg = RosterDelta(
-            0,
-            epoch=41,
-            joins=[(3, MacAddr("00:16:3e:00:00:03"))],
-            leaves=[(1, MacAddr("00:16:3e:00:00:01")), (2, MacAddr(0x163E000002))],
-        )
-        back = parse_message(msg.to_bytes())
-        assert isinstance(back, RosterDelta)
-        assert (back.sender_domid, back.epoch) == (0, 41)
-        assert back.joins == msg.joins
-        assert back.leaves == msg.leaves
-
-    def test_roster_delta_empty(self):
-        back = parse_message(RosterDelta(0, epoch=1, joins=[], leaves=[]).to_bytes())
-        assert back.joins == [] and back.leaves == []
-
-    def test_full_sync(self):
-        msg = FullSync(0, epoch=7, entries=[(5, MacAddr("00:16:3e:00:00:05"))])
-        back = parse_message(msg.to_bytes())
-        assert isinstance(back, FullSync)
-        assert back.epoch == 7
-        assert back.entries == msg.entries
-
-    def test_whois(self):
-        msg = WhoIs(9, MacAddr("00:16:3e:00:00:02"))
-        back = parse_message(msg.to_bytes())
-        assert isinstance(back, WhoIs)
-        assert (back.sender_domid, back.mac) == (9, msg.mac)
-
-    def test_peer_info_found(self):
-        msg = PeerInfo(0, MacAddr("00:16:3e:00:00:02"), domid=4, found=True)
-        back = parse_message(msg.to_bytes())
-        assert isinstance(back, PeerInfo)
-        assert (back.mac, back.domid, back.found) == (msg.mac, 4, True)
-
-    def test_peer_info_not_found(self):
-        back = parse_message(
-            PeerInfo(0, MacAddr("00:16:3e:00:00:99"), domid=0, found=False).to_bytes()
-        )
-        assert back.found is False
-
-    @given(
-        epoch=st.integers(min_value=0, max_value=2**32 - 1),
-        joins=_entries,
-        leaves=_entries,
-    )
-    def test_roster_delta_roundtrip_property(self, epoch, joins, leaves):
-        back = parse_message(RosterDelta(0, epoch, joins, leaves).to_bytes())
-        assert (back.epoch, back.joins, back.leaves) == (epoch, joins, leaves)
-
-    @given(epoch=st.integers(min_value=0, max_value=2**32 - 1), entries=_entries)
-    def test_full_sync_roundtrip_property(self, epoch, entries):
-        back = parse_message(FullSync(0, epoch, entries).to_bytes())
-        assert (back.epoch, back.entries) == (epoch, entries)
 
 
 class TestMalformed:

@@ -107,9 +107,10 @@ class TestPersistence:
         # format 3 (whose calendar names the old CPU completion kinds),
         # format 4 (whose state has no metrics snapshot), format 5
         # (whose serving metrics still count deadline timer fires),
-        # format 6 (whose module tree has a staging pool) and format 7
-        # (whose recipe costs carry a netfilter hook cost)
-        for fmt in (SNAPSHOT_FORMAT + 1, 1, 2, 3, 4, 5, 6, 7):
+        # format 6 (whose module tree has a staging pool), format 7
+        # (whose recipe costs carry a netfilter hook cost) and format 8
+        # (whose guests carry a roster view and delta-discovery keys)
+        for fmt in (SNAPSHOT_FORMAT + 1, 1, 2, 3, 4, 5, 6, 7, 8):
             doc["format"] = fmt
             path.write_text(json.dumps(doc))
             with pytest.raises(SnapshotError):

@@ -58,6 +58,18 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="to_machine"):
             topology.ChurnAction(at=1.0, action="migrate", guest="g")
 
+    def test_auto_ip_pool_stops_at_254(self):
+        spec = topology.ClusterSpec(
+            name="too_many",
+            machines=(
+                topology.MachineSpec(
+                    name="m0", guests=[topology.GuestSpec(f"g{i}") for i in range(255)]
+                ),
+            ),
+        )
+        with pytest.raises(ValueError, match="auto-IP pool exhausted"):
+            spec.build(FAST)
+
 
 class TestBuildSemantics:
     def test_single_machine_has_no_switch(self):

@@ -13,10 +13,6 @@ class TestPage:
         assert p.buf.dtype == np.uint8
         assert not p.buf.any()
 
-    def test_unique_frames(self):
-        frames = {Page(owner=1).frame for _ in range(50)}
-        assert len(frames) == 50
-
     def test_zero(self):
         p = Page(owner=1)
         p.buf[:] = 0xFF
