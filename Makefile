@@ -23,12 +23,12 @@ bench:
 bench-all:
 	PYTHONPATH=src $(PYTHON) tools/run_benches.py
 
-# Quick bench pulse: the Table 3 latency bench and the discovery
-# ablation.  Their simulated results are deterministic, so CI checks
-# benchmarks/results/table3_latency.txt and ablation_discovery.txt are
-# unchanged afterwards.
+# Quick bench pulse: the Table 2 bandwidth and Table 3 latency benches
+# and the discovery ablation.  Their simulated results are
+# deterministic, so CI checks benchmarks/results/table2_bandwidth.txt,
+# table3_latency.txt and ablation_discovery.txt are unchanged afterwards.
 bench-smoke:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_table3_latency.py benchmarks/bench_ablation_discovery.py --benchmark-only -s
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_table2_bandwidth.py benchmarks/bench_table3_latency.py benchmarks/bench_ablation_discovery.py --benchmark-only -s
 
 # Congestion smoke: the incast + fairness golden tests, then the
 # CI-sized congestion cells (FIFO vs netfront, lossless vs bridge

@@ -15,8 +15,7 @@ four tap points --
 * ``GrantTable.map_grant``: injected **mapping failure** (the
   connector's hypercall fails);
 * ``ChannelController`` phase transitions: guest **crash/restart** or
-  forced **migration** at a chosen handshake phase, scheduled through
-  the topology layer;
+  forced **migration** at a chosen handshake phase;
 * ``Bridge.forward``: **bridge-path packet loss** -- a matching frame
   vanishes after the Dom0 forwarding cost is charged, exercising the
   TCP retransmit/congestion machinery (the XenLoop FIFO path never
@@ -29,9 +28,18 @@ installed -- so runs without faults are bit-identical to a build
 without this module, and the same seed plus the same plan replays the
 same fault schedule bit-identically.
 
+A crash or migrate rule without a ``phase`` is **time-anchored**
+instead: it fires ``delay`` seconds after :meth:`FaultPlan.bind`, and
+looks its guest up by name only then, so a restarted guest resolves to
+its new incarnation.  These rules are the one lifecycle-disruption
+schedule: the serving churn cell is a plan of them (migrate a client
+out and back, crash a bystander with ``restart_after``), each rule in
+its own process, so a long migration delays nothing else.
+
 Install a plan with ``FaultPlan([...], seed=...).install(sim)`` (or
 ``.bind(cluster)``, which also gives crash-restart/migrate rules the
-topology context they need).  Recovery-path counters are recorded via
+topology context they need; time-anchored rules need it, so
+``install`` alone rejects them).  Recovery-path counters are recorded via
 :func:`note_recovered` / :func:`note_degraded` -- cheap no-ops when no
 plan is installed -- and surface through ``trace.engine_stats`` and the
 ``fault_matrix`` scenario sweep.
@@ -111,13 +119,16 @@ class FaultRule:
     frames, recipient for announcements, notifier for notify loss,
     mapper for map failures, victim for crash/migrate) or, for
     PKT_LOSS, the *machine* whose bridge drops; ``phase`` anchors
-    crash/migrate rules to a handshake phase.
+    crash/migrate rules to a handshake phase, and a crash/migrate rule
+    without one is time-anchored to :meth:`FaultPlan.bind` (it then
+    needs ``guest``, and bind is its one match).
 
     Firing is gated deterministically: the first ``skip`` matches pass
     through unharmed, at most ``times`` matches fire (None = unlimited),
     and ``prob < 1`` draws from the plan's seeded generator.  ``delay``
     is the added latency for CONTROL_DELAY and the trigger offset for
-    crash/migrate; ``restart_after`` re-creates a crashed guest that
+    crash/migrate (from the phase, or from ``bind`` for a time-anchored
+    rule); ``restart_after`` re-creates a crashed guest that
     many seconds later (needs a bound cluster); ``to_machine`` names the
     migration target.
     """
@@ -142,8 +153,8 @@ class FaultRule:
             raise ValueError(f"unknown handshake phase {self.phase!r}")
         if self.kind == MIGRATE and self.to_machine is None:
             raise ValueError("a migrate rule needs to_machine")
-        if self.kind in _PHASE_KINDS and self.phase is None:
-            raise ValueError(f"a {self.kind} rule needs a phase")
+        if self.kind in _PHASE_KINDS and self.phase is None and self.guest is None:
+            raise ValueError(f"a {self.kind} rule needs a phase or a guest")
         if (
             self.kind == PKT_LOSS
             and self.message is not None
@@ -184,22 +195,37 @@ class FaultPlan:
         self.has_control_rules = bool(kinds & _CONTROL_KINDS)
         self.has_notify_rules = NOTIFY_DROP in kinds
         self.has_map_rules = MAP_FAIL in kinds
-        self.has_phase_rules = bool(kinds & _PHASE_KINDS)
+        self.has_phase_rules = any(r.phase is not None for r in self.rules)
         self.has_loss_rules = PKT_LOSS in kinds
 
     # -- installation ----------------------------------------------------
     def install(self, sim: "Simulator") -> "FaultPlan":
         """Attach this plan to a simulator's tap points and its
         ``faults`` metrics group."""
+        if self.cluster is None and any(self._timed(r) for r in self.rules):
+            raise ValueError("a time-anchored crash/migrate rule needs bind(cluster)")
         sim.fault_plan = self
         sim.metrics.register("faults", self.snapshot)
         return self
 
     def bind(self, cluster: "Cluster") -> "FaultPlan":
         """Install into a built cluster and keep the topology context
-        (crash-restart and migrate rules need it)."""
+        (crash-restart and migrate rules need it); time-anchored rules
+        start counting their ``delay`` now."""
+        timed = [idx for idx, rule in enumerate(self.rules) if self._timed(rule)]
+        for idx in timed:
+            if self.rules[idx].guest not in cluster.guests:
+                raise ValueError(f"no guest {self.rules[idx].guest!r} in this cluster")
         self.cluster = cluster
-        return self.install(cluster.sim)
+        self.install(cluster.sim)
+        for idx in timed:
+            if self._fire(idx):
+                self._spawn(cluster.sim, self.rules[idx])
+        return self
+
+    @staticmethod
+    def _timed(rule: FaultRule) -> bool:
+        return rule.kind in _PHASE_KINDS and rule.phase is None
 
     # -- rule gating -------------------------------------------------------
     def _fire(self, idx: int) -> bool:
@@ -285,37 +311,38 @@ class FaultPlan:
         ``phase`` as separate processes (so the handshake generator that
         triggered them is not torn down from under itself)."""
         for idx, rule in enumerate(self.rules):
-            if rule.kind not in _PHASE_KINDS:
-                continue
-            if rule.phase != phase:
+            if rule.phase != phase or rule.kind not in _PHASE_KINDS:
                 continue
             if rule.guest is not None and rule.guest != guest.name:
                 continue
-            if not self._fire(idx):
-                continue
-            if rule.kind == CRASH:
-                guest.sim.process(
-                    self._crash_runner(guest, rule), name=f"fault-crash-{guest.name}"
-                )
-            else:
-                guest.sim.process(
-                    self._migrate_runner(guest, rule), name=f"fault-migrate-{guest.name}"
-                )
+            if self._fire(idx):
+                self._spawn(guest.sim, rule, guest)
 
-    def _crash_runner(self, guest: "Domain", rule: FaultRule):
-        yield guest.sim.timeout(rule.delay)
+    def _spawn(self, sim: "Simulator", rule: FaultRule, guest: Optional["Domain"] = None) -> None:
+        """One process per fired crash/migrate rule; ``guest=None`` (a
+        time-anchored rule) resolves the victim by name when it fires."""
+        runner = self._crash_runner if rule.kind == CRASH else self._migrate_runner
+        name = guest.name if guest is not None else rule.guest
+        sim.process(runner(sim, rule, guest), name=f"fault-{rule.kind}-{name}")
+
+    def _crash_runner(self, sim: "Simulator", rule: FaultRule, guest: Optional["Domain"]):
+        yield sim.timeout(rule.delay)
+        if guest is None:
+            guest = self.cluster.guests[rule.guest]
         guest.crash()
         if rule.restart_after is not None and self.cluster is not None:
-            yield guest.sim.timeout(rule.restart_after)
+            yield sim.timeout(rule.restart_after)
             self.cluster.restart_guest(guest.name)
             self.recovered["guest_restart"] += 1
 
-    def _migrate_runner(self, guest: "Domain", rule: FaultRule):
+    def _migrate_runner(self, sim: "Simulator", rule: FaultRule, guest: Optional["Domain"]):
         from repro.xen.migration import live_migrate
 
-        yield guest.sim.timeout(rule.delay)
+        yield sim.timeout(rule.delay)
         if self.cluster is None:
             return
+        if guest is None:
+            guest = self.cluster.guests[rule.guest]
         dst = self.cluster.machines_by_name.get(rule.to_machine)
         if dst is None or dst is guest.machine or not guest.alive:
             return

@@ -3,22 +3,18 @@
 A faithful-in-structure model of the Linux networking path the paper's
 prototype lives in: sk_buff-like packets, a protocol stack with
 netfilter hooks between layers, ARP neighbour cache, IPv4 with
-fragmentation, UDP, a simplified windowed TCP, BSD-style sockets, and
-devices (loopback, physical NIC + switch, and -- in ``repro.xennet`` --
-the Xen split driver).
+fragmentation, UDP, a simplified windowed TCP, and devices (loopback,
+physical NIC + switch, and -- in ``repro.xennet`` -- the Xen split
+driver).
 """
 
 from repro.net.addr import IPv4Addr, MacAddr
 from repro.net.node import Node
 from repro.net.packet import Packet
-from repro.net.sockets import SOCK_DGRAM, SOCK_STREAM, Socket
 
 __all__ = [
     "IPv4Addr",
     "MacAddr",
     "Node",
     "Packet",
-    "SOCK_DGRAM",
-    "SOCK_STREAM",
-    "Socket",
 ]

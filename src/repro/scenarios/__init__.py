@@ -41,7 +41,6 @@ from repro.scenarios.paper import (
     native_loopback,
     netfront_netback,
     xenloop,
-    xenloop_cluster,
     xenloop_mesh,
 )
 
@@ -65,7 +64,6 @@ __all__ = [
     "scenario",
     "scenario_names",
     "xenloop",
-    "xenloop_cluster",
     "xenloop_fairness",
     "xenloop_incast",
     "xenloop_mesh",

@@ -194,7 +194,8 @@ def matrix_cells() -> list[MatrixCell]:
 
 def _pair_spec(machines: int = 1, pin_mac: bool = False) -> topology.ClusterSpec:
     """Two XenLoop guests on one machine (plus an optional empty second
-    machine as a migration target, with its own Dom0 discovery).
+    machine as a migration target; it runs Dom0 discovery too, as every
+    Xen machine of a module-loading cluster does).
 
     ``pin_mac`` fixes vm2's MAC in its spec (high in the Xen OUI, far
     above anything the auto-allocator hands out), so a restart reuses
@@ -214,7 +215,7 @@ def _pair_spec(machines: int = 1, pin_mac: bool = False) -> topology.ClusterSpec
         )
     ]
     if machines > 1:
-        mspecs.append(topology.MachineSpec(name="xenB", discovery=True))
+        mspecs.append(topology.MachineSpec(name="xenB"))
     return topology.ClusterSpec(
         name="fault_matrix",
         machines=tuple(mspecs),

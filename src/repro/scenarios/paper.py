@@ -8,8 +8,6 @@
   over the local loopback interface (the baseline ceiling).
 * ``xenloop_mesh``      -- N co-resident guests, XenLoop everywhere.
 * ``migration_pair``    -- two Xen machines on a switch (Fig. 11).
-* ``xenloop_cluster``   -- many guests across two Xen machines (the
-  roadmap's churn-scale topology).
 
 Each builder is a *thin spec*: it declares the cluster with
 :class:`repro.topology.ClusterSpec` and lets the topology layer build
@@ -31,7 +29,6 @@ __all__ = [
     "native_loopback",
     "netfront_netback",
     "xenloop",
-    "xenloop_cluster",
     "xenloop_mesh",
 ]
 
@@ -176,43 +173,5 @@ def migration_pair(costs: CostModel = DEFAULT_COSTS, seed: int = 0) -> Scenario:
             ),
         ),
         expect_channels=False,
-    )
-    return spec.build(costs, seed=seed)
-
-
-@scenario(description="Many XenLoop guests across two (or more) Xen machines.")
-def xenloop_cluster(
-    costs: CostModel = DEFAULT_COSTS,
-    seed: int = 0,
-    guests_per_machine: int = 4,
-    n_machines: int = 2,
-) -> Scenario:
-    """``n_machines`` Xen machines on a switch, ``guests_per_machine``
-    XenLoop guests each (default 8 guests across 2 machines).
-
-    The endpoints are the first two guests of the first machine, so the
-    measured pair is co-resident (FIFO path) while the cluster carries
-    the discovery/advertisement load of every machine; churn and
-    workload schedules target any guest by name (``m<i>g<j>``).
-    """
-    if n_machines < 1 or guests_per_machine < 1:
-        raise ValueError("xenloop_cluster needs at least one machine and one guest")
-    if n_machines * guests_per_machine < 2:
-        raise ValueError("xenloop_cluster needs at least two guests")
-    spec = topology.ClusterSpec(
-        name="xenloop_cluster",
-        machines=tuple(
-            topology.MachineSpec(
-                name=f"xen{i}",
-                guests=tuple(
-                    topology.GuestSpec(f"m{i}g{j}")
-                    for j in range(guests_per_machine)
-                ),
-            )
-            for i in range(n_machines)
-        ),
-        # expect_channels resolves automatically: warmup waits for the
-        # co-resident endpoint pair; everyone else connects on first
-        # traffic.
     )
     return spec.build(costs, seed=seed)

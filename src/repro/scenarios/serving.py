@@ -11,10 +11,11 @@ path mid-run.
 * ``data_path="fifo"`` loads XenLoop everywhere (requests ride the
   shared-memory FIFO); ``"netfront"`` forces the split-driver bridge
   path throughout -- the same A/B axis the congestion scenarios use.
-* ``churn=True`` adds a second Xen machine and a schedule that
-  live-migrates one client guest out and back (FIFO teardown +
-  re-establishment while requests are in flight) and crash/restarts a
-  bystander guest (discovery noise, no traffic of its own).
+* ``churn=True`` adds a second Xen machine, and :func:`run_serving_cell`
+  binds a fault plan of time-anchored rules that live-migrates one
+  client guest out and back (FIFO teardown + re-establishment while
+  requests are in flight) and crash/restarts a bystander guest
+  (discovery noise, no traffic of its own).
 
 :func:`run_serving_cell` is the shared driver behind the golden tests,
 ``benchmarks/bench_serving.py`` and ``make serving-smoke``.
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from repro import topology
 from repro.calibration import DEFAULT_COSTS, CostModel
+from repro.faults import CRASH, MIGRATE, PKT_LOSS, FaultPlan, FaultRule
 from repro.scenarios.base import Scenario
 from repro.scenarios.congestion import _module_for, loss_plan
 from repro.scenarios.registry import scenario
@@ -49,17 +51,19 @@ def _churn_costs(costs: CostModel) -> CostModel:
     )
 
 
-def serving_churn_schedule(client: str = "c1") -> tuple:
-    """The churn plan for a serving run (offsets from ``start_churn``):
-    migrate ``client`` to the second machine and back -- its FIFO
-    channels tear down and traffic falls back to netfront until
-    discovery re-establishes them -- and crash/restart the bystander.
+def serving_churn_schedule(client: str = "c1") -> tuple[FaultRule, ...]:
+    """The churn rules for a serving run, time-anchored to
+    :meth:`~repro.faults.FaultPlan.bind`: migrate ``client`` to the
+    second machine at 10 ms -- its FIFO channels tear down and traffic
+    falls back to netfront until discovery re-establishes them --
+    crash the bystander at 20 ms and restart it 15 ms later, and
+    migrate ``client`` back at 45 ms, after the first migration (30 ms
+    with the churn cost model) has landed.
     """
     return (
-        topology.ChurnAction(at=0.010, action="migrate", guest=client, to_machine="xenhost2"),
-        topology.ChurnAction(at=0.020, action="crash", guest="spare"),
-        topology.ChurnAction(at=0.035, action="restart", guest="spare"),
-        topology.ChurnAction(at=0.040, action="migrate", guest=client, to_machine="xenhost"),
+        FaultRule(MIGRATE, guest=client, to_machine="xenhost2", delay=0.010),
+        FaultRule(CRASH, guest="spare", delay=0.020, restart_after=0.015),
+        FaultRule(MIGRATE, guest=client, to_machine="xenhost", delay=0.045),
     )
 
 
@@ -75,13 +79,12 @@ def xenloop_serving(
 ) -> Scenario:
     """One server guest and ``n_clients`` client guests co-resident on
     one Xen machine.  With ``churn=True`` a second machine hosts a
-    bystander guest and the schedule from
-    :func:`serving_churn_schedule` runs during the workload."""
+    bystander guest, the migration target of the rules from
+    :func:`serving_churn_schedule`."""
     module = _module_for(data_path)
     guests = [topology.GuestSpec("srv", module=module)]
     guests += [topology.GuestSpec(f"c{i + 1}", module=module) for i in range(n_clients)]
     machines = [topology.MachineSpec(name="xenhost", guests=tuple(guests))]
-    schedule: tuple = ()
     if churn:
         machines.append(
             topology.MachineSpec(
@@ -89,13 +92,11 @@ def xenloop_serving(
                 guests=(topology.GuestSpec("spare", module=module),),
             )
         )
-        schedule = serving_churn_schedule("c1")
         costs = _churn_costs(costs)
     spec = topology.ClusterSpec(
         name="xenloop_serving",
         machines=tuple(machines),
         endpoints=("c1", "srv"),
-        churn=schedule,
     )
     return spec.build(costs, seed=seed)
 
@@ -117,17 +118,21 @@ def run_serving_cell(
 
     Percentiles are reported both in microseconds and as histogram
     bucket indices (``p50_idx``/``p99_idx``) -- the indices are integer
-    and platform-exact, which is what the goldens pin.
+    and platform-exact, which is what the goldens pin.  The churn and
+    loss rules share one plan, bound after warmup, so the churn offsets
+    count from the start of the workload.
     """
     from repro.workloads import serving
 
     scn = xenloop_serving(
         costs=costs, seed=seed, n_clients=n_clients, data_path=data_path, churn=churn
     )
+    rules = serving_churn_schedule("c1") if churn else ()
     if loss > 0.0:
-        loss_plan(loss, seed=seed).bind(scn)
+        rules += loss_plan(loss, seed=seed).rules
     scn.warmup()
-    scn.start_churn()
+    if rules:
+        FaultPlan(rules, seed=seed).bind(scn)
     result = serving.open_loop_rr(
         scn,
         server="srv",
@@ -163,7 +168,5 @@ def run_serving_cell(
     }
     plan = scn.sim.fault_plan
     if plan is not None:
-        from repro.faults import PKT_LOSS
-
         out["frames_dropped"] = plan.injected.get(PKT_LOSS, 0)
     return out

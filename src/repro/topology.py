@@ -1,10 +1,10 @@
 """Declarative cluster topologies: specs in, running scenarios out.
 
-The paper's evaluation uses a handful of hand-wired 2-3 VM setups; the
-roadmap's churn-heavy many-VM experiments need topologies that compose.
-This module is the declarative layer: you describe a cluster --
-machines, guests, per-guest module configuration, churn schedule --
-as plain dataclasses, and :meth:`ClusterSpec.build` turns
+The paper's evaluation topologies (Sect. 4), the multi-guest and
+migration setups, and the serving and fault-matrix cells are all
+described here as specs rather than wired by hand.  You describe a
+cluster -- machines, guests, per-guest module configuration -- as
+plain dataclasses, and :meth:`ClusterSpec.build` turns
 the description into a live :class:`Cluster` (a
 :class:`~repro.scenarios.Scenario` subclass, so every existing
 workload, report, and trace helper works on it unchanged).
@@ -15,7 +15,10 @@ in listed order), guests (in listed order), XenLoop modules (in guest
 order), discovery modules (in machine order) -- so a spec builds the
 same event sequence every time, and the hand-written paper scenarios
 re-expressed as specs (see :mod:`repro.scenarios.paper`) reproduce
-their golden results bit-identically.
+their golden results bit-identically.  Lifecycle disruption
+(migrations, crashes, restarts) is not part of a spec: a
+:class:`~repro.faults.FaultPlan` bound to the built cluster schedules
+it, calling :meth:`Cluster.restart_guest` to bring a guest back.
 
 Example -- eight guests across two Xen machines, one UDP stream::
 
@@ -49,7 +52,6 @@ from repro.sim.engine import Simulator
 from repro.xen.machine import Machine, XenMachine
 
 __all__ = [
-    "ChurnAction",
     "Cluster",
     "ClusterSpec",
     "GuestSpec",
@@ -90,46 +92,21 @@ class MachineSpec:
     ``kind="native"`` (bare host nodes, one per GuestSpec).
 
     ``nic_mac`` overrides the auto-assigned physical MAC used when the
-    cluster has a switch.  ``discovery=None`` auto-enables the Dom0
-    discovery module whenever any guest on the machine loads XenLoop.
+    cluster has a switch.  Every machine has two cores.  A Xen machine
+    runs the Dom0 discovery module iff any guest in the cluster loads a
+    module, so an empty machine can still discover a guest that
+    migrates in.
     """
 
     name: str
     guests: tuple[GuestSpec, ...] = ()
     kind: str = "xen"
-    n_cores: int = 2
     nic_mac: Optional[str] = None
-    discovery: Optional[bool] = None
 
     def __post_init__(self):
         if self.kind not in ("xen", "native"):
             raise ValueError(f"machine kind must be 'xen' or 'native', not {self.kind!r}")
         object.__setattr__(self, "guests", tuple(self.guests))
-
-
-@dataclass(frozen=True)
-class ChurnAction:
-    """One scheduled lifecycle disruption.
-
-    ``action``: ``"migrate"`` (live-migrate ``guest`` to
-    ``to_machine``), ``"shutdown"`` (clean guest shutdown),
-    ``"crash"`` (abrupt death: no callbacks run, peers recover via the
-    announcement diff), ``"restart"`` (re-create a crashed/shut-down
-    guest from its spec), or ``"unload"`` (remove the guest's XenLoop
-    module).  ``at`` is simulated seconds after
-    :meth:`Cluster.start_churn` is called.
-    """
-
-    at: float
-    action: str
-    guest: str
-    to_machine: Optional[str] = None
-
-    def __post_init__(self):
-        if self.action not in ("migrate", "shutdown", "crash", "restart", "unload"):
-            raise ValueError(f"unknown churn action {self.action!r}")
-        if self.action == "migrate" and self.to_machine is None:
-            raise ValueError("migrate needs to_machine")
 
 
 # Import here to avoid a cycle at module-import time: scenarios.base
@@ -184,36 +161,6 @@ class Cluster(Scenario):
             self, node_a=a, node_b=b, ip_a=a.stack.ip, ip_b=b.stack.ip
         )
 
-    # -- churn ---------------------------------------------------------
-    def start_churn(self) -> None:
-        """Spawn the churn schedule (one process; actions run at their
-        ``at`` offsets from now, in list order)."""
-        if self.spec and self.spec.churn:
-            self.sim.process(self._churn_runner(), name="cluster-churn")
-
-    def _churn_runner(self):
-        from repro.xen.migration import live_migrate
-
-        start = self.sim.now
-        for action in sorted(self.spec.churn, key=lambda a: a.at):
-            delay = start + action.at - self.sim.now
-            if delay > 0:
-                yield self.sim.timeout(delay)
-            if action.action == "restart":
-                self.restart_guest(action.guest)
-                continue
-            guest = self.guests[action.guest]
-            if action.action == "migrate":
-                yield from live_migrate(guest, self.machines_by_name[action.to_machine])
-            elif action.action == "shutdown":
-                yield from guest.shutdown()
-            elif action.action == "crash":
-                guest.crash()
-            elif action.action == "unload":
-                module = self.modules.get(action.guest)
-                if module is not None:
-                    yield from module.unload()
-
     def restart_guest(self, name: str) -> Node:
         """Re-create a crashed or shut-down guest from its spec.
 
@@ -258,15 +205,6 @@ class Cluster(Scenario):
             self.node_b, self.ip_b = guest, guest.stack.ip
         return guest
 
-    def run_churn(self, settle: float = 1.0) -> None:
-        """Start the churn schedule and run the simulation through it
-        (plus ``settle`` seconds for teardowns to complete)."""
-        if not (self.spec and self.spec.churn):
-            return
-        self.start_churn()
-        horizon = self.sim.now + max(a.at for a in self.spec.churn) + settle
-        self.sim.run(until=horizon)
-
 
 @dataclass(frozen=True)
 class ClusterSpec:
@@ -282,11 +220,9 @@ class ClusterSpec:
     #: channel; None = auto (True iff the endpoints are co-resident
     #: module-loaded guests and are the only module-loaded guests).
     expect_channels: Optional[bool] = None
-    churn: tuple[ChurnAction, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "machines", tuple(self.machines))
-        object.__setattr__(self, "churn", tuple(self.churn))
         names = [g.name for m in self.machines for g in m.guests]
         if len(names) != len(set(names)):
             raise ValueError(f"duplicate guest names in cluster {self.name!r}")
@@ -325,11 +261,9 @@ class ClusterSpec:
         machines: list[tuple[MachineSpec, object]] = []
         for mspec in self.machines:
             if mspec.kind == "xen":
-                machine = XenMachine(
-                    sim, costs, mspec.name, n_cores=mspec.n_cores, guest_macs=guest_macs
-                )
+                machine = XenMachine(sim, costs, mspec.name, guest_macs=guest_macs)
             else:
-                machine = Machine(sim, costs, mspec.name, n_cores=mspec.n_cores)
+                machine = Machine(sim, costs, mspec.name)
             machines.append((mspec, machine))
 
         # Phase 2: network attachment, per machine in declaration order.
@@ -382,16 +316,13 @@ class ClusterSpec:
                 if gspec.module is not None:
                     modules[gspec.name] = _load_module(gspec, guests[gspec.name])
 
-        # Phase 5: Dom0 discovery, in machine order.
-        discoveries = []
-        for mspec, machine in machines:
-            if mspec.kind != "xen":
-                continue
-            wants = mspec.discovery
-            if wants is None:
-                wants = any(g.name in modules for g in mspec.guests)
-            if wants:
-                discoveries.append(DiscoveryModule(machine))
+        # Phase 5: Dom0 discovery, in machine order, on every Xen
+        # machine of a cluster that loads any guest module.
+        discoveries = [
+            DiscoveryModule(machine)
+            for mspec, machine in machines
+            if mspec.kind == "xen" and modules
+        ]
 
         end_a, end_b = self.resolved_endpoints()
         return Cluster(

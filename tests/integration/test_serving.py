@@ -92,7 +92,10 @@ class TestCellGoldens:
         mid-run (FIFO teardown -> netfront fallback -> channel
         re-establishment) while a bystander crash/restarts.  The p99
         jumps three orders of magnitude over the quiet cell above and
-        the requests stalled behind the migration blow the 2 ms SLO."""
+        the requests stalled behind the migration blow the 2 ms SLO.
+        Each churn rule runs in its own process, so the bystander's
+        crash (20 ms) and restart (35 ms) land while the first
+        migration is still in flight."""
         assert churn_cell == {
             "scenario": "serving",
             "data_path": "fifo",
@@ -102,19 +105,20 @@ class TestCellGoldens:
             "n_clients": 2,
             "churn": True,
             "loss": 0.0,
-            "events": 66694,
+            "events": 66673,
             "offered": 600,
             "completed": 600,
             "errors": 0,
-            "duration": 0.231062392,
-            "throughput_rps": 2596.701,
-            "p50_us": 55.671,
+            "duration": 0.231067079,
+            "throughput_rps": 2596.649,
+            "p50_us": 55.909,
             "p99_us": 197753.906,
             "p999_us": 199707.031,
-            "p50_idx": -1687,
+            "p50_idx": -1686,
             "p99_idx": -182,
             "slo_violations": 78,
             "reconnects": 0,
+            "frames_dropped": 0,
         }
 
     def test_netfront_loss_golden(self, netloss_cell):
@@ -171,6 +175,25 @@ class TestServingBehavior:
     ):
         for cell in (fifo_cell, churn_cell, netloss_cell):
             assert cell["completed"] == cell["offered"] == cell["requests"]
+
+
+class TestChurnPlan:
+    def test_churn_rules_migrate_out_and_back_and_restart_bystander(self):
+        """The churn cell's plan on its own: three time-anchored rules,
+        all fired, the bystander restarted and the client home again."""
+        from repro.faults import FaultPlan
+        from repro.scenarios.serving import serving_churn_schedule
+
+        scn = scenarios.xenloop_serving(churn=True)
+        scn.warmup()
+        spare = scn.guests["spare"]
+        FaultPlan(serving_churn_schedule("c1")).bind(scn)
+        scn.sim.run(until=scn.sim.now + 0.100)
+        faults = trace.engine_stats(scn.sim)["faults"]
+        assert faults["injected"] == {"crash": 1, "migrate": 2}
+        assert faults["recovered"] == {"guest_restart": 1}
+        assert scn.guests["c1"].machine is scn.machines_by_name["xenhost"]
+        assert scn.guests["spare"] is not spare and scn.guests["spare"].alive
 
 
 class TestSloCount:

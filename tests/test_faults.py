@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro import faults
+from repro import faults, scenarios, topology
+from repro.calibration import DEFAULT_COSTS
 from repro.sim.engine import Simulator
+from repro.xen.domain import RUNNING, SUSPENDED
 
 
 class TestRuleValidation:
@@ -26,6 +28,14 @@ class TestRuleValidation:
     def test_phase_kinds_need_phase(self):
         with pytest.raises(ValueError, match="needs a phase"):
             faults.FaultRule(faults.CRASH)
+
+    def test_phase_gate_counts_only_phase_rules(self):
+        # A time-anchored rule never fires from the handshake tap, so
+        # it must not turn the control plane's phase tap on.
+        timed = faults.FaultRule(faults.CRASH, guest="vm2", delay=0.01)
+        assert not faults.FaultPlan((timed,)).has_phase_rules
+        anchored = faults.FaultRule(faults.CRASH, phase="connected")
+        assert faults.FaultPlan((timed, anchored)).has_phase_rules
 
     def test_pkt_loss_unknown_class_rejected(self):
         with pytest.raises(ValueError, match="pkt_loss traffic class"):
@@ -161,3 +171,84 @@ class TestInstallAndSnapshot:
         assert "faults:" in out
         assert "control_drop=1" in out
         assert "bootstrap_retry=1" in out
+
+
+class TestTimeAnchoredRules:
+    """Crash/migrate rules without a phase fire ``delay`` seconds after
+    ``bind``, each in its own process."""
+
+    COSTS = DEFAULT_COSTS.replace(
+        discovery_period=0.2,
+        bootstrap_timeout=0.01,
+        migration_duration=0.030,
+        migration_downtime=0.010,
+    )
+
+    def _pair(self):
+        spec = topology.ClusterSpec(
+            name="pair",
+            machines=(
+                topology.MachineSpec(
+                    name="xenA",
+                    guests=(topology.GuestSpec("vm1"), topology.GuestSpec("vm2")),
+                ),
+                topology.MachineSpec(name="xenB", guests=(topology.GuestSpec("vm3"),)),
+            ),
+        )
+        cluster = spec.build(self.COSTS)
+        cluster.warmup(max_wait=10.0)
+        return cluster
+
+    def test_crash_and_restart_land_while_migration_in_flight(self):
+        cluster = self._pair()
+        mover, victim = cluster.guests["vm1"], cluster.guests["vm3"]
+        plan = faults.FaultPlan(
+            (
+                faults.FaultRule(faults.MIGRATE, guest="vm1", to_machine="xenB", delay=0.010),
+                faults.FaultRule(faults.CRASH, guest="vm3", delay=0.020, restart_after=0.015),
+            )
+        ).bind(cluster)
+        sim, t0, eps = cluster.sim, cluster.sim.now, 1e-6
+
+        sim.run(until=t0 + 0.020 - eps)
+        assert victim.alive
+        sim.run(until=t0 + 0.020 + eps)
+        assert not victim.alive
+        assert mover.state == RUNNING and mover.machine.name == "xenA"  # pre-copy
+
+        sim.run(until=t0 + 0.035 - eps)
+        assert cluster.guests["vm3"] is victim
+        sim.run(until=t0 + 0.035 + eps)
+        restarted = cluster.guests["vm3"]
+        assert restarted is not victim and restarted.alive
+        assert mover.state == SUSPENDED  # stop-and-copy downtime, 30-40 ms
+
+        sim.run(until=t0 + 0.045)
+        assert mover.state == RUNNING and mover.machine.name == "xenB"
+        assert plan.snapshot()["injected"] == {faults.CRASH: 1, faults.MIGRATE: 1}
+        assert plan.snapshot()["recovered"] == {"guest_restart": 1}
+
+    def test_victim_resolved_by_name_when_rule_fires(self):
+        # The migrate rule fires after a restart, so it must move the
+        # new incarnation, not the dead one.
+        cluster = self._pair()
+        plan = faults.FaultPlan(
+            (
+                faults.FaultRule(faults.CRASH, guest="vm3", delay=0.001, restart_after=0.001),
+                faults.FaultRule(faults.MIGRATE, guest="vm3", to_machine="xenA", delay=0.010),
+            )
+        ).bind(cluster)
+        cluster.sim.run(until=cluster.sim.now + 0.050)
+        assert cluster.guests["vm3"].machine.name == "xenA"
+        assert plan.injected[faults.MIGRATE] == 1
+
+    def test_install_without_cluster_rejects_them(self):
+        plan = faults.FaultPlan((faults.FaultRule(faults.CRASH, guest="vm2", delay=0.01),))
+        with pytest.raises(ValueError, match="bind"):
+            plan.install(Simulator(seed=0))
+
+    def test_bind_rejects_unknown_guest(self):
+        cluster = scenarios.xenloop(self.COSTS)
+        plan = faults.FaultPlan((faults.FaultRule(faults.CRASH, guest="nosuch"),))
+        with pytest.raises(ValueError, match="nosuch"):
+            plan.bind(cluster)

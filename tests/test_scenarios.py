@@ -15,6 +15,7 @@ class TestBuilders:
             scn = scenarios.build(name, FAST)
             assert scn.name == name
             assert scn.node_a.stack is not None
+            scn.warmup()
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown scenario"):

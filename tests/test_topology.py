@@ -1,9 +1,10 @@
 """Declarative topology layer: spec validation, build semantics, and a
-full cluster (8 guests, 2 machines) running warmup + a UDP stream + churn."""
+full cluster (8 guests, 2 machines) running warmup + a UDP stream + a
+fault-plan migration."""
 
 import pytest
 
-from repro import scenarios, topology
+from repro import faults, scenarios, topology
 from repro.calibration import DEFAULT_COSTS
 from repro.core.channel import ChannelState
 from repro.workloads import netperf
@@ -25,6 +26,33 @@ def two_machine_spec(guests_per_machine=4, **kwargs):
         ),
         **kwargs,
     )
+
+
+# Dom0 discovery modules per machine that each registered scenario
+# (and its data-path and churn variants) built when every machine
+# decided for itself from its own guests.
+DISCOVERY_CASES = [
+    ("inter_machine", {}, {"m0": 0, "m1": 0}),
+    ("native_loopback", {}, {"host": 0}),
+    ("netfront_netback", {}, {"xenhost": 0}),
+    ("xenloop", {}, {"xenhost": 1}),
+    ("xenloop", {"socket_bypass": True}, {"xenhost": 1}),
+    ("xenloop_mesh", {}, {"xenhost": 1}),
+    ("migration_pair", {}, {"xenA": 1, "xenB": 1}),
+    ("fault_matrix", {}, {"xenA": 1}),
+    ("xenloop_incast", {}, {"xenhost": 1}),
+    ("xenloop_incast", {"data_path": "netfront"}, {"xenhost": 0}),
+    ("xenloop_fairness", {}, {"xenhost": 1}),
+    ("xenloop_fairness", {"data_path": "netfront"}, {"xenhost": 0}),
+    ("xenloop_serving", {}, {"xenhost": 1}),
+    ("xenloop_serving", {"data_path": "netfront"}, {"xenhost": 0}),
+    ("xenloop_serving", {"churn": True}, {"xenhost": 1, "xenhost2": 1}),
+    (
+        "xenloop_serving",
+        {"churn": True, "data_path": "netfront"},
+        {"xenhost": 0, "xenhost2": 0},
+    ),
+]
 
 
 class TestSpecValidation:
@@ -49,14 +77,6 @@ class TestSpecValidation:
     def test_bad_machine_kind_rejected(self):
         with pytest.raises(ValueError, match="machine kind"):
             topology.MachineSpec(name="x", kind="vmware", guests=(topology.GuestSpec("g"),))
-
-    def test_bad_churn_action_rejected(self):
-        with pytest.raises(ValueError, match="unknown churn action"):
-            topology.ChurnAction(at=1.0, action="explode", guest="g")
-
-    def test_migrate_requires_destination(self):
-        with pytest.raises(ValueError, match="to_machine"):
-            topology.ChurnAction(at=1.0, action="migrate", guest="g")
 
     def test_auto_ip_pool_stops_at_254(self):
         spec = topology.ClusterSpec(
@@ -127,6 +147,30 @@ class TestBuildSemantics:
         assert len(cluster.discoveries) == 2
         assert cluster.discovery is cluster.discoveries[0]
 
+    @pytest.mark.parametrize("name, kwargs, expected", DISCOVERY_CASES)
+    def test_discovery_modules_per_machine(self, name, kwargs, expected):
+        """A Xen machine runs Dom0 discovery iff any guest in the
+        cluster loads a module: the counts every scenario built when
+        each machine chose for itself."""
+        cluster = scenarios.build(name, FAST, **kwargs)
+        got = {m.name: sum(d.machine is m for d in cluster.discoveries) for m in cluster.machines}
+        assert got == expected
+
+    def test_discovery_cases_cover_every_scenario(self):
+        assert {name for name, _, _ in DISCOVERY_CASES} == set(scenarios.SCENARIO_BUILDERS)
+
+    def test_empty_machine_discovers_in_module_cluster(self):
+        # The fault matrix's migration target has no guests of its own
+        # but must announce the guest that migrates in.
+        spec = topology.ClusterSpec(
+            name="target",
+            machines=(
+                topology.MachineSpec(name="xenA", guests=(topology.GuestSpec("vm1"),)),
+                topology.MachineSpec(name="xenB"),
+            ),
+        )
+        assert len(spec.build(FAST).discoveries) == 2
+
     def test_restart_mac_independent_of_other_builds(self):
         """Auto guest MACs are numbered per cluster: a restarted guest's
         fresh MAC does not depend on what else this process built."""
@@ -159,20 +203,15 @@ class TestClusterEndToEnd:
         assert res.mbps > 0
 
     @pytest.mark.slow
-    def test_churn_schedule_migrates_and_unloads(self):
-        spec = two_machine_spec(
-            endpoints=("m0g0", "m0g1"),
-            churn=(
-                topology.ChurnAction(at=0.5, action="migrate", guest="m0g2", to_machine="xen1"),
-                topology.ChurnAction(at=1.0, action="unload", guest="m0g3"),
-            ),
-        )
-        cluster = spec.build(FAST)
+    def test_fault_plan_migrates_guest(self):
+        cluster = two_machine_spec(endpoints=("m0g0", "m0g1")).build(FAST)
         cluster.warmup(max_wait=10.0)
-        # settle must cover the migrate action's full pre-copy + downtime
-        cluster.run_churn(settle=FAST.migration_duration + 1.0)
+        rule = faults.FaultRule(faults.MIGRATE, guest="m0g2", to_machine="xen1", delay=0.5)
+        plan = faults.FaultPlan((rule,)).bind(cluster)
+        # run through the migration's full pre-copy + downtime
+        cluster.sim.run(until=cluster.sim.now + 0.5 + FAST.migration_duration + 1.0)
         assert cluster.guests["m0g2"].machine is cluster.machines_by_name["xen1"]
-        assert not cluster.modules["m0g3"].loaded
+        assert plan.injected[faults.MIGRATE] == 1
 
 
 class TestRegistryCompleteness:
