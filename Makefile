@@ -4,7 +4,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-all bench-smoke congestion-smoke serving-smoke fault-matrix snapshot-smoke examples clean
+.PHONY: install test bench bench-all bench-ci bench-fig11 congestion-smoke serving-smoke fault-matrix snapshot-smoke examples clean
 
 install:
 	@$(PYTHON) -m pip install -e . 2>/dev/null || ( \
@@ -23,12 +23,19 @@ bench:
 bench-all:
 	PYTHONPATH=src $(PYTHON) tools/run_benches.py
 
-# Quick bench pulse: the Table 2 bandwidth and Table 3 latency benches
-# and the discovery ablation.  Their simulated results are
-# deterministic, so CI checks benchmarks/results/table2_bandwidth.txt,
-# table3_latency.txt and ablation_discovery.txt are unchanged afterwards.
-bench-smoke:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_table2_bandwidth.py benchmarks/bench_table3_latency.py benchmarks/bench_ablation_discovery.py --benchmark-only -s
+# Every bench that passes and takes 13 s or less.  Fig. 8 is left out:
+# its shape check fails (ROADMAP item 1).  Fig. 11 (~150 s) is
+# bench-fig11.  Their simulated results are deterministic, so CI checks
+# benchmarks/results/ is unchanged afterwards.
+CI_BENCHES = table2_bandwidth table3_latency fig4_udp_msgsize fig5_fifo_size \
+	fig6_7_netpipe fig9_osu_bibw fig10_osu_latency extra_tcp_crr \
+	future_socket_bypass ablation_coalescing ablation_discovery ablation_zerocopy
+
+bench-ci:
+	PYTHONPATH=src $(PYTHON) -m pytest $(CI_BENCHES:%=benchmarks/bench_%.py) --benchmark-only -s
+
+bench-fig11:
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_fig11_migration.py --benchmark-only -s
 
 # Congestion smoke: the incast + fairness golden tests, then the
 # CI-sized congestion cells (FIFO vs netfront, lossless vs bridge
@@ -62,5 +69,5 @@ examples:
 	@for ex in examples/*.py; do echo "== $$ex =="; PYTHONPATH=src $(PYTHON) $$ex || exit 1; done
 
 clean:
-	rm -rf .pytest_cache .hypothesis benchmarks/results
+	rm -rf .pytest_cache .hypothesis benchmarks/results/run_benches.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

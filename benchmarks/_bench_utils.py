@@ -4,24 +4,9 @@ from __future__ import annotations
 
 import pathlib
 
-from repro import scenarios
+from repro.experiments import BENCH_COSTS, SCENARIO_ORDER, build_warm  # noqa: F401
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-#: scenario order used for every table/figure, matching the paper's columns.
-SCENARIO_ORDER = ["inter_machine", "netfront_netback", "xenloop", "native_loopback"]
-
-#: shorter control-plane settings so warmup doesn't dominate bench time
-#: (data-path constants are untouched -- this only affects setup).
-BENCH_COSTS = scenarios.DEFAULT_COSTS.replace(
-    discovery_period=0.5, bootstrap_timeout=0.02
-)
-
-
-def build_warm(name: str, costs=BENCH_COSTS, **kwargs):
-    scn = scenarios.build(name, costs, **kwargs)
-    scn.warmup(max_wait=20.0)
-    return scn
 
 
 def emit(name: str, text: str) -> None:

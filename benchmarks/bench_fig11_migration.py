@@ -7,27 +7,14 @@ level).  The paper measures roughly 5,500 trans/s apart and 21,000
 trans/s together.
 """
 
-from repro import report, scenarios
-from repro.workloads import migration_rr
+from repro import report
+from repro.experiments import fig11_migration
 
 from _bench_utils import emit
 
-COSTS = scenarios.DEFAULT_COSTS.replace(
-    discovery_period=1.0,
-    bootstrap_timeout=0.02,
-    migration_duration=1.0,
-    migration_downtime=0.1,
-)
-
-
-def _measure():
-    scn = scenarios.migration_pair(COSTS)
-    scn.warmup()
-    return migration_rr.run(scn, co_resident_hold=8.0, bin_width=0.5, settle=4.0)
-
 
 def test_fig11_migration_timeline(run_once, benchmark):
-    res = run_once(_measure)
+    res = run_once(fig11_migration)
     rates = res.rates()
     times = [round(t, 2) for t, _ in rates]
     values = [v for _, v in rates]

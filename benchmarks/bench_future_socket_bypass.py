@@ -8,42 +8,14 @@ have bought, against the shipped below-network-layer design, for TCP
 workloads between co-resident guests.
 """
 
-from repro import report, scenarios
-from repro.workloads import netperf
+from repro.experiments import render_bypass, socket_bypass
 
-from _bench_utils import BENCH_COSTS, emit
-
-VARIANTS = {
-    "below network layer (paper)": False,
-    "socket-layer bypass (future work)": True,
-}
-
-
-def _measure():
-    rows = {}
-    for label, bypass in VARIANTS.items():
-        scn = scenarios.xenloop(BENCH_COSTS, socket_bypass=bypass)
-        scn.warmup(max_wait=20.0)
-        rows[label] = {
-            "tcp_rr_per_s": netperf.tcp_rr(scn, duration=0.1).trans_per_sec,
-            "tcp_stream_mbps": netperf.tcp_stream(scn, duration=0.03).mbps,
-            "lat_us": 1e6 / netperf.tcp_rr(scn, duration=0.05, port=5211).trans_per_sec,
-        }
-    return rows
+from _bench_utils import emit
 
 
 def test_future_work_socket_bypass(run_once, benchmark):
-    rows = run_once(_measure)
-    columns = ["tcp_rr_per_s", "tcp_stream_mbps", "lat_us"]
-    emit(
-        "future_socket_bypass",
-        report.format_table(
-            "Future work: below-network-layer XenLoop vs socket-layer bypass",
-            columns,
-            list(rows.items()),
-            precision=1,
-        ),
-    )
+    rows = run_once(socket_bypass)
+    emit("future_socket_bypass", render_bypass(rows))
     benchmark.extra_info.update(
         {k: {c: round(v, 1) for c, v in row.items()} for k, row in rows.items()}
     )

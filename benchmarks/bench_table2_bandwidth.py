@@ -1,60 +1,20 @@
 """Table 2: average bandwidth comparison (Mbit/s).
 
 Rows: lmbench bw_tcp, netperf TCP_STREAM, netperf UDP_STREAM,
-netpipe-mpich.  Columns: the four communication scenarios.  Paper values
-are printed alongside for the shape comparison recorded in
-EXPERIMENTS.md.
-
-UDP_STREAM uses 32 KB messages (netperf's send size on the testbed is
-not stated in the paper; 32 KB reproduces the reported shape -- see
-EXPERIMENTS.md).
+netpipe-mpich.  Columns: the four communication scenarios.  The rows,
+their sizes and the paper's values are defined in
+``repro.experiments.TABLE2``; the paper's values are printed alongside
+for the shape comparison recorded in EXPERIMENTS.md.
 """
 
-from repro import report
-from repro.workloads import lmbench, netperf, netpipe
+from repro.experiments import TABLE2, measure, render
 
-from _bench_utils import SCENARIO_ORDER, build_warm, emit
-
-PAPER = {
-    "lmbench bw_tcp": dict(zip(SCENARIO_ORDER, (848, 1488, 4920, 5336))),
-    "netperf TCP_STREAM": dict(zip(SCENARIO_ORDER, (941, 2656, 4143, 4666))),
-    "netperf UDP_STREAM": dict(zip(SCENARIO_ORDER, (710, 707, 4380, 4928))),
-    "netpipe-mpich": dict(zip(SCENARIO_ORDER, (645, 697, 2048, 4836))),
-}
-
-
-def _measure():
-    rows = {label: {} for label in PAPER}
-    for name in SCENARIO_ORDER:
-        scn = build_warm(name)
-        rows["lmbench bw_tcp"][name] = lmbench.bw_tcp(scn, total_bytes=4 << 20).mbps
-        rows["netperf TCP_STREAM"][name] = netperf.tcp_stream(scn, duration=0.04).mbps
-        rows["netperf UDP_STREAM"][name] = netperf.udp_stream(
-            scn, duration=0.04, msg_size=32768
-        ).mbps
-        # NetPIPE bandwidth at 4 KB messages (mid-curve point, Fig. 6).
-        rows["netpipe-mpich"][name] = netpipe.run(scn, sizes=[4096]).points[0].mbps
-    return rows
+from _bench_utils import emit
 
 
 def test_table2_bandwidth(run_once, benchmark):
-    rows = run_once(_measure)
-    lines = [
-        report.format_table(
-            "Table 2: average bandwidth (Mbit/s), measured",
-            SCENARIO_ORDER,
-            list(rows.items()),
-            precision=0,
-        ),
-        "",
-        report.format_table(
-            "Table 2: average bandwidth (Mbit/s), paper",
-            SCENARIO_ORDER,
-            list(PAPER.items()),
-            precision=0,
-        ),
-    ]
-    emit("table2_bandwidth", "\n".join(lines))
+    rows = run_once(lambda: measure(TABLE2))
+    emit(TABLE2.name, render(TABLE2, rows))
     for label, values in rows.items():
         benchmark.extra_info[label] = {k: round(v) for k, v in values.items()}
     # Shape assertions (same as the paper's ordering claims).

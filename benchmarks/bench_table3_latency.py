@@ -1,53 +1,18 @@
 """Table 3 (and Table 1's latency rows): average latency comparison.
 
 Rows: flood-ping RTT (us), lmbench lat_tcp (us), netperf TCP_RR and
-UDP_RR (transactions/s), netpipe-mpich one-way latency (us).
+UDP_RR (transactions/s), netpipe-mpich one-way latency (us), defined
+with the paper's values in ``repro.experiments.TABLE3``.
 """
 
-from repro import report
-from repro.workloads import lmbench, netperf, netpipe, pingpong
+from repro.experiments import TABLE3, measure, render
 
-from _bench_utils import SCENARIO_ORDER, build_warm, emit
-
-PAPER = {
-    "flood ping RTT (us)": dict(zip(SCENARIO_ORDER, (101, 140, 28, 6))),
-    "lmbench lat_tcp (us)": dict(zip(SCENARIO_ORDER, (107, 98, 33, 25))),
-    "netperf TCP_RR (trans/s)": dict(zip(SCENARIO_ORDER, (9387, 10236, 28529, 31969))),
-    "netperf UDP_RR (trans/s)": dict(zip(SCENARIO_ORDER, (9784, 12600, 32803, 39623))),
-    "netpipe-mpich (us)": dict(zip(SCENARIO_ORDER, (77.25, 60.98, 24.89, 23.81))),
-}
-
-
-def _measure():
-    rows = {label: {} for label in PAPER}
-    for name in SCENARIO_ORDER:
-        scn = build_warm(name)
-        rows["flood ping RTT (us)"][name] = pingpong.flood_ping(scn, count=200).rtt_us
-        rows["lmbench lat_tcp (us)"][name] = lmbench.lat_tcp(scn, round_trips=400).latency_us
-        rows["netperf TCP_RR (trans/s)"][name] = netperf.tcp_rr(scn, duration=0.1).trans_per_sec
-        rows["netperf UDP_RR (trans/s)"][name] = netperf.udp_rr(scn, duration=0.1).trans_per_sec
-        rows["netpipe-mpich (us)"][name] = netpipe.run(scn, sizes=[64]).points[0].latency_us
-    return rows
+from _bench_utils import emit
 
 
 def test_table3_latency(run_once, benchmark):
-    rows = run_once(_measure)
-    lines = [
-        report.format_table(
-            "Table 3: average latency, measured",
-            SCENARIO_ORDER,
-            list(rows.items()),
-            precision=1,
-        ),
-        "",
-        report.format_table(
-            "Table 3: average latency, paper",
-            SCENARIO_ORDER,
-            list(PAPER.items()),
-            precision=1,
-        ),
-    ]
-    emit("table3_latency", "\n".join(lines))
+    rows = run_once(lambda: measure(TABLE3))
+    emit(TABLE3.name, render(TABLE3, rows))
     for label, values in rows.items():
         benchmark.extra_info[label] = {k: round(v, 1) for k, v in values.items()}
     # Shape assertions.

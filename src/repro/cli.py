@@ -16,12 +16,10 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import sys
 
-from repro import report, scenarios
-from repro.workloads import lmbench, migration_rr, netperf, pingpong
-
-SCENARIO_ORDER = ["inter_machine", "netfront_netback", "xenloop", "native_loopback"]
+from repro import experiments, report, scenarios
+from repro.experiments import SCENARIO_ORDER
+from repro.workloads import pingpong
 
 
 def _positive_int(text: str) -> int:
@@ -58,45 +56,16 @@ def cmd_ping(args) -> int:
 
 
 def cmd_tables(_args) -> int:
-    """Measure every Tables 1-3 metric across the four scenarios."""
-    rows = {
-        "flood ping RTT (us)": {},
-        "lmbench lat_tcp (us)": {},
-        "netperf TCP_RR (trans/s)": {},
-        "netperf UDP_RR (trans/s)": {},
-        "lmbench bw_tcp (Mbps)": {},
-        "netperf TCP_STREAM (Mbps)": {},
-        "netperf UDP_STREAM (Mbps)": {},
-    }
-    for name in SCENARIO_ORDER:
-        print(f"measuring {name}...", file=sys.stderr)
-        scn = _warm(name)
-        rows["flood ping RTT (us)"][name] = pingpong.flood_ping(scn, count=100).rtt_us
-        rows["lmbench lat_tcp (us)"][name] = lmbench.lat_tcp(scn, round_trips=200).latency_us
-        rows["netperf TCP_RR (trans/s)"][name] = netperf.tcp_rr(scn, duration=0.05).trans_per_sec
-        rows["netperf UDP_RR (trans/s)"][name] = netperf.udp_rr(scn, duration=0.05).trans_per_sec
-        rows["lmbench bw_tcp (Mbps)"][name] = lmbench.bw_tcp(scn, total_bytes=2 << 20).mbps
-        rows["netperf TCP_STREAM (Mbps)"][name] = netperf.tcp_stream(scn, duration=0.03).mbps
-        rows["netperf UDP_STREAM (Mbps)"][name] = netperf.udp_stream(
-            scn, duration=0.03, msg_size=32768
-        ).mbps
-    print(report.format_table(
-        "Tables 1-3 snapshot (see EXPERIMENTS.md for paper values)",
-        SCENARIO_ORDER,
-        list(rows.items()),
-        precision=1,
-    ))
+    """Measure Tables 1-3 at the benches' sizes; prints exactly
+    ``benchmarks/results/table2_bandwidth.txt`` and ``table3_latency.txt``."""
+    for table in experiments.TABLES:
+        print(experiments.render(table, experiments.measure(table)))
     return 0
 
 
 def cmd_fig11(_args) -> int:
     """Print the Fig. 11 migration timeline as ASCII."""
-    costs = scenarios.DEFAULT_COSTS.replace(
-        discovery_period=1.0, migration_duration=1.0, migration_downtime=0.1
-    )
-    scn = scenarios.migration_pair(costs)
-    scn.warmup()
-    res = migration_rr.run(scn, co_resident_hold=8.0, bin_width=0.5, settle=4.0)
+    res = experiments.fig11_migration()
     peak = max(v for _t, v in res.rates())
     for t, rate in res.rates():
         print(f"{t:6.1f}s {rate:8.0f} trans/s  {'#' * int(40 * rate / peak)}")
@@ -122,21 +91,7 @@ def cmd_trace(args) -> int:
 
 def cmd_bypass(_args) -> int:
     """Compare the shipped design against the future-work socket bypass."""
-    rows = {}
-    for label, bypass in (("below network layer (paper)", False),
-                          ("socket-layer bypass (future work)", True)):
-        scn = scenarios.xenloop(socket_bypass=bypass)
-        scn.warmup()
-        rows[label] = {
-            "tcp_rr_per_s": netperf.tcp_rr(scn, duration=0.05).trans_per_sec,
-            "tcp_stream_mbps": netperf.tcp_stream(scn, duration=0.02).mbps,
-        }
-    print(report.format_table(
-        "Transport-layer interception (paper Sect. 6 future work)",
-        ["tcp_rr_per_s", "tcp_stream_mbps"],
-        list(rows.items()),
-        precision=0,
-    ))
+    print(experiments.render_bypass(experiments.socket_bypass()))
     return 0
 
 

@@ -471,17 +471,19 @@ class Channel:
             drained = 0
             while True:
                 if self.zero_copy_rx:
-                    advanced = yield from self._drain_one_zero_copy()
-                    if advanced:
-                        drained += 1
-                        continue
-                    # One batch per wake that drained anything.
-                    if drained:
-                        self.drain_batches += 1
-                        self.drain_entries += drained
-                        NOTIFY_STATS.drain_batches += 1
-                        NOTIFY_STATS.drain_entries += drained
-                    break
+                    # Entries are charged one by one, but counted in
+                    # budget-bounded batches as the copying drain's are.
+                    run = 0
+                    while run < budget:
+                        if not (yield from self._drain_one_zero_copy()):
+                            break
+                        run += 1
+                    if run:
+                        self._count_batch(run)
+                        drained += run
+                    if run < budget:
+                        break
+                    continue
                 # Pop a batch, charge ONE aggregated segment for the
                 # FIFO bookkeeping + copies, then deliver the batch.
                 burst = []
@@ -495,10 +497,7 @@ class Channel:
                     cost += costs.xenloop_fifo_op + costs.copy_cost(len(entry[1]))
                 if not burst:
                     break
-                self.drain_batches += 1
-                self.drain_entries += len(burst)
-                NOTIFY_STATS.drain_batches += 1
-                NOTIFY_STATS.drain_entries += len(burst)
+                self._count_batch(len(burst))
                 yield guest.exec(cost)
                 now = guest.sim.now
                 self.last_activity = now
@@ -531,6 +530,12 @@ class Channel:
                 continue  # loop top clears the flag and drains
             self._drain_kick = guest.sim.event(name="xl-drain-kick")
             yield self._drain_kick
+
+    def _count_batch(self, entries: int) -> None:
+        self.drain_batches += 1
+        self.drain_entries += entries
+        NOTIFY_STATS.drain_batches += 1
+        NOTIFY_STATS.drain_entries += entries
 
     def _deliver(self, msg_type: int, data: bytes, now: float) -> None:
         """Hand one popped entry up: an ENTRY_IPV4 packet to the stack,

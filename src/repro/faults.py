@@ -171,7 +171,8 @@ class FaultPlan:
 
     Holds the rules, their firing state, and the three outcome counters
     (``injected`` by fault kind, ``recovered`` / ``degraded`` by
-    recovery-path name).  One plan drives one simulation; install it
+    recovery-path name).  A migrate counts as injected only once
+    ``live_migrate`` starts.  One plan drives one simulation; install it
     before running traffic.
     """
 
@@ -216,6 +217,9 @@ class FaultPlan:
         for idx in timed:
             if self.rules[idx].guest not in cluster.guests:
                 raise ValueError(f"no guest {self.rules[idx].guest!r} in this cluster")
+        for rule in self.rules:
+            if rule.kind == MIGRATE and rule.to_machine not in cluster.machines_by_name:
+                raise ValueError(f"no machine {rule.to_machine!r} in this cluster")
         self.cluster = cluster
         self.install(cluster.sim)
         for idx in timed:
@@ -239,7 +243,8 @@ class FaultPlan:
         if rule.prob < 1.0 and float(self._rng.random()) >= rule.prob:
             return False
         self._fired[idx] += 1
-        self.injected[rule.kind] += 1
+        if rule.kind != MIGRATE:  # counted when live_migrate starts
+            self.injected[rule.kind] += 1
         return True
 
     # -- tap points ----------------------------------------------------
@@ -346,6 +351,7 @@ class FaultPlan:
         dst = self.cluster.machines_by_name.get(rule.to_machine)
         if dst is None or dst is guest.machine or not guest.alive:
             return
+        self.injected[MIGRATE] += 1
         yield from live_migrate(guest, dst)
 
     # -- reporting -------------------------------------------------------

@@ -264,54 +264,61 @@ class CPUCores:
         return len(self._queue)
 
     def _submit(self, seg: _Segment, domain: Hashable, cost: float) -> None:
-        """Start ``seg`` on a free core, or queue it behind its vCPU cap
-        or busy cores.  The one admission path for every segment.
-
-        A free core that last ran ``domain`` is preferred, else the first
-        free core; switching domains costs ``switch_penalty``.
-        """
+        """Validate ``cost``, then start ``seg`` on a free core, or queue
+        it behind its vCPU cap or busy cores.  The one entry point for
+        every segment."""
         if not 0.0 <= cost < _INF:
             raise ValueError(f"work cost must be finite and >= 0, got {cost}")
         st = self._dom.get(domain)
         if st is None:
             st = self._dom[domain] = [0, None]
         seg.st = st
-        if st[1] is None or st[0] < st[1]:
-            best = None
-            for core in self.cores:
-                if core.busy:
-                    continue
-                if core.last_domain == domain:
-                    best = core
-                    break
-                if best is None:
-                    best = core
-            if best is not None:
-                last = best.last_domain
-                if last is not None and last != domain:
-                    cost += self.switch_penalty
-                    self.total_switches += 1
-                best.busy = True
-                best.last_domain = domain
-                st[0] += 1
-                self.total_busy_time += cost
-                seg.core = best
-                sim = self.sim
-                sim._seq += 1
-                if cost == 0.0:
-                    sim._ready.append((sim.now, sim._seq, seg))
-                else:
-                    heappush(sim._queue, (sim.now + cost, sim._seq, seg))
-                return
+        if (st[1] is None or st[0] < st[1]) and self._start(seg, domain, cost):
+            return
         self._queue.append((seg, domain, cost))
+
+    def _start(self, seg: _Segment, domain: Hashable, cost: float) -> bool:
+        """Put ``seg`` on a free core, or return False when none is free.
+
+        A free core that last ran ``domain`` is preferred, else the first
+        free core; switching domains costs ``switch_penalty``.
+        """
+        best = None
+        for core in self.cores:
+            if core.busy:
+                continue
+            if core.last_domain == domain:
+                best = core
+                break
+            if best is None:
+                best = core
+        if best is None:
+            return False
+        last = best.last_domain
+        if last is not None and last != domain:
+            cost += self.switch_penalty
+            self.total_switches += 1
+        best.busy = True
+        best.last_domain = domain
+        seg.st[0] += 1
+        self.total_busy_time += cost
+        seg.core = best
+        sim = self.sim
+        sim._seq += 1
+        if cost == 0.0:
+            sim._ready.append((sim.now, sim._seq, seg))
+        else:
+            heappush(sim._queue, (sim.now + cost, sim._seq, seg))
+        return True
 
     def _admit(self) -> None:
         """Start the first queued segment whose domain is under its
-        vCPU cap (called right after a segment frees a core)."""
+        vCPU cap (called right after a segment frees a core).  Its cost
+        was validated and its domain record attached on submission."""
         queue = self._queue
         for i, (seg, domain, cost) in enumerate(queue):
             st = seg.st
             if st[1] is None or st[0] < st[1]:
-                del queue[i]
-                self._submit(seg, domain, cost)
+                if self._start(seg, domain, cost):
+                    del queue[i]
                 return

@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Optional
 
+from repro import trace
 from repro.net.devices import NetDevice
 from repro.net.packet import Packet
 from repro.sim.engine import Event
@@ -109,8 +110,6 @@ class Netfront:
     def start_xmit(self, packet: Packet) -> Event:
         """Called by the vif device in sender context.  The returned event
         fires once the packet occupies a TX ring slot (backpressure)."""
-        from repro import trace
-
         trace.mark(packet, "netfront-tx", self.guest.sim.now)
         done = self.guest.sim.event(name="netfront-xmit")
         if self.suspended:

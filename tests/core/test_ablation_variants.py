@@ -88,6 +88,32 @@ class TestZeroCopyVariant:
         ch_b = first_channel(scn, scn.node_b)
         assert ch_b.drain_entries == ch_b.pkts_received and ch_b.drain_batches >= 1
 
+    def test_batches_are_budget_bounded(self):
+        """A wake that drains more than ``xenloop_napi_budget`` entries
+        counts one batch per budget-bounded run, as the copying drain
+        does: each entry holds the wake for ``zerocopy_hold``, so a
+        burst of 40 datagrams lands in few wakes."""
+        budget = 4
+        scn = scenarios.xenloop(FAST.replace(xenloop_napi_budget=budget), zero_copy_rx=True)
+        scn.warmup(max_wait=10.0)
+        sim = scn.sim
+        ch_b = first_channel(scn, scn.node_b)
+        server = scn.node_b.stack.udp_socket(7710, rcvbuf=1 << 22)
+        client = scn.node_a.stack.udp_socket()
+        entries0, batches0 = ch_b.drain_entries, ch_b.drain_batches
+
+        def blast():
+            for _ in range(40):
+                yield from client.sendto(bytes(1000), (scn.ip_b, 7710))
+
+        sim.run_until_complete(sim.process(blast()), timeout=30)
+        sim.run(until=sim.now + 0.05)
+        assert server.rx_msgs == 40
+        entries = ch_b.drain_entries - entries0
+        batches = ch_b.drain_batches - batches0
+        assert entries >= 40
+        assert batches >= -(-entries // budget)
+
     def test_traced_ping_marks_the_fifo_pop(self):
         stages = [stage for stage, _ in trace.traced_ping(_zero_copy_scenario())]
         assert stages[:3] == ["ip-output", "xenloop-fifo-push", "xenloop-fifo-pop"]

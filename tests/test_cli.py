@@ -1,8 +1,13 @@
 """CLI entry points."""
 
+import pathlib
+
 import pytest
 
+from repro import experiments
 from repro.cli import main
+
+RESULTS = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "results"
 
 
 class TestCli:
@@ -32,7 +37,14 @@ class TestCli:
         assert "--count" in capsys.readouterr().err
 
     @pytest.mark.slow
+    def test_tables_print_the_bench_results(self, capsys):
+        assert main(["tables"]) == 0
+        expected = "".join((RESULTS / f"{t.name}.txt").read_text() for t in experiments.TABLES)
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.slow
     def test_bypass_comparison(self, capsys):
         assert main(["bypass"]) == 0
         out = capsys.readouterr().out
         assert "future work" in out
+        assert out == (RESULTS / "future_socket_bypass.txt").read_text()

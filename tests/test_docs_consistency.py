@@ -84,3 +84,67 @@ class TestExperimentsCoverage:
                 assert list((ROOT / "benchmarks").glob(target)), target
             else:
                 assert (ROOT / "benchmarks" / target).is_file(), target
+
+
+def _results_cells() -> dict[str, tuple[list[str], list[str]]]:
+    """Row label -> (measured cells, paper cells), as printed in the
+    Tables 1-3 results files."""
+    cells: dict[str, tuple[list[str], list[str]]] = {}
+    for name in ("table2_bandwidth", "table3_latency"):
+        text = (ROOT / "benchmarks" / "results" / f"{name}.txt").read_text()
+        blocks = [block.splitlines()[4:] for block in text.strip().split("\n\n")]
+        for measured, paper in zip(*blocks):
+            label, ours = re.match(r"(.+?)\s{2,}(\S.*)$", measured).groups()
+            cells[label] = (ours.split(), paper.split()[-4:])
+    return cells
+
+
+def _num(cell: str) -> float:
+    return float(cell.replace(",", ""))
+
+
+class TestExperimentsTables:
+    """EXPERIMENTS.md's Tables 1-3 snapshot is the two results files."""
+
+    #: headline name -> (row label, lower is better)
+    FACTORS = {
+        "ping": ("flood ping RTT (us)", True),
+        "TCP_RR": ("netperf TCP_RR (trans/s)", False),
+        "UDP_RR": ("netperf UDP_RR (trans/s)", False),
+        "TCP_STREAM": ("netperf TCP_STREAM", False),
+        "UDP_STREAM": ("netperf UDP_STREAM", False),
+    }
+
+    def _section(self) -> str:
+        experiments = read("EXPERIMENTS.md")
+        return experiments.split("## Tables 1–3")[1].split("\n## ")[0]
+
+    def test_every_cell_matches_the_results_files(self):
+        rows = {}
+        for line in self._section().splitlines():
+            parts = [p.strip() for p in line.strip().strip("|").split("|")]
+            if len(parts) == 5 and parts[0] != "metric" and " / " in parts[1]:
+                rows[parts[0]] = [tuple(cell.split(" / ")) for cell in parts[1:]]
+        expected = {
+            label: list(zip(paper, ours)) for label, (ours, paper) in _results_cells().items()
+        }
+        assert rows == expected
+
+    def test_headline_factors_match_the_results_files(self):
+        stated = dict(
+            (name, (ours, paper))
+            for name, ours, paper in re.findall(
+                r"(\w+) \*\*([\d.]+)×\*\*\s+\(paper\s+([\d.]+)×\)", self._section()
+            )
+        )
+        cells = _results_cells()
+
+        def factor(values: list[str], lower_is_better: bool) -> str:
+            nf, xl = _num(values[1]), _num(values[2])
+            return f"{(nf / xl if lower_is_better else xl / nf):.1f}"
+
+        expected = {
+            name: (factor(cells[label][0], lower), factor(cells[label][1], lower))
+            for name, (label, lower) in self.FACTORS.items()
+        }
+        assert stated == expected

@@ -242,6 +242,24 @@ class TestTimeAnchoredRules:
         assert cluster.guests["vm3"].machine.name == "xenA"
         assert plan.injected[faults.MIGRATE] == 1
 
+    def test_migrate_that_moves_nothing_is_not_injected(self):
+        # vm1 already lives on xenA: the rule fires, nothing migrates.
+        cluster = self._pair()
+        plan = faults.FaultPlan(
+            (faults.FaultRule(faults.MIGRATE, guest="vm1", to_machine="xenA", delay=0.001),)
+        ).bind(cluster)
+        cluster.sim.run(until=cluster.sim.now + 0.010)
+        assert cluster.guests["vm1"].machine.name == "xenA"
+        assert plan.injected[faults.MIGRATE] == 0
+
+    def test_bind_rejects_unknown_machine(self):
+        cluster = scenarios.xenloop(self.COSTS)
+        rule = faults.FaultRule(
+            faults.MIGRATE, guest="vm2", phase="connected", to_machine="nowhere"
+        )
+        with pytest.raises(ValueError, match="nowhere"):
+            faults.FaultPlan((rule,)).bind(cluster)
+
     def test_install_without_cluster_rejects_them(self):
         plan = faults.FaultPlan((faults.FaultRule(faults.CRASH, guest="vm2", delay=0.01),))
         with pytest.raises(ValueError, match="bind"):

@@ -34,6 +34,11 @@ SUMMARY_PATH = RESULTS_DIR / "run_benches.json"
 #: lines of captured output kept per bench in the merged summary.
 TAIL_LINES = 15
 
+#: pytest exit code -> status.  Exit 5 ("no tests collected") is a
+#: script-mode bench such as bench_serving.py, run as
+#: ``python benchmarks/<file>``; it is not a failure.
+_STATUS = {0: "ok", 5: "script"}
+
 
 def discover(filters: list[str]) -> list[pathlib.Path]:
     """All bench_*.py files, optionally filtered by substring."""
@@ -67,7 +72,7 @@ def run_one(path_str: str) -> dict:
             text=True,
             timeout=1800,
         )
-        status = "ok" if proc.returncode == 0 else f"exit {proc.returncode}"
+        status = _STATUS.get(proc.returncode, f"exit {proc.returncode}")
         output = proc.stdout + proc.stderr
     except subprocess.TimeoutExpired as exc:
         status = "timeout"
@@ -110,12 +115,13 @@ def main() -> int:
     total_wall = time.perf_counter() - t0
 
     width = max(len(r["bench"]) for r in results)
-    failed = [r for r in results if r["status"] != "ok"]
+    failed = [r for r in results if r["status"] not in _STATUS.values()]
+    scripts = sum(r["status"] == "script" for r in results)
     for r in results:
         print(f"  {r['bench']:<{width}}  {r['status']:>8}  {r['wall_s']:8.2f}s")
     print(
-        f"{len(results) - len(failed)}/{len(results)} ok "
-        f"in {total_wall:.1f}s wall ({jobs} worker(s))"
+        f"{len(results) - scripts - len(failed)}/{len(results) - scripts} ok, "
+        f"{scripts} script-mode, in {total_wall:.1f}s wall ({jobs} worker(s))"
     )
     for r in failed:
         print(f"\n-- {r['bench']} ({r['status']}) --")
