@@ -21,11 +21,12 @@ Faithful to the paper's construction:
   of the ring protocol's event index);
 * in the real module the indices live in the shared descriptor page and
   are read/written by two kernel instances; here the descriptor page is
-  a numpy view over genuinely shared :class:`~repro.xen.page.SharedRegion`
-  memory, so both domains observe the same bytes.  The paper's
-  producer-local / consumer-local spinlocks (for multiple producer or
-  consumer *threads* within one guest) are subsumed by the simulator's
-  run-to-completion semantics: ``push``/``pop`` contain no yield points.
+  a uint32 memoryview over genuinely shared
+  :class:`~repro.xen.page.SharedRegion` memory, so both domains observe
+  the same bytes.  The paper's producer-local / consumer-local
+  spinlocks (for multiple producer or consumer *threads* within one
+  guest) are subsumed by the simulator's run-to-completion semantics:
+  ``push``/``pop`` contain no yield points.
 
 All CPU costs (copy, bookkeeping) are charged by the *callers* in the
 channel layer, since sender and receiver pay on their own CPUs.
@@ -35,8 +36,6 @@ from __future__ import annotations
 
 import struct
 from typing import Optional
-
-import numpy as np
 
 from repro.net.packet import WIRE_STATS
 from repro.xen.page import PAGE_SIZE, SharedRegion
@@ -61,6 +60,7 @@ FLAG_CONSUMER_WAITING = 0x4
 #: carries the descriptor page's gref; the connector reads the rest from
 #: here, exactly as in Sect. 3.3 "Channel bootstrap").
 GREF_TABLE_OFFSET = 64
+_GREF_WORD = GREF_TABLE_OFFSET // 4
 
 INDEX_MASK = 0xFFFFFFFF  # m = 32
 
@@ -89,15 +89,13 @@ class Fifo:
         the descriptor page (consumer side after mapping).
         """
         self.region = region
-        self._desc = region.array[:PAGE_SIZE].view(np.uint32)
+        # Two memoryviews over the shared bytes: the descriptor page as
+        # uint32 words (plain ints), the data pages as bytes (slot copies
+        # are single slice assignments).  Both endpoint Fifo objects wrap
+        # the SAME region, so every index and flag access goes through
+        # shared memory.
+        self._desc = region.array[:PAGE_SIZE].cast("I")
         self._data = region.array[PAGE_SIZE:]
-        # Raw memoryviews over the same shared bytes: slot copies become a
-        # single C-level slice assignment/read instead of per-call numpy
-        # array construction, and descriptor words are plain ints.  Both
-        # endpoint Fifo objects wrap the SAME region, so every index and
-        # flag access still goes through shared memory.
-        self._desc_mv = region.array[:PAGE_SIZE].data.cast("I")
-        self._data_mv = self._data.data
         if k is not None:
             if k < 1 or k > 31:
                 raise FifoLayoutError(f"k={k} out of range (need 1 <= k <= 31, m=32)")
@@ -111,9 +109,9 @@ class Fifo:
             self._desc[_BACK_WORD] = 0
             self._desc[_FLAGS_WORD] = FLAG_ACTIVE
         else:
-            if int(self._desc[_MAGIC_WORD]) != MAGIC:
+            if self._desc[_MAGIC_WORD] != MAGIC:
                 raise FifoLayoutError("descriptor page has no XenLoop magic")
-            k = int(self._desc[_ORDER_WORD])
+            k = self._desc[_ORDER_WORD]
         self.k = k
         self.size = 1 << k
         self.mask = self.size - 1
@@ -126,12 +124,12 @@ class Fifo:
     @property
     def front(self) -> int:
         """Consumer index (free-running 32-bit counter in the descriptor page)."""
-        return self._desc_mv[_FRONT_WORD]
+        return self._desc[_FRONT_WORD]
 
     @property
     def back(self) -> int:
         """Producer index (free-running 32-bit counter in the descriptor page)."""
-        return self._desc_mv[_BACK_WORD]
+        return self._desc[_BACK_WORD]
 
     @property
     def used_slots(self) -> int:
@@ -151,7 +149,7 @@ class Fifo:
     @property
     def active(self) -> bool:
         """The shared ACTIVE flag (cleared by channel teardown)."""
-        return bool(self._desc_mv[_FLAGS_WORD] & FLAG_ACTIVE)
+        return bool(self._desc[_FLAGS_WORD] & FLAG_ACTIVE)
 
     def snapshot_state(self) -> dict:
         """Descriptor words, counters, and a digest of the data bytes.
@@ -166,32 +164,32 @@ class Fifo:
 
         return {
             "order": self.k,
-            "front": int(self.front),
-            "back": int(self.back),
-            "flags": self._desc_mv[_FLAGS_WORD],
-            "used_slots": int(self.used_slots),
+            "front": self.front,
+            "back": self.back,
+            "flags": self._desc[_FLAGS_WORD],
+            "used_slots": self.used_slots,
             "pushes": self.pushes,
             "pops": self.pops,
             "push_failures": self.push_failures,
-            "data_sha256": hashlib.sha256(self._data_mv).hexdigest(),
+            "data_sha256": hashlib.sha256(self._data).hexdigest(),
         }
 
     def mark_inactive(self) -> None:
         """Clear ACTIVE in the shared descriptor (channel teardown)."""
-        self._desc_mv[_FLAGS_WORD] &= ~FLAG_ACTIVE
+        self._desc[_FLAGS_WORD] &= ~FLAG_ACTIVE
 
     @property
     def producer_waiting(self) -> bool:
         """Shared flag: the producer queued packets awaiting space."""
-        return bool(self._desc_mv[_FLAGS_WORD] & FLAG_PRODUCER_WAITING)
+        return bool(self._desc[_FLAGS_WORD] & FLAG_PRODUCER_WAITING)
 
     def set_producer_waiting(self) -> None:
         """Ask the consumer for a space-available notification."""
-        self._desc_mv[_FLAGS_WORD] |= FLAG_PRODUCER_WAITING
+        self._desc[_FLAGS_WORD] |= FLAG_PRODUCER_WAITING
 
     def clear_producer_waiting(self) -> None:
         """Acknowledge the space request (consumer side)."""
-        self._desc_mv[_FLAGS_WORD] &= ~FLAG_PRODUCER_WAITING
+        self._desc[_FLAGS_WORD] &= ~FLAG_PRODUCER_WAITING
 
     @property
     def consumer_waiting(self) -> bool:
@@ -199,7 +197,7 @@ class Fifo:
         data-available notification.  While clear, the producer may skip
         the notify hypercall entirely -- the consumer is awake and will
         find the entry on its final pre-sleep occupancy re-check."""
-        return bool(self._desc_mv[_FLAGS_WORD] & FLAG_CONSUMER_WAITING)
+        return bool(self._desc[_FLAGS_WORD] & FLAG_CONSUMER_WAITING)
 
     def set_consumer_waiting(self) -> None:
         """Arm data-available notifications (consumer side, pre-sleep).
@@ -208,11 +206,11 @@ class Fifo:
         finds it set keeps notifying on every push until the consumer
         wakes and clears it, which is what makes a single lost notify
         recoverable by the next push."""
-        self._desc_mv[_FLAGS_WORD] |= FLAG_CONSUMER_WAITING
+        self._desc[_FLAGS_WORD] |= FLAG_CONSUMER_WAITING
 
     def clear_consumer_waiting(self) -> None:
         """Disarm data-available notifications (consumer side, on wake)."""
-        self._desc_mv[_FLAGS_WORD] &= ~FLAG_CONSUMER_WAITING
+        self._desc[_FLAGS_WORD] &= ~FLAG_CONSUMER_WAITING
 
     # -- capacity -------------------------------------------------------------
     @property
@@ -241,13 +239,13 @@ class Fifo:
         for part in parts:
             total += len(part)
         need = 1 + (total + 7) // 8
-        desc = self._desc_mv
+        desc = self._desc
         back = desc[_BACK_WORD]
         if need > self.size - ((back - desc[_FRONT_WORD]) & INDEX_MASK):
             self.push_failures += 1
             return False
         slot = back & self.mask
-        _META.pack_into(self._data_mv, slot * 8, total, msg_type, 0)
+        _META.pack_into(self._data, slot * 8, total, msg_type, 0)
         self._write_stream((back + 1) & self.mask, parts)
         # Single index store *after* the data write publishes the entry.
         desc[_BACK_WORD] = (back + need) & INDEX_MASK
@@ -284,11 +282,11 @@ class Fifo:
         FIFO and the space is released only after protocol processing)
         reads them in place.
         """
-        desc = self._desc_mv
+        desc = self._desc
         front = desc[_FRONT_WORD]
         if front == desc[_BACK_WORD]:
             return None
-        mv = self._data_mv
+        mv = self._data
         length, msg_type, _rsvd = _META.unpack_from(mv, (front & self.mask) * 8)
         need = 1 + (length + 7) // 8
         start = ((front + 1) & self.mask) * 8
@@ -302,7 +300,7 @@ class Fifo:
 
     def advance(self, slots: int) -> None:
         """Consumer: release ``slots`` (from a previous :meth:`peek_view`)."""
-        desc = self._desc_mv
+        desc = self._desc
         desc[_FRONT_WORD] = (desc[_FRONT_WORD] + slots) & INDEX_MASK
         self.pops += 1
 
@@ -311,7 +309,7 @@ class Fifo:
         """Write ``parts`` contiguously into the ring starting at ``slot``,
         wrapping at the ring edge.  Each part is copied exactly once,
         directly from the caller's buffer into shared memory."""
-        mv = self._data_mv
+        mv = self._data
         ring_bytes = self._ring_bytes
         pos = slot * 8
         for part in parts:
@@ -329,19 +327,17 @@ class Fifo:
 
     # -- gref table (bootstrap) ------------------------------------------
     def store_grefs(self, grefs: list[int]) -> None:
-        """Record the data pages' grant references in the descriptor page."""
-        table = self.region.array[GREF_TABLE_OFFSET : GREF_TABLE_OFFSET + 4 * (len(grefs) + 1)]
-        view = table.view(np.uint32)
-        view[0] = len(grefs)
-        view[1:] = grefs
+        """Record the data pages' grant references in the descriptor page:
+        a count word, then one word per reference."""
+        desc = self._desc
+        desc[_GREF_WORD] = len(grefs)
+        for i, gref in enumerate(grefs, _GREF_WORD + 1):
+            desc[i] = gref
 
     def load_grefs(self) -> list[int]:
         """Read the data-page grant references back from the descriptor page."""
-        count = int(self.region.array[GREF_TABLE_OFFSET : GREF_TABLE_OFFSET + 4].view(np.uint32)[0])
-        table = self.region.array[
-            GREF_TABLE_OFFSET + 4 : GREF_TABLE_OFFSET + 4 + 4 * count
-        ].view(np.uint32)
-        return [int(g) for g in table]
+        start = _GREF_WORD + 1
+        return self._desc[start : start + self._desc[_GREF_WORD]].tolist()
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

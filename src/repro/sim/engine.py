@@ -57,6 +57,7 @@ from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.sim.metrics import Metrics
+from repro.sim.rng import make_rng, rng_state
 
 __all__ = [
     "AllOf",
@@ -376,11 +377,10 @@ class Simulator:
 
     @property
     def rng(self):
-        """Seeded numpy Generator shared by all stochastic model elements
-        (lazily created so pure-logic simulations never touch numpy RNG)."""
+        """Seeded :class:`repro.sim.rng.Generator` shared by all
+        stochastic model elements (created on first use, so pure-logic
+        simulations never seed one)."""
         if self._rng is None:
-            from repro.sim.rng import make_rng
-
             self._rng = make_rng(self._seed)
         return self._rng
 
@@ -408,8 +408,6 @@ class Simulator:
         on deterministic replay; this dict is the *identity* of the
         simulator state, used for digests, inspection, and drift checks.
         """
-        from repro.sim.rng import rng_state
-
         calendar = [
             [t, seq, type(obj).__name__]
             for (t, seq, obj) in sorted(self._queue)

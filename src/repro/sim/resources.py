@@ -112,8 +112,8 @@ class _Segment:
     """One CPU work segment on the calendar, and what follows it.
 
     Ending the segment frees its core, decrements the domain's running
-    count (``st`` is the domain's ``[running, limit]`` record, see
-    :attr:`CPUCores._dom`) and admits the next queued segment.  Then,
+    count (``st`` is the domain's ``[running, limit, queue]`` record,
+    see :attr:`CPUCores._dom`) and admits the next queued segment.  Then,
     by ``kind``:
 
     * ``_SUCCEED`` triggers the done Event ``then`` on the ready deque;
@@ -143,7 +143,7 @@ class _Segment:
             core.busy = False
             self.st[0] -= 1
             cpus = core.cpus
-            if cpus._queue:
+            if cpus._waiting:
                 cpus._admit()
             sim = cpus.sim
             kind = self.kind
@@ -198,13 +198,18 @@ class CPUCores:
         self.sim = sim
         self.cores = [_Core(self, i) for i in range(n_cores)]
         self.switch_penalty = switch_penalty
-        self._queue: Deque[tuple[_Segment, Hashable, float]] = deque()
-        #: per-domain accounting: domain -> ``[running, limit]`` where
-        #: ``running`` is the count of in-flight segments and ``limit``
+        #: per-domain accounting: domain -> ``[running, limit, queue]``
+        #: where ``running`` is the count of in-flight segments, ``limit``
         #: the vCPU cap (None = all cores; guests in the paper's testbed
-        #: are 1-vCPU, Dom0 and native hosts get all cores).  One dict
-        #: lookup on the hottest path; segments carry the list.
+        #: are 1-vCPU, Dom0 and native hosts get all cores) and ``queue``
+        #: the domain's waiting segments, ``(ticket, seg, domain, cost)``
+        #: in submission order.  One dict lookup on the hottest path;
+        #: segments carry the list.
         self._dom: dict[Hashable, list] = {}
+        #: the records of domains with a non-empty queue, by domain.
+        self._waiting: dict[Hashable, list] = {}
+        #: submission tickets of queued segments (global FIFO order).
+        self._ticket = 0
         self.total_busy_time = 0.0
         self.total_switches = 0
 
@@ -214,7 +219,7 @@ class CPUCores:
             raise ValueError("vCPU limit must be >= 1")
         st = self._dom.get(domain)
         if st is None:
-            self._dom[domain] = [0, n]
+            self._dom[domain] = [0, n, deque()]
         else:
             st[1] = n
 
@@ -261,7 +266,7 @@ class CPUCores:
     @property
     def queued(self) -> int:
         """Work segments waiting for a core or a vCPU slot."""
-        return len(self._queue)
+        return sum(len(st[2]) for st in self._waiting.values())
 
     def _submit(self, seg: _Segment, domain: Hashable, cost: float) -> None:
         """Validate ``cost``, then start ``seg`` on a free core, or queue
@@ -271,11 +276,15 @@ class CPUCores:
             raise ValueError(f"work cost must be finite and >= 0, got {cost}")
         st = self._dom.get(domain)
         if st is None:
-            st = self._dom[domain] = [0, None]
+            st = self._dom[domain] = [0, None, deque()]
         seg.st = st
         if (st[1] is None or st[0] < st[1]) and self._start(seg, domain, cost):
             return
-        self._queue.append((seg, domain, cost))
+        self._ticket += 1
+        queue = st[2]
+        if not queue:
+            self._waiting[domain] = st
+        queue.append((self._ticket, seg, domain, cost))
 
     def _start(self, seg: _Segment, domain: Hashable, cost: float) -> bool:
         """Put ``seg`` on a free core, or return False when none is free.
@@ -312,13 +321,24 @@ class CPUCores:
         return True
 
     def _admit(self) -> None:
-        """Start the first queued segment whose domain is under its
-        vCPU cap (called right after a segment frees a core).  Its cost
-        was validated and its domain record attached on submission."""
-        queue = self._queue
-        for i, (seg, domain, cost) in enumerate(queue):
-            st = seg.st
+        """Start the earliest-submitted queued segment whose domain is
+        under its vCPU cap (called right after a segment frees a core).
+
+        Queues are per domain and FIFO, so that segment is the
+        lowest-ticket head among domains under their cap: one look per
+        waiting domain, however deep the backlog.  Its cost was
+        validated and its domain record attached on submission."""
+        best = None
+        for st in self._waiting.values():
             if st[1] is None or st[0] < st[1]:
-                if self._start(seg, domain, cost):
-                    del queue[i]
-                return
+                head = st[2][0]
+                if best is None or head[0] < best[0]:
+                    best = head
+        if best is None:
+            return
+        _ticket, seg, domain, cost = best
+        if self._start(seg, domain, cost):
+            queue = seg.st[2]
+            queue.popleft()
+            if not queue:
+                del self._waiting[domain]

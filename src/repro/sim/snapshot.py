@@ -64,7 +64,7 @@ class SnapshotMismatch(SnapshotError):
 
 def _jsonable(value: Any) -> Any:
     """Normalize a captured tree to plain JSON types (str keys, no
-    numpy scalars, no tuples/sets) so digests are canonical."""
+    tuples/sets) so digests are canonical."""
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -73,8 +73,6 @@ def _jsonable(value: Any) -> Any:
         return sorted(_jsonable(v) for v in value)
     if isinstance(value, (bool, int, float, str)) or value is None:
         return value
-    if hasattr(value, "item"):  # numpy scalar
-        return value.item()
     return str(value)
 
 

@@ -1,20 +1,21 @@
 """Machine pages and shared regions.
 
-A :class:`Page` wraps a 4 KiB numpy byte buffer.  A
-:class:`SharedRegion` is a physically contiguous run of pages exposing
-one flat array -- the XenLoop FIFOs are laid out over such a region,
-and when a peer domain *maps* the region's pages through the grant
-table it sees the very same buffers, so reads and writes genuinely
-share memory exactly as mapped grant pages do on real Xen.
+A :class:`Page` wraps a 4 KiB byte buffer (a ``"B"``-format
+memoryview).  A :class:`SharedRegion` is a physically contiguous run
+of pages over one flat ``bytearray``, each page a slice of it -- the
+XenLoop FIFOs are laid out over such a region, and when a peer domain
+*maps* the region's pages through the grant table it sees the very
+same buffers, so reads and writes genuinely share memory exactly as
+mapped grant pages do on real Xen.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 __all__ = ["PAGE_SIZE", "Page", "SharedRegion"]
 
 PAGE_SIZE = 4096
+
+_ZERO_PAGE = bytes(PAGE_SIZE)
 
 
 class Page:
@@ -22,11 +23,16 @@ class Page:
 
     __slots__ = ("buf", "owner", "region")
 
-    def __init__(self, owner: int, buf: np.ndarray | None = None, region: "SharedRegion | None" = None):
+    def __init__(self, owner: int, buf: memoryview | None = None, region: "SharedRegion | None" = None):
         if buf is None:
-            buf = np.zeros(PAGE_SIZE, dtype=np.uint8)
-        if buf.dtype != np.uint8 or buf.shape != (PAGE_SIZE,):
-            raise ValueError("page buffer must be a 4096-byte uint8 array")
+            buf = memoryview(bytearray(PAGE_SIZE))
+        elif (
+            not isinstance(buf, memoryview)
+            or buf.format != "B"
+            or buf.shape != (PAGE_SIZE,)
+            or buf.readonly
+        ):
+            raise ValueError("page buffer must be a writable 4096-byte 'B'-format memoryview")
         self.buf = buf
         #: domid of the owning domain (transfers change this).
         self.owner = owner
@@ -35,19 +41,20 @@ class Page:
 
     def zero(self) -> None:
         """Scrub the page (the security step the transfer path pays for)."""
-        self.buf[:] = 0
+        self.buf[:] = _ZERO_PAGE
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Page owner=dom{self.owner}>"
 
 
 class SharedRegion:
-    """A contiguous run of pages with a single flat backing array."""
+    """A contiguous run of pages with a single flat backing buffer."""
 
     def __init__(self, owner: int, n_pages: int):
         if n_pages < 1:
             raise ValueError("region needs at least one page")
-        self.array = np.zeros(n_pages * PAGE_SIZE, dtype=np.uint8)
+        #: the whole region as one ``"B"``-format memoryview.
+        self.array = memoryview(bytearray(n_pages * PAGE_SIZE))
         self.pages = [
             Page(owner, self.array[i * PAGE_SIZE : (i + 1) * PAGE_SIZE], region=self)
             for i in range(n_pages)
@@ -65,4 +72,4 @@ class SharedRegion:
 
     def zero(self) -> None:
         """Scrub the whole region."""
-        self.array[:] = 0
+        self.array[:] = bytes(len(self.array))

@@ -113,6 +113,6 @@ class TestPeekView:
         view = segments[0]
         assert bytes(view) == b"aaaa"
         # Zero-copy: the view reflects the live ring memory.
-        assert view.obj is fifo._data_mv.obj
+        assert view.obj is fifo._data.obj
         del view, segments
         fifo.advance(slots)

@@ -1,6 +1,11 @@
 """Tests for Store and the CPU-core model."""
 
+import math
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.engine import Simulator
 from repro.sim.resources import CPUCores, Store
@@ -192,3 +197,102 @@ class TestCPUCores:
             ev.callbacks.append(lambda _e, i=i: order.append(i))
         sim.run()
         assert order == [0, 1, 2, 3, 4]
+
+
+class _ScanCPUCores(CPUCores):
+    """Reference admission: one shared queue, rescanned from its front
+    whenever a core frees, starting the first segment whose domain is
+    under its cap.  Per-domain queues must pick the same segments."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # ``_Segment._process`` admits while ``_waiting`` is truthy.
+        self._waiting = self._queue = deque()
+
+    def _submit(self, seg, domain, cost):
+        if not 0.0 <= cost < math.inf:
+            raise ValueError(cost)
+        rec = self._dom.get(domain)
+        if rec is None:
+            rec = self._dom[domain] = [0, None, deque()]
+        seg.st = rec
+        if (rec[1] is None or rec[0] < rec[1]) and self._start(seg, domain, cost):
+            return
+        self._queue.append((seg, domain, cost))
+
+    def _admit(self):
+        queue = self._queue
+        for i, (seg, domain, cost) in enumerate(queue):
+            rec = seg.st
+            if rec[1] is None or rec[0] < rec[1]:
+                if self._start(seg, domain, cost):
+                    del queue[i]
+                return
+
+
+# Dyadic costs keep float sums exact, so completions tie often.
+_COST = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+#: one submitted segment: domain index, cost, optional follow-up
+#: segment submitted from its completion callback.
+_SEG = st.tuples(st.integers(0, 3), _COST, st.none() | st.tuples(st.integers(0, 3), _COST))
+_BURST = st.tuples(st.sampled_from([0.0, 0.25, 1.0]), st.lists(_SEG, min_size=1, max_size=12))
+
+
+def _admission_log(cls, n_cores, penalty, limits, bursts):
+    """Submit ``bursts`` of ``execute_call`` segments; return the
+    completion log and the CPU and engine accounting."""
+    sim = Simulator()
+    cpus = cls(sim, n_cores, switch_penalty=penalty)
+    for d, limit in enumerate(limits):
+        if limit is not None:
+            cpus.set_vcpu_limit(d, limit)
+    log = []
+
+    def done(label, follow):
+        log.append((label, sim.now))
+        if follow is not None:
+            dom, cost = follow
+            cpus.execute_call(dom % len(limits), cost, lambda: log.append((label + "+", sim.now)))
+
+    def burst(b, at, segs):
+        yield sim.timeout(at)
+        for i, (dom, cost, follow) in enumerate(segs):
+            cpus.execute_call(dom % len(limits), cost, lambda lab=f"{b}.{i}", f=follow: done(lab, f))
+
+    for b, (at, segs) in enumerate(bursts):
+        sim.process(burst(b, at, segs))
+    sim.run()
+    return log, cpus.total_switches, cpus.total_busy_time, sim.event_count, sim._seq
+
+
+class TestAdmissionOrder:
+    """Per-domain queues with submission tickets admit exactly the
+    segments the single rescanned queue did."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_cores=st.integers(1, 3),
+        penalty=st.sampled_from([0.0, 0.125]),
+        limits=st.lists(st.sampled_from([None, 1, 2]), min_size=1, max_size=4),
+        bursts=st.lists(_BURST, min_size=1, max_size=4),
+    )
+    def test_matches_single_queue_scan(self, n_cores, penalty, limits, bursts):
+        args = (n_cores, penalty, limits, bursts)
+        assert _admission_log(CPUCores, *args) == _admission_log(_ScanCPUCores, *args)
+
+    def test_deep_backlog_matches_single_queue_scan(self):
+        """1,500 queued segments, two of every three for a 1-vCPU domain."""
+        segs = [(0 if i % 3 else 1, 0.25 * (1 + i % 4), None) for i in range(1500)]
+        args = (2, 0.125, [1, None], [(0.0, segs)])
+        new = _admission_log(CPUCores, *args)
+        assert new == _admission_log(_ScanCPUCores, *args)
+        assert len(new[0]) == 1500
+
+    def test_queued_counts_every_domain(self, sim):
+        cpus = CPUCores(sim, 1)
+        cpus.set_vcpu_limit("a", 1)
+        for dom in ("a", "a", "b", "a"):
+            cpus.execute(dom, 1.0)
+        assert cpus.queued == 3
+        sim.run()
+        assert cpus.queued == 0

@@ -1,6 +1,5 @@
 """Page and SharedRegion invariants."""
 
-import numpy as np
 import pytest
 
 from repro.xen.page import PAGE_SIZE, Page, SharedRegion
@@ -10,20 +9,24 @@ class TestPage:
     def test_default_buffer(self):
         p = Page(owner=1)
         assert p.buf.shape == (PAGE_SIZE,)
-        assert p.buf.dtype == np.uint8
-        assert not p.buf.any()
+        assert p.buf.format == "B"
+        assert not any(p.buf)
 
     def test_zero(self):
         p = Page(owner=1)
-        p.buf[:] = 0xFF
+        p.buf[:] = b"\xff" * PAGE_SIZE
         p.zero()
-        assert not p.buf.any()
+        assert not any(p.buf)
 
     def test_bad_buffer_rejected(self):
         with pytest.raises(ValueError):
-            Page(owner=1, buf=np.zeros(10, dtype=np.uint8))
+            Page(owner=1, buf=memoryview(bytearray(10)))
         with pytest.raises(ValueError):
-            Page(owner=1, buf=np.zeros(PAGE_SIZE, dtype=np.uint16))
+            Page(owner=1, buf=memoryview(bytearray(PAGE_SIZE)).cast("c"))  # 4096 chars, not bytes
+        with pytest.raises(ValueError):
+            Page(owner=1, buf=memoryview(bytes(PAGE_SIZE)))  # read-only
+        with pytest.raises(ValueError):
+            Page(owner=1, buf=bytearray(PAGE_SIZE))  # not a view
 
 
 class TestSharedRegion:
@@ -53,6 +56,6 @@ class TestSharedRegion:
 
     def test_zero(self):
         region = SharedRegion(1, 2)
-        region.array[:] = 1
+        region.array[:] = b"\x01" * region.size
         region.zero()
-        assert not region.array.any()
+        assert not any(region.array)
