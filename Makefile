@@ -57,12 +57,15 @@ fault-matrix:
 	PYTHONPATH=src $(PYTHON) -m repro faults
 
 # Checkpoint smoke: snapshot mechanics + replay-equivalence goldens,
-# then a save -> digest-verified replay round trip through the CLI (the
-# time-travel path for replaying a failing fault cell).
+# then two round trips through the CLI: a fault cell's pair saved and
+# replayed (the time-travel path for a failing cell), and a warmed
+# scenario saved and digest-verified by restore.
 snapshot-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/sim/test_snapshot.py tests/integration/test_snapshot_fork.py -q
 	PYTHONPATH=src $(PYTHON) -m repro snapshot save --cell notify_drop --out /tmp/repro-snapshot-smoke.json
 	PYTHONPATH=src $(PYTHON) -m repro snapshot replay /tmp/repro-snapshot-smoke.json --cell notify_drop --runs 2
+	PYTHONPATH=src $(PYTHON) -m repro snapshot save --scenario xenloop --warm --out /tmp/repro-snapshot-smoke.json
+	PYTHONPATH=src $(PYTHON) -m repro snapshot restore /tmp/repro-snapshot-smoke.json
 	rm -f /tmp/repro-snapshot-smoke.json
 
 examples:

@@ -16,6 +16,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import inspect
 
 from repro import experiments, report, scenarios
 from repro.experiments import SCENARIO_ORDER
@@ -104,33 +105,36 @@ def cmd_faults(args) -> int:
     return 0 if all(r["ok"] for r in results) else 1
 
 
+def _cell(name: str):
+    """The fault-matrix cell called ``name`` (exits on an unknown name)."""
+    from repro.scenarios.fault_matrix import matrix_cells
+
+    cells = {c.name: c for c in matrix_cells()}
+    if name not in cells:
+        raise SystemExit(f"unknown fault cell {name!r}; choose from {sorted(cells)}")
+    return cells[name]
+
+
 def _snapshot_recipe(args) -> dict:
     """Translate the ``snapshot save`` flags into a rebuild recipe."""
-    from repro.scenarios.fault_matrix import MATRIX_COSTS, matrix_cells
-    from repro.sim import snapshot as snapmod
+    from repro.scenarios.fault_matrix import MATRIX_COSTS
+    from repro.sim.snapshot import scenario_recipe
 
     if args.cell:
-        cells = {c.name: c for c in matrix_cells()}
-        if args.cell not in cells:
-            raise SystemExit(
-                f"unknown fault cell {args.cell!r}; choose from {sorted(cells)}"
-            )
-        return snapmod.fault_pair_recipe(
-            costs=MATRIX_COSTS,
-            seed=args.seed,
-            machines=cells[args.cell].machines,
-            pin_mac=cells[args.cell].pin_mac,
+        return scenario_recipe(
+            "fault_matrix", MATRIX_COSTS, seed=args.seed, kwargs=_cell(args.cell).pair_kwargs
         )
     warm = {"max_wait": 30.0} if args.warm else None
-    return snapmod.scenario_recipe(args.scenario, seed=args.seed, warm=warm)
+    return scenario_recipe(args.scenario, seed=args.seed, warm=warm)
 
 
 def cmd_snapshot(args) -> int:
     """Checkpoint tooling: save/restore/replay/inspect a built simulator.
 
-    ``save`` builds from a recipe (a scenario or the fault-matrix pair)
-    and writes the digest-carrying manifest; ``restore`` replays the
-    recipe and verifies the digest; ``replay`` restores N times and runs
+    ``save`` builds from a recipe (a registered scenario, or the
+    ``fault_matrix`` pair a ``--cell`` runs on) and writes the
+    digest-carrying manifest; ``restore`` replays the recipe and
+    verifies the digest; ``replay`` restores N times and runs
     the named fault cell (or a short UDP probe) on each digest-verified
     replay, checking the runs are bit-identical -- the time-travel loop
     for debugging a failing cell; and ``inspect`` prints the captured
@@ -163,25 +167,22 @@ def cmd_snapshot(args) -> int:
     # replay: N digest-verified restores, probe results must be identical.
     recipe = snap.recipe or {}
     seed = recipe.get("seed", 0)
-    if recipe.get("kind") == "fault_pair":
-        from repro.scenarios.fault_matrix import _run_cell_on, matrix_cells
+    if recipe.get("name") == "fault_matrix":
+        from repro.scenarios.fault_matrix import _run_cell_on, fault_matrix, matrix_cells
 
-        cells = {c.name: c for c in matrix_cells()}
-        name = args.cell or next(iter(cells))
-        if name not in cells:
+        name = args.cell or matrix_cells()[0].name
+        cell = _cell(name)
+        # A recipe saved with --scenario fault_matrix has no kwargs: it
+        # holds the builder's defaults.
+        params = inspect.signature(fault_matrix).parameters
+        kwargs = recipe.get("kwargs") or {}
+        built = {k: kwargs.get(k, params[k].default) for k in cell.pair_kwargs}
+        need = {k: v for k, v in cell.pair_kwargs.items() if built[k] != v}
+        if need:
+            had = {k: built[k] for k in need}
             raise SystemExit(
-                f"unknown fault cell {name!r}; choose from {sorted(cells)}"
-            )
-        cell = cells[name]
-        if cell.machines != recipe.get("machines", 1):
-            raise SystemExit(
-                f"cell {name!r} needs machines={cell.machines}, but the "
-                f"snapshot was built with machines={recipe.get('machines', 1)}"
-            )
-        if cell.pin_mac != recipe.get("pin_mac", False):
-            raise SystemExit(
-                f"cell {name!r} needs pin_mac={cell.pin_mac}, but the "
-                f"snapshot was built with pin_mac={recipe.get('pin_mac', False)}"
+                f"cell {name!r} needs the pair built with {need}, but the "
+                f"snapshot's pair has {had}"
             )
 
         def probe(cluster):
@@ -239,8 +240,8 @@ def main(argv: list[str] | None = None) -> int:
     save.add_argument("--scenario", default="xenloop",
                       choices=list(scenarios.SCENARIO_BUILDERS))
     save.add_argument("--cell", default=None,
-                      help="checkpoint the fault-matrix pair instead (any cell "
-                      "name picks the machine count)")
+                      help="checkpoint the fault_matrix pair this cell runs "
+                      "on instead")
     save.add_argument("--seed", type=int, default=0)
     save.add_argument("--warm", action="store_true",
                       help="run warmup (channels connected) before capturing")
@@ -256,7 +257,7 @@ def main(argv: list[str] | None = None) -> int:
         if action == "replay":
             p.add_argument("--runs", type=int, default=2)
             p.add_argument("--cell", default=None,
-                           help="fault cell to replay (fault-pair snapshots)")
+                           help="fault cell to replay (fault_matrix snapshots)")
 
     args = parser.parse_args(argv)
     handlers = {

@@ -22,7 +22,7 @@ from repro import report, scenarios
 from repro.workloads import lmbench, migration_rr, netperf, netpipe, pingpong
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.scenarios import Scenario
+    from repro.topology import Cluster
 
 __all__ = [
     "BENCH_COSTS",
@@ -52,7 +52,7 @@ BENCH_COSTS = scenarios.DEFAULT_COSTS.replace(
 )
 
 
-def build_warm(name: str, costs=BENCH_COSTS, **kwargs) -> "Scenario":
+def build_warm(name: str, costs=BENCH_COSTS, **kwargs) -> "Cluster":
     scn = scenarios.build(name, costs, **kwargs)
     scn.warmup(max_wait=20.0)
     return scn
@@ -65,7 +65,7 @@ class Row:
 
     label: str
     paper: tuple[float, float, float, float]
-    run: Callable[["Scenario"], float]
+    run: Callable[["Cluster"], float]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.tcp import TcpConnection
-    from repro.scenarios import Scenario
+    from repro.topology import Cluster
 
 __all__ = ["MpiConnection", "mpi_connect_pair"]
 
@@ -58,7 +58,7 @@ class MpiConnection:
         yield from self.conn.close()
 
 
-def mpi_connect_pair(scenario: "Scenario", port: int = 9099):
+def mpi_connect_pair(scenario: "Cluster", port: int = 9099):
     """Establish rank0<->rank1 connections (generator helpers).
 
     Returns two generator functions suitable for driving from two

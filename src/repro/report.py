@@ -148,17 +148,19 @@ def format_fault_matrix(results: Sequence[Mapping[str, object]]) -> str:
 def scenario_catalog() -> str:
     """Render the scenario registry as an aligned name/description list.
 
-    Reads :data:`repro.scenarios.SCENARIO_SPECS`, so a newly registered
-    builder shows up here (and in ``python -m repro list``) with no
-    other change.
+    Reads :data:`repro.scenarios.SCENARIO_BUILDERS` and each builder's
+    first docstring line, so a newly registered builder shows up here
+    (and in ``python -m repro list``) with no other change.
     """
-    from repro.scenarios import SCENARIO_SPECS
+    from repro.scenarios import SCENARIO_BUILDERS
 
-    width = max(len(name) for name in SCENARIO_SPECS)
-    return "\n".join(
-        f"  {spec.name.ljust(width)}  {spec.description}"
-        for spec in SCENARIO_SPECS.values()
-    )
+    width = max(len(name) for name in SCENARIO_BUILDERS)
+    lines = []
+    for name, fn in SCENARIO_BUILDERS.items():
+        # ``python -OO`` strips docstrings; list the bare name then.
+        summary = (fn.__doc__ or "").strip().partition("\n")[0]
+        lines.append(f"  {name.ljust(width)}  {summary}")
+    return "\n".join(lines)
 
 
 def ratio(a: float, b: float) -> float:

@@ -1,26 +1,24 @@
 """Evaluation topologies from the paper, as declarative specs.
 
-The package splits three concerns that used to share one module:
+The package splits two concerns:
 
-* :mod:`repro.scenarios.base` -- the :class:`Scenario` result object
-  (endpoints + ``warmup()``).
 * :mod:`repro.scenarios.registry` -- the ``@scenario`` decorator and
   the ``SCENARIO_BUILDERS`` registry that ``build()``/the CLI consume.
-* :mod:`repro.scenarios.paper` -- the builders themselves, each a thin
-  :class:`repro.topology.ClusterSpec` spec.
+* :mod:`repro.scenarios.paper` (and the congestion, serving and
+  fault-matrix modules) -- the builders themselves, each a thin
+  :class:`repro.topology.ClusterSpec` spec returning a
+  :class:`repro.topology.Cluster`.
 
-``from repro import scenarios`` keeps working exactly as before: every
-public name of the old flat module is re-exported here.
+Every builder except ``fault_matrix`` and every cell runner is
+re-exported here.  ``scenarios.fault_matrix`` is the submodule; its
+builder is reached as ``build("fault_matrix", ...)``.
 """
 
 from __future__ import annotations
 
 from repro.calibration import DEFAULT_COSTS, CostModel
-from repro.scenarios.base import Scenario
 from repro.scenarios.registry import (
     SCENARIO_BUILDERS,
-    SCENARIO_SPECS,
-    ScenarioSpec,
     build,
     scenario,
     scenario_names,
@@ -33,7 +31,7 @@ from repro.scenarios.congestion import (
     xenloop_fairness,
     xenloop_incast,
 )
-from repro.scenarios.fault_matrix import fault_matrix, run_fault_matrix
+from repro.scenarios.fault_matrix import run_fault_matrix
 from repro.scenarios.serving import run_serving_cell, xenloop_serving
 from repro.scenarios.paper import (
     inter_machine,
@@ -48,11 +46,7 @@ __all__ = [
     "CostModel",
     "DEFAULT_COSTS",
     "SCENARIO_BUILDERS",
-    "SCENARIO_SPECS",
-    "Scenario",
-    "ScenarioSpec",
     "build",
-    "fault_matrix",
     "inter_machine",
     "migration_pair",
     "native_loopback",

@@ -46,15 +46,17 @@ def _module_for(data_path: str):
     raise ValueError(f"data_path must be 'fifo' or 'netfront', not {data_path!r}")
 
 
-@scenario()
+@scenario
 def xenloop_incast(
     costs: CostModel = DEFAULT_COSTS,
     seed: int = 0,
     n_senders: int = 4,
     data_path: str = "fifo",
 ) -> topology.Cluster:
-    """N-to-1 incast: ``n_senders`` source guests and one sink guest,
-    co-resident on one Xen machine."""
+    """N-to-1 incast: N source guests and one sink guest on one Xen machine.
+
+    ``n_senders`` sets N; the measured endpoints are ``src1`` and the
+    sink."""
     module = _module_for(data_path)
     guests = [topology.GuestSpec("sink", module=module)]
     guests += [
@@ -68,7 +70,7 @@ def xenloop_incast(
     return spec.build(costs, seed=seed)
 
 
-@scenario()
+@scenario
 def xenloop_fairness(
     costs: CostModel = DEFAULT_COSTS,
     seed: int = 0,
@@ -76,8 +78,10 @@ def xenloop_fairness(
     n_mice: int = 3,
     data_path: str = "fifo",
 ) -> topology.Cluster:
-    """Elephant/mice fairness: long streams and short bursts sharing
-    one sink guest on one Xen machine."""
+    """Elephant/mice fairness: long streams and short bursts share one sink.
+
+    All guests sit on one Xen machine; ``n_elephants`` stream and
+    ``n_mice`` send short bursts."""
     module = _module_for(data_path)
     guests = [topology.GuestSpec("sink", module=module)]
     guests += [topology.GuestSpec(f"e{i + 1}", module=module) for i in range(n_elephants)]

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from repro import faults, topology
 from repro.calibration import DEFAULT_COSTS, CostModel
 from repro.core.channel import Channel
-from repro.scenarios.base import Scenario
 from repro.scenarios.registry import scenario
 
 __all__ = [
@@ -74,6 +73,12 @@ class MatrixCell:
 
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
+
+    @property
+    def pair_kwargs(self) -> dict:
+        """The :func:`fault_matrix` builder arguments this cell runs on
+        (also the ``kwargs`` of its snapshot recipe)."""
+        return {"machines": self.machines, "pin_mac": self.pin_mac}
 
 
 def matrix_cells() -> list[MatrixCell]:
@@ -192,14 +197,22 @@ def matrix_cells() -> list[MatrixCell]:
     return cells
 
 
-def _pair_spec(machines: int = 1, pin_mac: bool = False) -> topology.ClusterSpec:
-    """Two XenLoop guests on one machine (plus an optional empty second
-    machine as a migration target; it runs Dom0 discovery too, as every
-    Xen machine of a module-loading cluster does).
+@scenario
+def fault_matrix(
+    costs: CostModel = DEFAULT_COSTS,
+    seed: int = 0,
+    machines: int = 1,
+    pin_mac: bool = False,
+) -> topology.Cluster:
+    """Two XenLoop guests on one Xen machine: the fault matrix's pair.
 
-    ``pin_mac`` fixes vm2's MAC in its spec (high in the Xen OUI, far
-    above anything the auto-allocator hands out), so a restart reuses
-    it instead of minting a fresh identity.
+    ``machines=2`` adds an empty second machine as a migration target
+    (it runs Dom0 discovery too, as every Xen machine of a
+    module-loading cluster does).  ``pin_mac`` fixes vm2's MAC in its
+    spec (high in the Xen OUI, far above anything the auto-allocator
+    hands out), so a restart reuses it instead of minting a fresh
+    identity.  No fault plan is bound: each cell binds its own after
+    the build (see :func:`run_cell`).
     """
     mspecs = [
         topology.MachineSpec(
@@ -216,17 +229,12 @@ def _pair_spec(machines: int = 1, pin_mac: bool = False) -> topology.ClusterSpec
     ]
     if machines > 1:
         mspecs.append(topology.MachineSpec(name="xenB"))
-    return topology.ClusterSpec(
+    spec = topology.ClusterSpec(
         name="fault_matrix",
         machines=tuple(mspecs),
         expect_channels=False,
     )
-
-
-def _build_pair(
-    costs: CostModel, seed: int, machines: int = 1, pin_mac: bool = False
-) -> topology.Cluster:
-    return _pair_spec(machines, pin_mac=pin_mac).build(costs, seed=seed)
+    return spec.build(costs, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +362,7 @@ def _run_cell_on(cluster: topology.Cluster, cell: MatrixCell, seed: int) -> dict
 
 def run_cell(cell: MatrixCell, costs: CostModel = MATRIX_COSTS, seed: int = 0) -> dict:
     """Build, fault, drive, settle, unload, check one cell."""
-    cluster = _build_pair(costs, seed, machines=cell.machines, pin_mac=cell.pin_mac)
+    cluster = fault_matrix(costs, seed, **cell.pair_kwargs)
     return _run_cell_on(cluster, cell, seed)
 
 
@@ -362,17 +370,3 @@ def run_fault_matrix(costs: CostModel = MATRIX_COSTS, seed: int = 0) -> list[dic
     """Run every cell of the sweep (a fresh pair per cell); returns one
     result dict per cell."""
     return [run_cell(cell, costs, seed=seed) for cell in matrix_cells()]
-
-
-@scenario(description="Two XenLoop guests with a recoverable fault plan bound.")
-def fault_matrix(costs: CostModel = DEFAULT_COSTS, seed: int = 0) -> Scenario:
-    """The fault-injection demo topology: the two-guest xenloop pair
-    with a seeded plan that drops the first CREATE_CHANNEL frame -- the
-    handshake recovers through the listener's retry ladder.  The full
-    sweep lives in :func:`run_fault_matrix`."""
-    cluster = _build_pair(costs, seed)
-    faults.FaultPlan(
-        (faults.FaultRule(faults.CONTROL_DROP, message="CreateChannel"),),
-        seed=seed,
-    ).bind(cluster)
-    return cluster

@@ -13,14 +13,14 @@ Each builder is a *thin spec*: it declares the cluster with
 :class:`repro.topology.ClusterSpec` and lets the topology layer build
 it.  The :func:`~repro.scenarios.registry.scenario` decorator
 registers every builder, so ``build(name)`` and the CLI always see the
-full set.
+full set; the first docstring line of each builder is its description
+in ``python -m repro list``.
 """
 
 from __future__ import annotations
 
 from repro import topology
 from repro.calibration import DEFAULT_COSTS, CostModel
-from repro.scenarios.base import Scenario
 from repro.scenarios.registry import scenario
 
 __all__ = [
@@ -33,8 +33,8 @@ __all__ = [
 ]
 
 
-@scenario()
-def inter_machine(costs: CostModel = DEFAULT_COSTS, seed: int = 0) -> Scenario:
+@scenario
+def inter_machine(costs: CostModel = DEFAULT_COSTS, seed: int = 0) -> topology.Cluster:
     """Two native machines across a 1 Gbps Ethernet switch."""
     spec = topology.ClusterSpec(
         name="inter_machine",
@@ -50,8 +50,8 @@ def inter_machine(costs: CostModel = DEFAULT_COSTS, seed: int = 0) -> Scenario:
     return spec.build(costs, seed=seed)
 
 
-@scenario()
-def native_loopback(costs: CostModel = DEFAULT_COSTS, seed: int = 0) -> Scenario:
+@scenario
+def native_loopback(costs: CostModel = DEFAULT_COSTS, seed: int = 0) -> topology.Cluster:
     """Two processes on one non-virtualized host, via the loopback device."""
     spec = topology.ClusterSpec(
         name="native_loopback",
@@ -66,8 +66,8 @@ def native_loopback(costs: CostModel = DEFAULT_COSTS, seed: int = 0) -> Scenario
     return spec.build(costs, seed=seed)
 
 
-@scenario()
-def netfront_netback(costs: CostModel = DEFAULT_COSTS, seed: int = 0) -> Scenario:
+@scenario
+def netfront_netback(costs: CostModel = DEFAULT_COSTS, seed: int = 0) -> topology.Cluster:
     """Co-resident guests over the standard split-driver path via Dom0."""
     spec = topology.ClusterSpec(
         name="netfront_netback",
@@ -84,14 +84,14 @@ def netfront_netback(costs: CostModel = DEFAULT_COSTS, seed: int = 0) -> Scenari
     return spec.build(costs, seed=seed)
 
 
-@scenario()
+@scenario
 def xenloop(
     costs: CostModel = DEFAULT_COSTS,
     seed: int = 0,
     fifo_order: int = 13,
     zero_copy_rx: bool = False,
     socket_bypass: bool = False,
-) -> Scenario:
+) -> topology.Cluster:
     """Co-resident guests with XenLoop loaded (64 KB FIFOs by default).
 
     ``socket_bypass=True`` loads the experimental transport-layer
@@ -119,17 +119,18 @@ def xenloop(
     return spec.build(costs, seed=seed)
 
 
-@scenario(description="N co-resident guests, XenLoop loaded in all of them.")
+@scenario
 def xenloop_mesh(
     n_guests: int = 3,
     costs: CostModel = DEFAULT_COSTS,
     seed: int = 0,
-) -> Scenario:
-    """``n_guests`` co-resident guests, XenLoop loaded in all of them.
+) -> topology.Cluster:
+    """N co-resident guests, XenLoop loaded in all of them.
 
-    Channels form lazily and pairwise on first traffic, so a full mesh
-    emerges only between guests that actually talk.  ``node_a``/``node_b``
-    are the first two guests; the rest are in ``machines[0].guests``.
+    ``n_guests`` guests share one Xen machine.  Channels form lazily
+    and pairwise on first traffic, so a full mesh emerges only between
+    guests that actually talk.  ``node_a``/``node_b`` are the first two
+    guests; the rest are in ``machines[0].guests``.
     """
     if n_guests < 2:
         raise ValueError("a mesh needs at least two guests")
@@ -151,12 +152,12 @@ def xenloop_mesh(
     return spec.build(costs, seed=seed)
 
 
-@scenario(description="Two Xen machines on a switch, one XenLoop guest each (Fig. 11).")
-def migration_pair(costs: CostModel = DEFAULT_COSTS, seed: int = 0) -> Scenario:
-    """Two Xen machines on a switch, one guest each, XenLoop loaded on
-    both guests and discovery in both Dom0s -- the Fig. 11 topology.
+@scenario
+def migration_pair(costs: CostModel = DEFAULT_COSTS, seed: int = 0) -> topology.Cluster:
+    """Two Xen machines on a switch, one XenLoop guest each (Fig. 11).
 
-    ``node_b`` (vm2, on machine B) is the guest that migrates.
+    Discovery runs in both Dom0s.  ``node_b`` (vm2, on machine B) is
+    the guest that migrates.
     """
     spec = topology.ClusterSpec(
         name="migration_pair",

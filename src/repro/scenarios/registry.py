@@ -1,65 +1,38 @@
 """Auto-registration of scenario builders.
 
 Every builder decorated with :func:`scenario` lands in
-``SCENARIO_BUILDERS`` at definition time, so the registry can never
-drift from the set of builders (the pre-registry bug: ``xenloop_mesh``
-and ``migration_pair`` existed but ``build()`` and the CLI rejected
-them).  ``cli.py``, ``report.py`` and ``trace.py`` all consume this
-registry rather than private name lists.
+``SCENARIO_BUILDERS`` under its own name at definition time, so the
+registry can never drift from the set of builders (the pre-registry
+bug: ``xenloop_mesh`` and ``migration_pair`` existed but ``build()``
+and the CLI rejected them).  A builder's description is the first line
+of its docstring.  ``cli.py``, ``report.py`` and ``trace.py`` all
+consume this registry rather than private name lists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.calibration import DEFAULT_COSTS, CostModel
-from repro.scenarios.base import Scenario
+from repro.topology import Cluster
 
 __all__ = [
     "SCENARIO_BUILDERS",
-    "SCENARIO_SPECS",
-    "ScenarioSpec",
     "build",
     "scenario",
     "scenario_names",
 ]
 
-
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """Registry entry: the builder plus its one-line description."""
-
-    name: str
-    builder: Callable[..., Scenario]
-    description: str
-
-
 #: name -> builder callable (the decorator keeps this in sync).
-SCENARIO_BUILDERS: dict[str, Callable[..., Scenario]] = {}
-#: name -> full registry entry.
-SCENARIO_SPECS: dict[str, ScenarioSpec] = {}
+SCENARIO_BUILDERS: dict[str, Callable[..., Cluster]] = {}
 
 
-def scenario(name: str | None = None, *, description: str | None = None):
-    """Class of decorators registering a scenario builder.
-
-    ``@scenario()`` registers under the function's own name with its
-    docstring's first line as the description; both can be overridden.
-    """
-
-    def decorate(fn: Callable[..., Scenario]) -> Callable[..., Scenario]:
-        key = name or fn.__name__
-        if key in SCENARIO_BUILDERS:
-            raise ValueError(f"scenario {key!r} registered twice")
-        doc = description
-        if doc is None:
-            doc = (fn.__doc__ or "").strip().splitlines()[0] if fn.__doc__ else ""
-        SCENARIO_SPECS[key] = ScenarioSpec(name=key, builder=fn, description=doc)
-        SCENARIO_BUILDERS[key] = fn
-        return fn
-
-    return decorate
+def scenario(fn: Callable[..., Cluster]) -> Callable[..., Cluster]:
+    """Register ``fn`` as a scenario builder under its own name."""
+    if fn.__name__ in SCENARIO_BUILDERS:
+        raise ValueError(f"scenario {fn.__name__!r} registered twice")
+    SCENARIO_BUILDERS[fn.__name__] = fn
+    return fn
 
 
 def scenario_names() -> list[str]:
@@ -67,7 +40,7 @@ def scenario_names() -> list[str]:
     return list(SCENARIO_BUILDERS)
 
 
-def build(name: str, costs: CostModel = DEFAULT_COSTS, **kwargs) -> Scenario:
+def build(name: str, costs: CostModel = DEFAULT_COSTS, **kwargs) -> Cluster:
     """Build a scenario by name (see SCENARIO_BUILDERS).
 
     ``costs`` is forwarded by keyword so builders with leading

@@ -26,7 +26,6 @@ from __future__ import annotations
 from repro import topology
 from repro.calibration import DEFAULT_COSTS, CostModel
 from repro.faults import CRASH, MIGRATE, PKT_LOSS, FaultPlan, FaultRule
-from repro.scenarios.base import Scenario
 from repro.scenarios.congestion import _module_for, loss_plan
 from repro.scenarios.registry import scenario
 
@@ -67,17 +66,17 @@ def serving_churn_schedule(client: str = "c1") -> tuple[FaultRule, ...]:
     )
 
 
-@scenario(
-    description="Open-loop request/response serving; tail latency, optional churn."
-)
+@scenario
 def xenloop_serving(
     costs: CostModel = DEFAULT_COSTS,
     seed: int = 0,
     n_clients: int = 2,
     data_path: str = "fifo",
     churn: bool = False,
-) -> Scenario:
-    """One server guest and ``n_clients`` client guests co-resident on
+) -> topology.Cluster:
+    """Open-loop request/response serving; tail latency, optional churn.
+
+    One server guest and ``n_clients`` client guests are co-resident on
     one Xen machine.  With ``churn=True`` a second machine hosts a
     bystander guest, the migration target of the rules from
     :func:`serving_churn_schedule`."""

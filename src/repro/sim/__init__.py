@@ -12,7 +12,6 @@ when the yielded event fires.
 """
 
 from repro.sim.engine import (
-    AllOf,
     AnyOf,
     Event,
     Process,
@@ -24,7 +23,6 @@ from repro.sim.resources import CPUCores, Store
 from repro.sim.stats import LogHistogram, TimeSeries
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "CPUCores",
     "Event",

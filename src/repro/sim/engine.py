@@ -6,7 +6,7 @@ The engine is deliberately small and dependency-free.  It provides:
 * :class:`Event` -- a one-shot occurrence that processes can wait on.
 * :class:`Timeout` -- an event that fires after a simulated delay.
 * :class:`Process` -- a generator-based coroutine driven by the engine.
-* :class:`AnyOf` / :class:`AllOf` -- composite wait conditions.
+* :class:`AnyOf` -- wait for the first of several events.
 
 Time is a float in **seconds**.  Events scheduled for the same instant
 fire in FIFO order of scheduling (a monotonically increasing sequence
@@ -60,7 +60,6 @@ from repro.sim.metrics import Metrics
 from repro.sim.rng import make_rng, rng_state
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "Event",
     "Process",
@@ -208,21 +207,22 @@ class _Resume:
         proc._step(self.value, self.ok)
 
 
-class _Condition(Event):
-    """Base for AnyOf/AllOf.  Fires when ``_check`` says it is satisfied."""
+class AnyOf(Event):
+    """Fires as soon as any constituent event fires, with the values of
+    the constituents already fired; fails if a constituent fails first.
+    With no constituents it fires at once."""
 
-    __slots__ = ("events", "_count")
+    __slots__ = ("events",)
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
         super().__init__(sim)
         self.events = tuple(events)
-        self._count = 0
         for ev in self.events:
             if ev.sim is not sim:
                 raise SimulationError("condition mixes events from different simulators")
         # Register after validation so a raise leaves no dangling callbacks.
         if not self.events:
-            self.succeed(self._collect())
+            self.succeed({})
             return
         for ev in self.events:
             if ev.processed:
@@ -230,39 +230,13 @@ class _Condition(Event):
             else:
                 ev.callbacks.append(self._on_event)
 
-    def _collect(self) -> dict[Event, Any]:
-        return {ev: ev._value for ev in self.events if ev.processed and ev.ok}
-
     def _on_event(self, ev: Event) -> None:
         if self._state != PENDING:
             return
         if not ev.ok:
             self.fail(ev._value)
             return
-        self._count += 1
-        if self._satisfied():
-            self.succeed(self._collect())
-
-    def _satisfied(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AnyOf(_Condition):
-    """Fires as soon as any constituent event fires."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._count >= 1
-
-
-class AllOf(_Condition):
-    """Fires once every constituent event has fired."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._count >= len(self.events)
+        self.succeed({e: e._value for e in self.events if e.processed and e.ok})
 
 
 ProcessGenerator = Generator[Event, Any, Any]
@@ -442,10 +416,6 @@ class Simulator:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Composite event firing when any constituent fires."""
         return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Composite event firing when every constituent has fired."""
-        return AllOf(self, events)
 
     # -- scheduling -----------------------------------------------------
     def _schedule(self, obj: Any, delay: float = 0.0) -> None:

@@ -57,16 +57,6 @@ class Store:
             self._putters.append((ev, item))
         return ev
 
-    def try_put(self, item: Any) -> bool:
-        """Non-blocking put; returns False when a bounded store is full."""
-        if self._getters:
-            self._getters.popleft().succeed(item)
-            return True
-        if self.capacity is not None and len(self.items) >= self.capacity:
-            return False
-        self.items.append(item)
-        return True
-
     def get(self) -> Event:
         """Take the oldest item; the event fires when one is available."""
         ev = Event(self.sim, "store.get")

@@ -13,9 +13,9 @@ simulator rather than the live objects:
   canonical-JSON tree with a sha256 digest.  Capturing is read-only, so
   the cluster keeps running exactly as it would have.
 * :meth:`~SimSnapshot.save` / :meth:`~SimSnapshot.load` persist a
-  versioned JSON manifest holding the build recipe (scenario name or
-  fault-pair shape, cost model, seed, warm steps), the state tree and
-  its digest.
+  versioned JSON manifest holding the build recipe (registered
+  scenario name and arguments, cost model, seed, warm steps), the state
+  tree and its digest.
 * :meth:`~SimSnapshot.restore` re-executes the recipe -- deterministic
   replay -- then re-captures and verifies the digest, so code drift or
   nondeterminism since the save surfaces as :class:`SnapshotMismatch`
@@ -41,14 +41,13 @@ __all__ = [
     "SnapshotMismatch",
     "build_from_recipe",
     "capture_state",
-    "fault_pair_recipe",
     "scenario_recipe",
     "state_digest",
 ]
 
 #: manifest format version; bump on any change to the captured tree's
 #: shape so a stale manifest fails loudly instead of digest-mismatching.
-SNAPSHOT_FORMAT = 9
+SNAPSHOT_FORMAT = 10
 
 class SnapshotError(RuntimeError):
     """Base error for the snapshot subsystem."""
@@ -77,26 +76,22 @@ def _jsonable(value: Any) -> Any:
 
 
 def capture_state(cluster) -> dict:
-    """Walk a built cluster/scenario and collect every subsystem's
-    ``snapshot_state()`` into one plain tree.
+    """Walk a built :class:`~repro.topology.Cluster` and collect every
+    subsystem's ``snapshot_state()`` into one plain tree.
 
     Strictly read-only: nothing is scheduled, run, or mutated, so
     capturing is safe at any quiescent point (between ``run`` calls)
     and the cluster continues exactly as it would have uncaptured.
+    Native hosts have no domid, netfront or hypervisor, so those
+    per-node keys are read with defaults.
     """
     state: dict = {
         "sim": cluster.sim.snapshot_state(),
         "metrics": cluster.sim.metrics.snapshot(),
     }
 
-    guests = getattr(cluster, "guests", None)
-    if not guests:
-        guests = {}
-        for node in (cluster.node_a, cluster.node_b):
-            guests.setdefault(node.name, node)
-
     gstate: dict = {}
-    for name, guest in guests.items():
+    for name, guest in cluster.guests.items():
         entry: dict = {
             "alive": getattr(guest, "alive", True),
             "domid": getattr(guest, "domid", None),
@@ -120,12 +115,11 @@ def capture_state(cluster) -> dict:
     state["guests"] = gstate
 
     state["modules"] = {
-        name: module.snapshot_state()
-        for name, module in (getattr(cluster, "modules", None) or {}).items()
+        name: module.snapshot_state() for name, module in cluster.modules.items()
     }
 
     mstate: dict = {}
-    for machine in getattr(cluster, "machines", None) or []:
+    for machine in cluster.machines:
         entry = {}
         hyper = getattr(machine, "hypervisor", None)
         if hyper is not None:
@@ -141,11 +135,7 @@ def capture_state(cluster) -> dict:
         mstate[machine.name] = entry
     state["machines"] = mstate
 
-    discos = getattr(cluster, "discoveries", None)
-    if not discos:
-        single = getattr(cluster, "discovery", None)
-        discos = [single] if single is not None else []
-    state["discoveries"] = [d.snapshot_state() for d in discos]
+    state["discoveries"] = [d.snapshot_state() for d in cluster.discoveries]
 
     return _jsonable(state)
 
@@ -186,7 +176,8 @@ def scenario_recipe(
     warm: Optional[dict] = None,
     kwargs: Optional[dict] = None,
 ) -> dict:
-    """Recipe for a registered scenario, optionally warmed up.
+    """Recipe for a registered scenario built with ``kwargs``,
+    optionally warmed up.
 
     ``warm`` is falsy (no warmup) or ``{"max_wait": <seconds>}``.
     """
@@ -200,56 +191,21 @@ def scenario_recipe(
     return recipe
 
 
-def fault_pair_recipe(
-    costs=None, seed: int = 0, machines: int = 1, pin_mac: bool = False
-) -> dict:
-    """Recipe for the fault matrix's two-guest pair (pre-fault: plans
-    bind after build, so this snapshot point precedes any injection).
-
-    ``pin_mac`` is recorded only when set, so recipes (and their
-    digests) from before the pinned-MAC cells are unchanged.
-    """
-    recipe: dict = {"kind": "fault_pair", "seed": seed, "machines": machines}
-    if pin_mac:
-        recipe["pin_mac"] = True
-    if costs is not None:
-        recipe["costs"] = dataclasses.asdict(costs)
-    return recipe
-
-
 def build_from_recipe(recipe: dict):
     """Deterministically re-execute a recipe into a live cluster."""
+    from repro import scenarios
     from repro.calibration import DEFAULT_COSTS, CostModel
 
-    kind = recipe.get("kind")
+    if recipe.get("kind") != "scenario":
+        raise SnapshotError(f"unknown recipe kind {recipe.get('kind')!r}")
     costs = CostModel(**recipe["costs"]) if recipe.get("costs") else DEFAULT_COSTS
-    seed = recipe.get("seed", 0)
-    if kind == "scenario":
-        from repro import scenarios
-
-        scn = scenarios.build(
-            recipe["name"], costs=costs, seed=seed, **(recipe.get("kwargs") or {})
-        )
-        warm = recipe.get("warm")
-        if warm:
-            scn.warmup(max_wait=float(warm.get("max_wait", 30.0)))
-        return scn
-    if kind == "fault_pair":
-        import importlib
-        import sys
-
-        importlib.import_module("repro.scenarios.fault_matrix")
-        # The scenarios package re-exports the fault_matrix *builder*,
-        # shadowing the submodule attribute -- go through sys.modules.
-        fm = sys.modules["repro.scenarios.fault_matrix"]
-        base = fm.MATRIX_COSTS if not recipe.get("costs") else costs
-        return fm._build_pair(
-            base,
-            seed,
-            machines=recipe.get("machines", 1),
-            pin_mac=recipe.get("pin_mac", False),
-        )
-    raise SnapshotError(f"unknown recipe kind {kind!r}")
+    cluster = scenarios.build(
+        recipe["name"], costs=costs, seed=recipe.get("seed", 0), **(recipe.get("kwargs") or {})
+    )
+    warm = recipe.get("warm")
+    if warm:
+        cluster.warmup(max_wait=float(warm.get("max_wait", 30.0)))
+    return cluster
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
-"""Declarative cluster topologies: specs in, running scenarios out.
+"""Declarative cluster topologies: specs in, running clusters out.
 
 The paper's evaluation topologies (Sect. 4), the multi-guest and
 migration setups, and the serving and fault-matrix cells are all
 described here as specs rather than wired by hand.  You describe a
 cluster -- machines, guests, per-guest module configuration -- as
 plain dataclasses, and :meth:`ClusterSpec.build` turns
-the description into a live :class:`Cluster` (a
-:class:`~repro.scenarios.Scenario` subclass, so every existing
-workload, report, and trace helper works on it unchanged).
+the description into a live :class:`Cluster`, the one object every
+scenario builder returns and every workload, report, trace helper and
+snapshot works on.
 
 Determinism contract: ``build`` constructs the simulation in a fixed
 phase order -- switch, machine shells, network attachment (per machine,
@@ -38,17 +38,18 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.calibration import DEFAULT_COSTS, CostModel
+from repro.core.channel import ChannelState
 from repro.core.discovery import DiscoveryModule
 from repro.core.module import XenLoopModule
 from repro.net.addr import IPv4Addr, MacAddr
 from repro.net.nic import EthernetSwitch, PhysNIC
 from repro.net.node import Node
 from repro.net.stack import NetworkStack
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 from repro.xen.machine import Machine, XenMachine
 
 __all__ = [
@@ -109,49 +110,86 @@ class MachineSpec:
         object.__setattr__(self, "guests", tuple(self.guests))
 
 
-# Import here to avoid a cycle at module-import time: scenarios.base
-# imports nothing from topology, but importing it runs scenarios/__init__,
-# whose builder modules refer to ``topology.Cluster`` only at call time.
-from repro.scenarios.base import Scenario  # noqa: E402
-
-
 @dataclass
-class Cluster(Scenario):
-    """A built cluster: a Scenario plus by-name access to everything.
+class Cluster:
+    """A built cluster: the simulation, its two measurement endpoints,
+    and by-name access to everything in it.
 
-    ``node_a``/``node_b`` (the Scenario endpoints) are the cluster's
-    declared endpoints; :meth:`view` re-aims them at any guest pair so
+    ``node_a``/``node_b`` are the declared endpoints (the same node for
+    a loopback cluster); :meth:`view` re-aims them at any guest pair so
     the per-pair netperf workloads run between arbitrary guests.
     """
 
-    spec: Optional[ClusterSpec] = None
+    spec: ClusterSpec
+    sim: Simulator
+    costs: CostModel
+    node_a: Node
+    node_b: Node
+    ip_a: IPv4Addr
+    ip_b: IPv4Addr
+    #: machines in declaration order.
+    machines: list
+    switch: Optional[EthernetSwitch]
+    #: guest name -> loaded guest module.
+    modules: dict
     #: guest/host nodes by spec name, in declaration order.
-    guests: dict = field(default_factory=dict)
+    guests: dict
     #: machines by spec name.
-    machines_by_name: dict = field(default_factory=dict)
-    #: all Dom0 discovery modules (Scenario.discovery is the first).
-    discoveries: list = field(default_factory=list)
+    machines_by_name: dict
+    #: Dom0 discovery modules, in machine order.
+    discoveries: list
+    #: whether warmup() waits for the endpoints' channels to connect.
+    expect_channels: bool
 
-    # -- checkpoint / replay -------------------------------------------
-    def snapshot(self, recipe: Optional[dict] = None, label: str = "") -> "object":
-        """Capture this cluster as a :class:`~repro.sim.snapshot.SimSnapshot`.
+    @property
+    def name(self) -> str:
+        return self.spec.name
 
-        The capture is read-only: the cluster keeps running exactly as it
-        would have.  When built from a ``recipe``, the snapshot can
-        ``save()``/``restore()`` across processes (digest-verified replay).
-        """
-        from repro.sim.snapshot import SimSnapshot
+    def warmup(self, max_wait: float = 30.0) -> None:
+        """Run the simulation until the data path is in steady state:
+        ARP resolved and, for module-loaded endpoints, discovery and
+        channel bootstrap done, so measurements start where the
+        paper's numbers do."""
+        self._ping_once()
+        if not self.modules or not self.expect_channels:
+            return
+        deadline = self.sim.now + max_wait
+        while self.sim.now < deadline:
+            if self._channels_connected():
+                return
+            # Discovery announcements arrive every discovery_period; each
+            # ping after an announcement triggers channel bootstrap.
+            self.sim.run(until=self.sim.now + self.costs.discovery_period / 4)
+            self._ping_once()
+        raise SimulationError(f"{self.name}: XenLoop channels never connected")
 
-        return SimSnapshot.capture(self, recipe=recipe, label=label)
+    def _ping_once(self) -> None:
+        stack = self.node_a.stack
 
-    @classmethod
-    def from_snapshot(cls, source) -> "Cluster":
-        """Rebuild a cluster from a snapshot (a :class:`SimSnapshot` or a
-        path to one saved with ``SimSnapshot.save``), digest-verified."""
-        from repro.sim.snapshot import SimSnapshot
+        def _gen():
+            ident = stack.icmp.alloc_ident()
+            waiter = yield from stack.icmp.send_echo(self.ip_b, ident, 0)
+            yield self.sim.any_of([waiter, self.sim.timeout(1.0)])
 
-        snap = SimSnapshot.load(source) if isinstance(source, (str, bytes)) else source
-        return snap.restore()
+        proc = self.sim.process(_gen(), name="warmup-ping")
+        self.sim.run_until_complete(proc, timeout=5.0)
+
+    def _channels_connected(self) -> bool:
+        # Other guests' channels form lazily on their own first
+        # traffic: warmup only waits for the measured endpoints.
+        endpoint_modules = [
+            m
+            for m in (self.modules.get(self.node_a.name), self.modules.get(self.node_b.name))
+            if m is not None
+        ]
+        return all(
+            any(ch.state is ChannelState.CONNECTED for ch in m.channels.values())
+            for m in endpoint_modules
+        )
+
+    def xenloop_module(self, node: Node) -> Optional[XenLoopModule]:
+        """The XenLoop module loaded in ``node``, if any."""
+        return self.modules.get(node.name)
 
     def view(self, client: str, server: str) -> "Cluster":
         """A shallow endpoint view: same simulation, endpoints re-aimed
@@ -175,8 +213,6 @@ class Cluster(Scenario):
         mapping in place.  A gratuitous ARP re-teaches bridges and
         neighbour caches the name->MAC binding either way.
         """
-        if self.spec is None:
-            raise ValueError("restart_guest needs a spec-built cluster")
         gspec = mspec = None
         for ms in self.spec.machines:
             for gs in ms.guests:
@@ -326,7 +362,7 @@ class ClusterSpec:
 
         end_a, end_b = self.resolved_endpoints()
         return Cluster(
-            name=self.name,
+            spec=self,
             sim=sim,
             costs=costs,
             node_a=guests[end_a],
@@ -336,16 +372,14 @@ class ClusterSpec:
             machines=[m for _, m in machines],
             switch=switch,
             modules=modules,
-            discovery=discoveries[0] if discoveries else None,
-            expect_channels=self._resolve_expect_channels(modules, end_a, end_b),
-            spec=self,
             guests=guests,
             machines_by_name={mspec.name: m for mspec, m in machines},
             discoveries=discoveries,
+            expect_channels=self._resolve_expect_channels(modules, end_a, end_b),
         )
 
     def _resolve_expect_channels(self, modules: dict, end_a: str, end_b: str) -> bool:
-        # Scenario._channels_connected only watches the endpoint modules,
+        # Cluster._channels_connected only watches the endpoint modules,
         # so warmup can wait whenever the measured pair are co-resident
         # module-loaded guests (other guests connect lazily on their
         # own first traffic); endpoints on different machines can only
@@ -353,7 +387,7 @@ class ClusterSpec:
         if self.expect_channels is not None:
             return self.expect_channels
         if not modules:
-            return True  # Scenario.warmup skips the wait when moduleless
+            return True  # Cluster.warmup skips the wait when moduleless
         if end_a not in modules or end_b not in modules or end_a == end_b:
             return False
         home = {}

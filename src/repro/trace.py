@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.packet import Packet
-    from repro.scenarios import Scenario
+    from repro.topology import Cluster
 
 __all__ = [
     "adopt",
@@ -121,7 +121,7 @@ def engine_stats(sim, wall_s: Optional[float] = None) -> dict:
     return stats
 
 
-def traced_ping(scenario: "Scenario", size: int = 56) -> list[tuple[str, float]]:
+def traced_ping(scenario: "Cluster", size: int = 56) -> list[tuple[str, float]]:
     """Send one traced echo request A->B; returns (stage, time_us)
     records with time relative to the send, ending at ICMP delivery."""
     sim = scenario.sim

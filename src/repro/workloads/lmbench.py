@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.scenarios import Scenario
+    from repro.topology import Cluster
 
 __all__ = ["BwResult", "LatResult", "bw_tcp", "lat_tcp"]
 
@@ -32,7 +32,7 @@ class LatResult:
 
 
 def bw_tcp(
-    scenario: "Scenario",
+    scenario: "Cluster",
     total_bytes: int = 4 << 20,
     chunk: int = 65536,
     port: int = 5301,
@@ -73,7 +73,7 @@ def bw_tcp(
     return done["result"]
 
 
-def lat_tcp(scenario: "Scenario", round_trips: int = 500, port: int = 5302) -> LatResult:
+def lat_tcp(scenario: "Cluster", round_trips: int = 500, port: int = 5302) -> LatResult:
     """1-byte TCP ping-pong; returns mean RTT in microseconds."""
     sim = scenario.sim
     done = {}

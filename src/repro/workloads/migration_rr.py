@@ -18,7 +18,7 @@ from repro.sim.stats import TimeSeries
 from repro.xen.migration import live_migrate
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.scenarios import Scenario
+    from repro.topology import Cluster
 
 __all__ = ["MigrationRrResult", "run"]
 
@@ -36,7 +36,7 @@ class MigrationRrResult:
 
 
 def run(
-    scenario: "Scenario",
+    scenario: "Cluster",
     co_resident_hold: float = 10.0,
     bin_width: float = 0.25,
     settle: float = 8.0,

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 from repro.sim.stats import LogHistogram
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.scenarios import Scenario
+    from repro.topology import Cluster
 
 __all__ = [
     "RrResult",
@@ -81,7 +81,7 @@ class StreamResult:
 
 
 def tcp_rr(
-    scenario: "Scenario",
+    scenario: "Cluster",
     duration: float = 0.2,
     req_size: int = 1,
     resp_size: int = 1,
@@ -125,7 +125,7 @@ def tcp_rr(
 
 
 def udp_rr(
-    scenario: "Scenario",
+    scenario: "Cluster",
     duration: float = 0.2,
     req_size: int = 1,
     resp_size: int = 1,
@@ -166,7 +166,7 @@ def udp_rr(
 
 
 def tcp_crr(
-    scenario: "Scenario",
+    scenario: "Cluster",
     duration: float = 0.1,
     req_size: int = 64,
     resp_size: int = 1024,
@@ -210,7 +210,7 @@ def tcp_crr(
 
 
 def tcp_stream(
-    scenario: "Scenario",
+    scenario: "Cluster",
     duration: float = 0.05,
     msg_size: int = 16384,
     port: int = 5203,
@@ -257,7 +257,7 @@ def tcp_stream(
 
 
 def udp_stream(
-    scenario: "Scenario",
+    scenario: "Cluster",
     duration: float = 0.05,
     msg_size: int = 8192,
     port: int = 5204,

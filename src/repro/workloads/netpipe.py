@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Iterable, Optional
 from repro.mpi import mpi_connect_pair
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.scenarios import Scenario
+    from repro.topology import Cluster
 
 __all__ = ["NetpipePoint", "NetpipeResult", "DEFAULT_SIZES", "run"]
 
@@ -51,7 +51,7 @@ def _reps_for(size: int) -> int:
 
 
 def run(
-    scenario: "Scenario",
+    scenario: "Cluster",
     sizes: Optional[Iterable[int]] = None,
     port: int = 9100,
 ) -> NetpipeResult:

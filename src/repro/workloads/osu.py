@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Iterable, Optional
 from repro.mpi import mpi_connect_pair
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.scenarios import Scenario
+    from repro.topology import Cluster
 
 __all__ = [
     "OsuPoint",
@@ -59,7 +59,7 @@ def _iters_for(size: int) -> tuple[int, int]:
 
 
 def osu_bw(
-    scenario: "Scenario",
+    scenario: "Cluster",
     sizes: Optional[Iterable[int]] = None,
     port: int = 9200,
 ) -> OsuResult:
@@ -101,7 +101,7 @@ def osu_bw(
 
 
 def osu_bibw(
-    scenario: "Scenario",
+    scenario: "Cluster",
     sizes: Optional[Iterable[int]] = None,
     port: int = 9201,
 ) -> OsuResult:
@@ -160,7 +160,7 @@ def osu_bibw(
 
 
 def osu_latency(
-    scenario: "Scenario",
+    scenario: "Cluster",
     sizes: Optional[Iterable[int]] = None,
     port: int = 9202,
 ) -> OsuResult:

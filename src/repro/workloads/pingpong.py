@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 from repro.sim.stats import LogHistogram
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.scenarios import Scenario
+    from repro.topology import Cluster
 
 __all__ = ["PingResult", "flood_ping"]
 
@@ -27,7 +27,7 @@ class PingResult:
     lost: int
 
 
-def flood_ping(scenario: "Scenario", count: int = 200, size: int = 56, timeout: float = 1.0) -> PingResult:
+def flood_ping(scenario: "Cluster", count: int = 200, size: int = 56, timeout: float = 1.0) -> PingResult:
     """Run a flood ping from endpoint A to endpoint B; returns RTT stats."""
     if count < 1:
         raise ValueError(f"count must be at least 1, not {count}")

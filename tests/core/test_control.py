@@ -5,9 +5,7 @@ The expected table below is written out independently of
 semantics fails here rather than silently redefining the protocol.
 """
 
-import importlib
 import itertools
-import sys
 from types import SimpleNamespace
 
 import pytest
@@ -18,12 +16,8 @@ from repro.core.channel import ChannelState
 from repro.core.control import TRANSITIONS, ChannelEvent, ChannelFSM, ControlPlane
 from repro.core.protocol import Announce
 from repro.net.addr import MacAddr
+from repro.scenarios import fault_matrix as fm
 from tests.core.conftest import FAST, first_channel
-
-# ``repro.scenarios.fault_matrix`` the module is shadowed by the
-# ``fault_matrix`` scenario builder the package re-exports.
-importlib.import_module("repro.scenarios.fault_matrix")
-fm = sys.modules["repro.scenarios.fault_matrix"]
 
 S = ChannelState
 E = ChannelEvent
@@ -276,7 +270,7 @@ class TestIdentityRefresh:
         """A crash + restart reusing a pinned MAC re-advertises under a
         fresh domid, and the peer's mapping must follow instead of
         routing to the dead identity."""
-        cluster = fm._build_pair(fm.MATRIX_COSTS, seed=0, pin_mac=True)
+        cluster = fm.fault_matrix(fm.MATRIX_COSTS, seed=0, pin_mac=True)
         sim = cluster.sim
         vm1, vm2 = cluster.guests["vm1"], cluster.guests["vm2"]
         _connect(cluster, vm1, vm2, port=7621)

@@ -11,7 +11,7 @@ class TestCollation:
     def test_collate_reads_adverts(self, xl_cold):
         scn = xl_cold
         scn.sim.run(until=0.05)  # let modules write their adverts
-        entries = scn.discovery.collate()
+        entries = scn.discoveries[0].collate()
         assert sorted(domid for domid, _mac in entries) == sorted(
             (scn.node_a.domid, scn.node_b.domid)
         )
@@ -23,7 +23,7 @@ class TestCollation:
         machine = scn.machines[0]
         machine.create_guest("vm3", ip=None)  # no stack, no module
         scn.sim.run(until=0.05)
-        assert len(scn.discovery.collate()) == 2
+        assert len(scn.discoveries[0].collate()) == 2
 
     def test_collate_skips_malformed_advert(self, xl_cold):
         scn = xl_cold
@@ -31,7 +31,7 @@ class TestCollation:
         vm3 = machine.create_guest("vm3")
         machine.xenstore.write(0, f"/local/domain/{vm3.domid}/xenloop", "not-a-mac")
         scn.sim.run(until=0.05)
-        assert len(scn.discovery.collate()) == 2
+        assert len(scn.discoveries[0].collate()) == 2
 
 
 class TestAnnouncements:
@@ -52,15 +52,15 @@ class TestAnnouncements:
     def test_periodic_scanning(self, xl_cold):
         scn = xl_cold
         scn.sim.run(until=5 * FAST.discovery_period)
-        assert scn.discovery.scans >= 4
+        assert scn.discoveries[0].scans >= 4
 
     def test_stopped_discovery_stops_announcing(self, xl_cold):
         scn = xl_cold
         scn.sim.run(until=2 * FAST.discovery_period)
-        scn.discovery.stop()
-        sent = scn.discovery.announcements_sent
+        scn.discoveries[0].stop()
+        sent = scn.discoveries[0].announcements_sent
         scn.sim.run(until=scn.sim.now + 3 * FAST.discovery_period)
-        assert scn.discovery.announcements_sent == sent
+        assert scn.discoveries[0].announcements_sent == sent
 
     def test_announcements_counted_by_guests(self, xl_cold):
         scn = xl_cold
@@ -71,7 +71,7 @@ class TestAnnouncements:
         """The Announce is built and serialized once per scan; every
         recipient's frame carries the *identical* payload object."""
         scn = xl_cold
-        bridge = scn.discovery.machine.bridge
+        bridge = scn.discoveries[0].machine.bridge
         captured = []
         real_input = bridge.input
 
@@ -79,7 +79,7 @@ class TestAnnouncements:
 
         def tap(port, frame):
             if frame.eth is not None and frame.eth.src == DOM0_MAC:
-                captured.append((scn.discovery.scans, frame))
+                captured.append((scn.discoveries[0].scans, frame))
             return real_input(port, frame)
 
         bridge.input = tap
@@ -113,9 +113,9 @@ class TestAnnouncements:
 class TestRoster:
     def test_roster_tracks_advertising_guests(self, xl_cold):
         scn = xl_cold
-        assert scn.discovery.roster == {}
+        assert scn.discoveries[0].roster == {}
         scn.sim.run(until=2 * FAST.discovery_period)
-        assert scn.discovery.roster == {
+        assert scn.discoveries[0].roster == {
             scn.node_a.mac: scn.node_a.domid,
             scn.node_b.mac: scn.node_b.domid,
         }
@@ -126,5 +126,5 @@ class TestRoster:
         proc = scn.sim.process(module_b.unload(), name="test-unload")
         scn.sim.run_until_complete(proc, timeout=5.0)
         scn.sim.run(until=scn.sim.now + 2 * FAST.discovery_period)
-        assert scn.node_b.mac not in scn.discovery.roster
-        assert scn.node_a.mac in scn.discovery.roster
+        assert scn.node_b.mac not in scn.discoveries[0].roster
+        assert scn.node_a.mac in scn.discoveries[0].roster

@@ -183,7 +183,7 @@ class TestAnnouncementEdgeCases:
 
     def test_empty_announcement_prunes_everything(self, xl):
         scn = xl
-        scn.discovery.stop()  # no fresh announcements repopulating state
+        scn.discoveries[0].stop()  # no fresh announcements repopulating state
         module_a = scn.xenloop_module(scn.node_a)
         module_a.control.handle_announce(Announce(sender_domid=0, entries=[]))
         scn.sim.run(until=scn.sim.now + 0.2)

@@ -14,13 +14,12 @@ contracts the snapshot feature rests on:
   fresh build, processed-event count included.
 """
 
-import importlib
-
 import pytest
 
 from repro import scenarios
 from repro.net.packet import WIRE_STATS
-from repro.sim.snapshot import SimSnapshot, fault_pair_recipe, scenario_recipe
+from repro.scenarios import fault_matrix as fm
+from repro.sim.snapshot import SimSnapshot, scenario_recipe
 from repro.workloads.netperf import udp_stream
 from repro.xen.event_channel import NOTIFY_STATS
 from tests.integration.test_fastpath_determinism import (
@@ -29,10 +28,6 @@ from tests.integration.test_fastpath_determinism import (
     GOLDEN_UDP_WARM_XENLOOP,
     GOLDEN_WIRE_COUNTERS,
 )
-
-# The scenarios package re-exports the fault_matrix *builder function*,
-# shadowing the submodule attribute -- import the module explicitly.
-fm = importlib.import_module("repro.scenarios.fault_matrix")
 
 WARM = {"max_wait": 20.0}
 
@@ -99,8 +94,8 @@ class TestFaultMatrixForking:
         reproduces :func:`run_cell` exactly, including the
         processed-event count (the determinism check)."""
         cell = next(c for c in fm.matrix_cells() if c.name == "drop:CreateChannel")
-        recipe = fault_pair_recipe(costs=fm.MATRIX_COSTS, machines=cell.machines)
-        cluster = fm._build_pair(fm.MATRIX_COSTS, 0, machines=cell.machines)
+        recipe = scenario_recipe("fault_matrix", fm.MATRIX_COSTS, kwargs=cell.pair_kwargs)
+        cluster = fm.fault_matrix(fm.MATRIX_COSTS, 0, **cell.pair_kwargs)
         path = tmp_path / "pair.json"
         SimSnapshot.capture(cluster, recipe=recipe).save(path)
 

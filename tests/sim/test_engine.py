@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim.engine import (
-    AllOf,
     AnyOf,
     Event,
     SimulationError,
@@ -236,21 +235,9 @@ class TestConditions:
         assert b in results and results[b] == "b"
         assert sim.now == 2.0
 
-    def test_all_of_waits_for_all(self, sim):
-        a = sim.timeout(5.0, value="a")
-        b = sim.timeout(2.0, value="b")
-
+    def test_empty_any_of_fires_immediately(self, sim):
         def gen():
-            results = yield sim.all_of([a, b])
-            return results
-
-        results = sim.run_until_complete(sim.process(gen()))
-        assert results[a] == "a" and results[b] == "b"
-        assert sim.now == 5.0
-
-    def test_empty_all_of_fires_immediately(self, sim):
-        def gen():
-            yield sim.all_of([])
+            yield sim.any_of([])
             return sim.now
 
         assert sim.run_until_complete(sim.process(gen())) == 0.0
@@ -275,7 +262,7 @@ class TestConditions:
 
         def gen():
             try:
-                yield sim.all_of([good, bad])
+                yield sim.any_of([good, bad])
             except RuntimeError:
                 return "failed"
 

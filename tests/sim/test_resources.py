@@ -74,12 +74,6 @@ class TestStore:
         # first two puts immediate, third at 5.0, fourth at 10.0
         assert [t for _i, t in events] == [0.0, 0.0, 5.0, 10.0]
 
-    def test_try_put_respects_capacity(self, sim):
-        store = Store(sim, capacity=1)
-        assert store.try_put("a")
-        assert not store.try_put("b")
-        assert len(store) == 1
-
     def test_try_get(self, sim):
         store = Store(sim)
         found, item = store.try_get()
@@ -97,7 +91,7 @@ class TestStore:
 
         sim.process(getter())
         sim.run()
-        assert store.try_put("direct")
+        assert store.put("direct").triggered
         sim.run()
         assert result["item"] == "direct"
         assert len(store) == 0

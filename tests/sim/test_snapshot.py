@@ -19,7 +19,6 @@ from repro.sim.snapshot import (
     SnapshotMismatch,
     build_from_recipe,
     capture_state,
-    fault_pair_recipe,
     scenario_recipe,
     state_digest,
 )
@@ -61,7 +60,7 @@ class TestCaptureDeterminism:
         json.dumps(state)  # no tuples, sets, numpy scalars, non-str keys
 
     def test_fault_pair_recipe_roundtrip(self):
-        recipe = fault_pair_recipe(seed=3, machines=2)
+        recipe = scenario_recipe("fault_matrix", FAST, seed=3, kwargs={"machines": 2})
         a = capture_state(build_from_recipe(recipe))
         b = capture_state(build_from_recipe(recipe))
         assert state_digest(a) == state_digest(b)
@@ -108,9 +107,11 @@ class TestPersistence:
         # format 4 (whose state has no metrics snapshot), format 5
         # (whose serving metrics still count deadline timer fires),
         # format 6 (whose module tree has a staging pool), format 7
-        # (whose recipe costs carry a netfilter hook cost) and format 8
+        # (whose recipe costs carry a netfilter hook cost), format 8
         # (whose guests carry a roster view and delta-discovery keys)
-        for fmt in (SNAPSHOT_FORMAT + 1, 1, 2, 3, 4, 5, 6, 7, 8):
+        # and format 9 (whose fault-matrix pairs have their own recipe
+        # kind)
+        for fmt in (SNAPSHOT_FORMAT + 1, 1, 2, 3, 4, 5, 6, 7, 8, 9):
             doc["format"] = fmt
             path.write_text(json.dumps(doc))
             with pytest.raises(SnapshotError):
@@ -128,15 +129,16 @@ class TestPersistence:
 
 class TestClusterApi:
     def test_cluster_snapshot_and_from_snapshot(self, tmp_path):
+        """A cluster captured and saved, then loaded and restored from
+        the path, comes back at the same clock and event count."""
         recipe = _warm_recipe()
         scn = build_from_recipe(recipe)
-        snap = scn.snapshot(recipe=recipe, label="via Cluster")
+        snap = SimSnapshot.capture(scn, recipe=recipe, label="via Cluster")
         assert snap.digest == state_digest(capture_state(scn))
         path = tmp_path / "snap.json"
         snap.save(path)
-        from repro.topology import Cluster
 
-        rebuilt = Cluster.from_snapshot(str(path))
+        rebuilt = SimSnapshot.load(str(path)).restore()
         assert rebuilt.sim.now == scn.sim.now
         assert rebuilt.sim.event_count == scn.sim.event_count
 

@@ -48,3 +48,38 @@ class TestCli:
         out = capsys.readouterr().out
         assert "future work" in out
         assert out == (RESULTS / "future_socket_bypass.txt").read_text()
+
+
+class TestSnapshotCli:
+    @pytest.fixture
+    def pair_manifest(self, tmp_path):
+        """A saved ``notify_drop`` pair: one machine, unpinned MAC."""
+        path = str(tmp_path / "pair.json")
+        assert main(["snapshot", "save", "--cell", "notify_drop", "--out", path]) == 0
+        return path
+
+    def test_replay_rejects_cell_needing_a_second_machine(self, pair_manifest):
+        with pytest.raises(SystemExit) as exc:
+            main(["snapshot", "replay", pair_manifest, "--cell", "migrate:connected"])
+        assert "machines" in str(exc.value.code)
+        assert "pin_mac" not in str(exc.value.code)
+
+    def test_replay_rejects_cell_needing_a_pinned_mac(self, pair_manifest):
+        with pytest.raises(SystemExit) as exc:
+            main(["snapshot", "replay", pair_manifest,
+                  "--cell", "crash_restart_same_mac:connected"])
+        assert "pin_mac" in str(exc.value.code)
+        assert "machines" not in str(exc.value.code)
+
+    def test_scenario_saved_pair_holds_the_builder_defaults(self, tmp_path):
+        path = str(tmp_path / "pair.json")
+        assert main(["snapshot", "save", "--scenario", "fault_matrix", "--out", path]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["snapshot", "replay", path, "--cell", "migrate:connected"])
+        assert "{'machines': 1}" in str(exc.value.code)
+
+    def test_warm_scenario_save_then_restore(self, tmp_path, capsys):
+        path = str(tmp_path / "xenloop.json")
+        assert main(["snapshot", "save", "--scenario", "xenloop", "--warm", "--out", path]) == 0
+        assert main(["snapshot", "restore", path]) == 0
+        assert "restore OK" in capsys.readouterr().out

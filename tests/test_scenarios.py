@@ -41,7 +41,7 @@ class TestBuilders:
     def test_xenloop_has_modules_and_discovery(self):
         scn = scenarios.xenloop(FAST)
         assert set(scn.modules) == {"vm1", "vm2"}
-        assert scn.discovery is not None
+        assert len(scn.discoveries) == 1
 
     def test_xenloop_fifo_order_plumbed(self):
         scn = scenarios.xenloop(FAST, fifo_order=10)
