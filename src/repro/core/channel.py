@@ -394,8 +394,6 @@ class Channel:
         else:
             self.notifies_suppressed += 1
             NOTIFY_STATS.fifo_suppressed += 1
-            if self.port is not None:
-                self.port.notifies_suppressed += 1
             if cost is not None:
                 yield guest.exec(cost)
 

@@ -243,7 +243,7 @@ class SocketBypassModule(XenLoopModule):
     def __init__(self, guest: "Domain", **kwargs):
         super().__init__(guest, **kwargs)
         #: (channel, stream_id) -> BypassConnection
-        self._streams: dict[tuple[int, int], BypassConnection] = {}
+        self._streams: dict[tuple[Channel, int], BypassConnection] = {}
         self._next_stream_id = 2 if guest.domid % 2 == 0 else 1  # odd/even split
         self.bypass_connects = 0
         self.bypass_fallbacks = 0
@@ -267,12 +267,10 @@ class SocketBypassModule(XenLoopModule):
         if channel is None or channel.state is not ChannelState.CONNECTED:
             self.bypass_fallbacks += 1
             return None
-        if channel.stream_handler is None:
-            self._attach_stream_handler(channel)
 
         stream_id = self._alloc_stream_id()
         conn = BypassConnection(self, channel, stream_id, dst_port)
-        self._streams[(id(channel), stream_id)] = conn
+        self._streams[(channel, stream_id)] = conn
         taken = yield from self.send_stream_frame(
             channel, stream_id, KIND_SYN, dst_port, b""
         )
@@ -317,7 +315,10 @@ class SocketBypassModule(XenLoopModule):
         )
         return taken
 
-    def _attach_stream_handler(self, channel: Channel) -> None:
+    def channel_created(self, channel: Channel) -> None:
+        """Every new channel -- whichever handshake path created it --
+        gets the stream demultiplexer attached."""
+
         def handler(payload: Optional[bytes]) -> None:
             if payload is None:
                 self._channel_died(channel)
@@ -326,19 +327,12 @@ class SocketBypassModule(XenLoopModule):
 
         channel.stream_handler = handler
 
-    def channel_created(self, channel: Channel) -> None:
-        """Every new channel -- whichever handshake path created it --
-        gets the stream demultiplexer attached."""
-        if channel.stream_handler is None:
-            self._attach_stream_handler(channel)
-
     def _stream_input(self, channel: Channel, frame: bytes) -> None:
         if len(frame) < _FRAME.size:
             return
         stream_id, kind, port = _FRAME.unpack_from(frame)
         payload = frame[_FRAME.size :]
-        key = (id(channel), stream_id)
-        conn = self._streams.get(key)
+        conn = self._streams.get((channel, stream_id))
         if kind == KIND_SYN:
             self._passive_open(channel, stream_id, port)
         elif conn is None:
@@ -366,7 +360,7 @@ class SocketBypassModule(XenLoopModule):
         conn = BypassConnection(self, channel, stream_id, port)
         conn.state = "ESTABLISHED"
         conn.established.succeed()
-        self._streams[(id(channel), stream_id)] = conn
+        self._streams[(channel, stream_id)] = conn
         listener._offer(conn)
         guest.spawn(
             self.send_stream_frame(channel, stream_id, KIND_SYN_ACK, port, b""),
@@ -374,13 +368,13 @@ class SocketBypassModule(XenLoopModule):
         )
 
     def _channel_died(self, channel: Channel) -> None:
-        for (chan_id, _sid), conn in list(self._streams.items()):
-            if chan_id == id(channel):
+        for (chan, _sid), conn in list(self._streams.items()):
+            if chan is channel:
                 conn.on_channel_death()
 
     def forget_stream(self, conn: BypassConnection) -> None:
         """Remove a finished stream from the demux table."""
-        self._streams.pop((id(conn.channel), conn.stream_id), None)
+        self._streams.pop((conn.channel, conn.stream_id), None)
 
     def peer_ip(self, channel: Channel):
         """Reverse-resolve the channel peer's IP from the ARP cache."""

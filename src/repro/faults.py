@@ -71,7 +71,6 @@ __all__ = [
     "PKT_LOSS",
     "note_degraded",
     "note_recovered",
-    "plan_of",
 ]
 
 #: drop a matching control frame on the floor.
@@ -375,11 +374,6 @@ class FaultPlan:
 # Module-level helpers: cheap no-ops when no plan is installed, so the
 # control plane can record recovery outcomes unconditionally.
 # ---------------------------------------------------------------------------
-
-def plan_of(sim) -> Optional[FaultPlan]:
-    """The plan installed on ``sim``, or None."""
-    return sim.fault_plan
-
 
 def _pkt_in_class(packet, pkt_class: str) -> bool:
     """Does ``packet`` belong to PKT_LOSS traffic class ``pkt_class``?"""

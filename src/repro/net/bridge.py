@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.faults import plan_of
 from repro.net.addr import MacAddr
 from repro.net.packet import Packet
 
@@ -109,7 +108,7 @@ class Bridge:
         # after the forwarding cost is charged and the FDB has learned
         # the source, like a drop at the egress queue.  Zero-overhead
         # tap: one getattr when no plan is installed.
-        plan = plan_of(dom0.sim)
+        plan = dom0.sim.fault_plan
         if (
             plan is not None
             and plan.has_loss_rules

@@ -47,7 +47,7 @@ __all__ = [
 
 #: manifest format version; bump on any change to the captured tree's
 #: shape so a stale manifest fails loudly instead of digest-mismatching.
-SNAPSHOT_FORMAT = 10
+SNAPSHOT_FORMAT = 11
 
 class SnapshotError(RuntimeError):
     """Base error for the snapshot subsystem."""
@@ -128,7 +128,6 @@ def capture_state(cluster) -> dict:
                 for domid, table in hyper.grant_tables.items()
             }
             entry["evtchn"] = hyper.evtchn.snapshot_state()
-            entry["hypercalls"] = hyper.hypercalls
         xenstore = getattr(machine, "xenstore", None)
         if xenstore is not None:
             entry["xenstore"] = xenstore.snapshot_state()

@@ -2,10 +2,10 @@
 
 Implements the primitives XenLoop is built from, with the semantics the
 paper relies on: machine pages and contiguous shared regions, grant
-tables (foreign access, map/unmap, transfer), interdomain event
+tables (foreign access, map/unmap, revoke), interdomain event
 channels with 1-bit pending coalescing, the XenStore hierarchical
-key-value store with per-domain permissions and watches, domain
-lifecycle (create/shutdown), and live migration between machines.
+key-value store with per-domain permissions, domain lifecycle
+(create/shutdown), and live migration between machines.
 """
 
 from repro.xen.domain import Domain

@@ -83,7 +83,6 @@ class Port:
         "closed",
         "notifies_sent",
         "notifies_coalesced",
-        "notifies_suppressed",
         "upcalls",
     )
 
@@ -97,9 +96,6 @@ class Port:
         self.closed = False
         self.notifies_sent = 0
         self.notifies_coalesced = 0
-        #: notifies the owner *avoided sending* because the peer had not
-        #: armed its waiting/event flag (counted at the send site).
-        self.notifies_suppressed = 0
         self.upcalls = 0
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -139,7 +135,6 @@ class EventChannelSubsys:
                     "pending": port.pending,
                     "closed": port.closed,
                     "notifies_sent": port.notifies_sent,
-                    "notifies_suppressed": port.notifies_suppressed,
                     "upcalls": port.upcalls,
                 }
                 for (domid, portnum), port in self._ports.items()

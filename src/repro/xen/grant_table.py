@@ -1,14 +1,17 @@
 """Grant tables.
 
 Each domain owns a :class:`GrantTable`; entries authorize exactly one
-remote domain to map (share) or receive (transfer) a page.  The
-semantics enforced here are the ones XenLoop's channel-bootstrap and
-teardown protocols depend on:
+remote domain to map (share) a page.  The semantics enforced here are
+the ones XenLoop's channel-bootstrap and teardown protocols depend on
+(grant, map, unmap, revoke -- paper Sect. 3.3):
 
 * only the domain named in the entry may map it;
 * an entry cannot be revoked while mapped (``gnttab_end_foreign_access``
-  fails, as in Xen);
-* transfers change page ownership and invalidate the entry.
+  fails, as in Xen).
+
+Page *transfer* belongs to the netback baseline's receive path and is
+modelled as cost only (``grant_transfer_page`` and ``page_zero`` in
+``Netback.to_guest``), not as table state.
 
 CPU costs for grant operations are charged by the *callers* (netfront,
 netback, the XenLoop module) using the :class:`~repro.calibration.CostModel`
@@ -20,7 +23,6 @@ the paper's "comparing options for data transfer" discussion
 from __future__ import annotations
 
 import itertools
-from typing import Optional
 
 from repro.xen.page import Page
 
@@ -34,15 +36,13 @@ class GrantError(Exception):
 
 
 class _GrantEntry:
-    __slots__ = ("gref", "page", "granted_to", "mapped_by", "transferable", "used")
+    __slots__ = ("gref", "page", "granted_to", "mapped_by")
 
-    def __init__(self, gref: GrantRef, page: Page, granted_to: int, transferable: bool):
+    def __init__(self, gref: GrantRef, page: Page, granted_to: int):
         self.gref = gref
         self.page = page
         self.granted_to = granted_to
         self.mapped_by: set[int] = set()
-        self.transferable = transferable
-        self.used = False
 
 
 class GrantTable:
@@ -54,7 +54,6 @@ class GrantTable:
         self._next_ref = itertools.count(1)
         self.grants_issued = 0
         self.maps = 0
-        self.transfers = 0
         #: fault-tap wiring, set by the hypervisor when the table belongs
         #: to a registered domain (None for standalone tables in tests).
         self.sim = None
@@ -68,14 +67,11 @@ class GrantTable:
                 str(gref): {
                     "granted_to": entry.granted_to,
                     "mapped_by": sorted(entry.mapped_by),
-                    "transferable": entry.transferable,
-                    "used": entry.used,
                 }
                 for gref, entry in self._entries.items()
             },
             "grants_issued": self.grants_issued,
             "maps": self.maps,
-            "transfers": self.transfers,
         }
 
     # -- granting side --------------------------------------------------
@@ -85,18 +81,7 @@ class GrantTable:
         if remote_domid == self.domid:
             raise GrantError("cannot grant a page to oneself")
         gref = next(self._next_ref)
-        self._entries[gref] = _GrantEntry(gref, page, remote_domid, transferable=False)
-        self.grants_issued += 1
-        return gref
-
-    def grant_foreign_transfer(self, remote_domid: int, page: Page) -> GrantRef:
-        """Offer ``page`` for ownership transfer to ``remote_domid``."""
-        if remote_domid == self.domid:
-            raise GrantError("cannot transfer a page to oneself")
-        if page.owner != self.domid:
-            raise GrantError(f"dom{self.domid} does not own {page!r}")
-        gref = next(self._next_ref)
-        self._entries[gref] = _GrantEntry(gref, page, remote_domid, transferable=True)
+        self._entries[gref] = _GrantEntry(gref, page, remote_domid)
         self.grants_issued += 1
         return gref
 
@@ -124,8 +109,6 @@ class GrantTable:
         entry = self._entries.get(gref)
         if entry is None:
             raise GrantError(f"no grant entry {gref} in dom{self.domid}")
-        if entry.transferable:
-            raise GrantError(f"grant {gref} is a transfer grant, not mappable")
         if entry.granted_to != mapper_domid:
             raise GrantError(
                 f"grant {gref} is for dom{entry.granted_to}, not dom{mapper_domid}"
@@ -143,31 +126,7 @@ class GrantTable:
             raise GrantError(f"grant {gref} not mapped by dom{mapper_domid}")
         entry.mapped_by.discard(mapper_domid)
 
-    def transfer(self, gref: GrantRef, new_owner_domid: int) -> Page:
-        """Complete a page transfer: ownership moves to ``new_owner_domid``."""
-        entry = self._entries.get(gref)
-        if entry is None:
-            raise GrantError(f"no grant entry {gref} in dom{self.domid}")
-        if not entry.transferable:
-            raise GrantError(f"grant {gref} is an access grant, not transferable")
-        if entry.granted_to != new_owner_domid:
-            raise GrantError(
-                f"transfer grant {gref} is for dom{entry.granted_to}, not dom{new_owner_domid}"
-            )
-        if entry.used:
-            raise GrantError(f"transfer grant {gref} already used")
-        entry.used = True
-        entry.page.owner = new_owner_domid
-        self.transfers += 1
-        del self._entries[gref]
-        return entry.page
-
     # -- introspection -----------------------------------------------------
-    def lookup(self, gref: GrantRef) -> Optional[Page]:
-        """The page behind ``gref``, or None."""
-        entry = self._entries.get(gref)
-        return entry.page if entry is not None else None
-
     @property
     def active_entries(self) -> int:
         """Number of live grant entries."""

@@ -31,7 +31,6 @@ class Hypervisor:
         self.evtchn = EventChannelSubsys(sim, costs, self.exec_in_domain)
         self.evtchn.domain_name = self._domain_name
         self._next_domid = 0
-        self.hypercalls = 0
 
     def _domain_name(self, domid: int) -> "str | None":
         """Resolve a domid to its domain name (fault-rule matching)."""

@@ -43,28 +43,7 @@ def save_restore(guest: "Domain", pause: float):
     saved), the vif suspends, and on restore the guest gets a fresh
     domid and re-advertises.  Returns the new domid.
     """
-    machine = guest.machine
-    sim = guest.sim
-
-    for cb in list(guest.pre_migrate_callbacks):
-        yield from cb()
-    if guest.netfront is not None:
-        guest.netfront.suspend()
-    guest.state = SUSPENDED
-    machine.remove_domain(guest)
-
-    yield sim.timeout(pause)
-
-    new_domid = machine.adopt_domain(guest)
-    guest.state = RUNNING
-    if guest.netfront is not None:
-        guest.netfront.resume()
-    if guest.stack is not None:
-        guest.stack.arp.announce()
-        machine.bridge.forget(guest.mac)
-    for cb in list(guest.post_migrate_callbacks):
-        yield from cb()
-    return new_domid
+    return (yield from _move(guest, guest.machine, pause))
 
 
 def live_migrate(guest: "Domain", dst_machine: "XenMachine"):
@@ -73,15 +52,22 @@ def live_migrate(guest: "Domain", dst_machine: "XenMachine"):
     Run it as a process: ``sim.process(live_migrate(vm, machine_b))``.
     Returns the new domid.
     """
-    src_machine = guest.machine
-    if src_machine is dst_machine:
+    if guest.machine is dst_machine:
         raise ValueError(f"{guest.name} is already on {dst_machine.name}")
-    sim = guest.sim
     costs = guest.costs
 
     # Pre-copy phase: guest runs normally while memory is copied over.
     precopy = max(0.0, costs.migration_duration - costs.migration_downtime)
-    yield sim.timeout(precopy)
+    yield guest.sim.timeout(precopy)
+    return (yield from _move(guest, dst_machine, costs.migration_downtime))
+
+
+def _move(guest: "Domain", dst_machine: "XenMachine", downtime: float):
+    """Stop-and-copy core shared by migration and save/restore
+    (generator): detach from the current machine, wait ``downtime``,
+    resume on ``dst_machine`` (which may be the same machine).
+    Returns the new domid."""
+    src_machine = guest.machine
 
     # The hypervisor's migration callback into the guest.
     for cb in list(guest.pre_migrate_callbacks):
@@ -93,7 +79,7 @@ def live_migrate(guest: "Domain", dst_machine: "XenMachine"):
     guest.state = SUSPENDED
     src_machine.remove_domain(guest)
 
-    yield sim.timeout(costs.migration_downtime)
+    yield guest.sim.timeout(downtime)
 
     # Resume on the destination.
     new_domid = dst_machine.adopt_domain(guest)
@@ -103,7 +89,11 @@ def live_migrate(guest: "Domain", dst_machine: "XenMachine"):
     if guest.stack is not None:
         guest.stack.arp.announce()
         src_switch_nic = src_machine.nic
-        if src_switch_nic is not None and src_switch_nic.switch is not None:
+        if (
+            src_machine is not dst_machine
+            and src_switch_nic is not None
+            and src_switch_nic.switch is not None
+        ):
             # The gratuitous ARP also refreshes the physical switch, but
             # dropping the stale entry immediately avoids a blackhole
             # window for frames already in flight.

@@ -15,8 +15,6 @@ __all__ = ["PAGE_SIZE", "Page", "SharedRegion"]
 
 PAGE_SIZE = 4096
 
-_ZERO_PAGE = bytes(PAGE_SIZE)
-
 
 class Page:
     """One 4 KiB machine page."""
@@ -34,14 +32,10 @@ class Page:
         ):
             raise ValueError("page buffer must be a writable 4096-byte 'B'-format memoryview")
         self.buf = buf
-        #: domid of the owning domain (transfers change this).
+        #: domid of the owning domain.
         self.owner = owner
         #: back-reference when the page is part of a SharedRegion.
         self.region = region
-
-    def zero(self) -> None:
-        """Scrub the page (the security step the transfer path pays for)."""
-        self.buf[:] = _ZERO_PAGE
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Page owner=dom{self.owner}>"
@@ -69,7 +63,3 @@ class SharedRegion:
     def size(self) -> int:
         """Region size in bytes."""
         return len(self.array)
-
-    def zero(self) -> None:
-        """Scrub the whole region."""
-        self.array[:] = bytes(len(self.array))

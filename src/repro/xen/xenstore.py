@@ -18,7 +18,7 @@ relies on):
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 __all__ = ["XenStore", "XenStoreError", "PermissionError_"]
 
@@ -48,16 +48,12 @@ class _TreeNode:
 
 
 class XenStore:
-    """Hierarchical key-value store with per-domain permissions and watches."""
+    """Hierarchical key-value store with per-domain permissions."""
     def __init__(self):
         self._root = _TreeNode()
-        #: (path_prefix, callback) pairs; callback(path, action) with
-        #: action in {"write", "rm"}.
-        self._watches: list[tuple[str, Callable[[str, str], None]]] = []
 
     def snapshot_state(self) -> dict:
-        """The full tree as nested ``{value, children}`` dicts, plus the
-        watch count (callbacks are live objects; a restore rebuilds them by replay)."""
+        """The full tree as nested ``{value, children}`` dicts."""
 
         def _node(node: _TreeNode) -> dict:
             return {
@@ -65,7 +61,7 @@ class XenStore:
                 "children": {k: _node(v) for k, v in sorted(node.children.items())},
             }
 
-        return {"tree": _node(self._root), "watches": len(self._watches)}
+        return {"tree": _node(self._root)}
 
     # -- permissions -----------------------------------------------------
     @staticmethod
@@ -79,13 +75,12 @@ class XenStore:
 
     # -- operations --------------------------------------------------------
     def write(self, domid: int, path: str, value: str) -> None:
-        """Write a value (permission-checked; fires matching watches)."""
+        """Write a value (permission-checked)."""
         self._check(domid, path)
         node = self._root
         for part in _split(path):
             node = node.children.setdefault(part, _TreeNode())
         node.value = value
-        self._fire(path, "write")
 
     def read(self, domid: int, path: str) -> str:
         """Read a value (permission-checked; raises if absent)."""
@@ -119,23 +114,7 @@ class XenStore:
             node = node.children.get(part)
             if node is None:
                 return
-        if parts[-1] in node.children:
-            del node.children[parts[-1]]
-            self._fire(path, "rm")
-
-    # -- watches -------------------------------------------------------------
-    def watch(self, path_prefix: str, callback: Callable[[str, str], None]) -> None:
-        """Register a callback fired on writes/removals under a prefix."""
-        self._watches.append((path_prefix, callback))
-
-    def unwatch(self, callback: Callable[[str, str], None]) -> None:
-        """Remove a previously registered watch callback."""
-        self._watches = [(p, cb) for (p, cb) in self._watches if cb is not callback]
-
-    def _fire(self, path: str, action: str) -> None:
-        for prefix, cb in list(self._watches):
-            if path == prefix or path.startswith(prefix.rstrip("/") + "/"):
-                cb(path, action)
+        node.children.pop(parts[-1], None)
 
     # -- internals -------------------------------------------------------
     def _find(self, path: str) -> Optional[_TreeNode]:

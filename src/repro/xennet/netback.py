@@ -156,8 +156,6 @@ class Netback:
                         dom0.machine.hypervisor.evtchn.notify(self.evtchn_port)
                 else:
                     NOTIFY_STATS.ring_suppressed += 1
-                    if self.evtchn_port is not None:
-                        self.evtchn_port.notifies_suppressed += 1
                 # Forward through the bridge inline to preserve ordering.
                 yield from self.bridge.forward(self.port, packet)
 
@@ -197,8 +195,6 @@ class Netback:
                 dom0.machine.hypervisor.evtchn.notify(self.evtchn_port)
         else:
             NOTIFY_STATS.ring_suppressed += 1
-            if self.evtchn_port is not None:
-                self.evtchn_port.notifies_suppressed += 1
 
     # -- teardown ---------------------------------------------------------
     def detach(self) -> None:

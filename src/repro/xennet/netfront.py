@@ -179,8 +179,6 @@ class Netfront:
                     guest.machine.hypervisor.evtchn.notify(port)
             else:
                 NOTIFY_STATS.ring_suppressed += 1
-                if port is not None:
-                    port.notifies_suppressed += 1
 
     # -- interrupt (virq) handler ------------------------------------------
     def on_interrupt(self) -> None:

@@ -46,6 +46,23 @@ class TestDispatch:
         udp_once(xl, b"direct", port=7302)
         assert module_a.pkts_via_channel > before
 
+    def test_channel_traffic_never_reaches_the_vif(self, xl):
+        """Transparency: with the channel connected, UDP data is stolen
+        before the device -- the vif transmits nothing."""
+        vif = xl.node_a.netfront.vif
+        before = vif.tx_packets
+        assert udp_once(xl, b"invisible", port=7305) == b"invisible"
+        xl.sim.run(until=xl.sim.now + 0.05)
+        assert vif.tx_packets == before
+
+    def test_netfront_traffic_reaches_the_vif(self):
+        scn = scenarios.netfront_netback(FAST)
+        scn.warmup()
+        vif = scn.node_a.netfront.vif
+        before = vif.tx_packets
+        assert udp_once(scn, b"visible", port=7306) == b"visible"
+        assert vif.tx_packets > before
+
     def test_loopback_traffic_not_intercepted(self, xl):
         """Packets to the guest's own address go via lo, never the hook."""
         module_a = xl.xenloop_module(xl.node_a)

@@ -69,3 +69,20 @@ class TestSaveRestore:
         self._save_restore(scn, scn.node_b)
         scn.sim.run(until=scn.sim.now + 0.2)
         assert listener_node.grant_table.active_entries == 0
+
+    def test_switched_machine_delivers_both_ways_after_restore(self):
+        """Save/restore of vm2 on a machine behind the physical switch:
+        UDP still flows vm1 <-> vm2 once it is restored."""
+        scn = scenarios.migration_pair(FAST)
+        scn.warmup()
+        assert udp_once(scn, b"before", port=8703) == b"before"
+        self._save_restore(scn, scn.node_b)
+        assert udp_once(scn, b"a-to-b", port=8704) == b"a-to-b"
+
+        sim = scn.sim
+        server = scn.node_a.stack.udp_socket(8705)
+        client = scn.node_b.stack.udp_socket()
+        sim.process(client.sendto(b"b-to-a", (scn.ip_a, 8705)))
+        proc = sim.process(server.recvfrom())
+        data, _ = sim.run_until_complete(proc, timeout=5.0)
+        assert data == b"b-to-a"

@@ -109,9 +109,11 @@ class TestPersistence:
         # format 6 (whose module tree has a staging pool), format 7
         # (whose recipe costs carry a netfilter hook cost), format 8
         # (whose guests carry a roster view and delta-discovery keys)
-        # and format 9 (whose fault-matrix pairs have their own recipe
-        # kind)
-        for fmt in (SNAPSHOT_FORMAT + 1, 1, 2, 3, 4, 5, 6, 7, 8, 9):
+        # format 9 (whose fault-matrix pairs have their own recipe
+        # kind) and format 10 (whose grant entries, XenStore, ports and
+        # hypervisors carry transfer, watch, suppressed-notify and
+        # hypercall keys)
+        for fmt in (SNAPSHOT_FORMAT + 1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10):
             doc["format"] = fmt
             path.write_text(json.dumps(doc))
             with pytest.raises(SnapshotError):

@@ -118,7 +118,7 @@ class TestInstallAndSnapshot:
     def test_install_sets_sim_attribute(self):
         sim = Simulator(seed=0)
         plan = faults.FaultPlan().install(sim)
-        assert faults.plan_of(sim) is plan
+        assert sim.fault_plan is plan
 
     def test_snapshot_shape(self):
         plan = faults.FaultPlan((faults.FaultRule(faults.NOTIFY_DROP),))
@@ -135,7 +135,7 @@ class TestInstallAndSnapshot:
         sim = Simulator(seed=0)
         faults.note_recovered(sim, "bootstrap_retry")
         faults.note_degraded(sim, "bootstrap_abort")
-        assert faults.plan_of(sim) is None
+        assert sim.fault_plan is None
 
     def test_notes_accumulate_with_plan(self):
         sim = Simulator(seed=0)

@@ -71,39 +71,6 @@ class TestAccessGrants:
         assert len(grefs) == 100
 
 
-class TestTransferGrants:
-    def test_transfer_changes_ownership(self, table, page):
-        gref = table.grant_foreign_transfer(2, page)
-        got = table.transfer(gref, 2)
-        assert got.owner == 2
-
-    def test_transfer_grant_not_mappable(self, table, page):
-        gref = table.grant_foreign_transfer(2, page)
-        with pytest.raises(GrantError):
-            table.map_grant(gref, 2)
-
-    def test_access_grant_not_transferable(self, table, page):
-        gref = table.grant_foreign_access(2, page)
-        with pytest.raises(GrantError):
-            table.transfer(gref, 2)
-
-    def test_transfer_requires_ownership(self, table):
-        foreign_page = Page(owner=9)
-        with pytest.raises(GrantError):
-            table.grant_foreign_transfer(2, foreign_page)
-
-    def test_transfer_single_use(self, table, page):
-        gref = table.grant_foreign_transfer(2, page)
-        table.transfer(gref, 2)
-        with pytest.raises(GrantError):
-            table.transfer(gref, 2)
-
-    def test_transfer_wrong_domain(self, table, page):
-        gref = table.grant_foreign_transfer(2, page)
-        with pytest.raises(GrantError):
-            table.transfer(gref, 3)
-
-
 class TestBulkRevoke:
     def test_revoke_all_for_peer(self, table):
         for _ in range(5):

@@ -12,12 +12,6 @@ class TestPage:
         assert p.buf.format == "B"
         assert not any(p.buf)
 
-    def test_zero(self):
-        p = Page(owner=1)
-        p.buf[:] = b"\xff" * PAGE_SIZE
-        p.zero()
-        assert not any(p.buf)
-
     def test_bad_buffer_rejected(self):
         with pytest.raises(ValueError):
             Page(owner=1, buf=memoryview(bytearray(10)))
@@ -53,9 +47,3 @@ class TestSharedRegion:
     def test_region_backref(self):
         region = SharedRegion(1, 2)
         assert all(p.region is region for p in region.pages)
-
-    def test_zero(self):
-        region = SharedRegion(1, 2)
-        region.array[:] = b"\x01" * region.size
-        region.zero()
-        assert not any(region.array)

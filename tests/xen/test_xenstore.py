@@ -1,4 +1,4 @@
-"""XenStore permission model and watch semantics (discovery substrate)."""
+"""XenStore permission model (discovery substrate)."""
 
 import pytest
 
@@ -87,37 +87,3 @@ class TestPermissions:
         store.rm(3, "/local/domain/3/xenloop")
         assert not store.exists(0, "/local/domain/3/xenloop")
 
-
-class TestWatches:
-    def test_watch_fires_on_write(self, store):
-        events = []
-        store.watch("/local/domain", lambda p, a: events.append((p, a)))
-        store.write(0, "/local/domain/1/xenloop", "m")
-        assert events == [("/local/domain/1/xenloop", "write")]
-
-    def test_watch_fires_on_rm(self, store):
-        events = []
-        store.write(0, "/local/domain/1/xenloop", "m")
-        store.watch("/local/domain/1", lambda p, a: events.append(a))
-        store.rm(0, "/local/domain/1")
-        assert events == ["rm"]
-
-    def test_watch_prefix_scoped(self, store):
-        events = []
-        store.watch("/local/domain/1", lambda p, a: events.append(p))
-        store.write(0, "/local/domain/2/x", "v")
-        assert events == []
-
-    def test_unwatch(self, store):
-        events = []
-        cb = lambda p, a: events.append(p)  # noqa: E731
-        store.watch("/", cb)
-        store.unwatch(cb)
-        store.write(0, "/x", "v")
-        assert events == []
-
-    def test_prefix_does_not_match_sibling_names(self, store):
-        events = []
-        store.watch("/local/domain/1", lambda p, a: events.append(p))
-        store.write(0, "/local/domain/11/x", "v")
-        assert events == []
