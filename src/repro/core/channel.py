@@ -34,6 +34,7 @@ from repro.core.control import ChannelController, ChannelState
 from repro.core.fifo import Fifo, fifo_pages_for_order
 from repro.core.protocol import CreateChannel
 from repro.net.packet import WIRE_STATS, Packet
+from repro.sim.resources import WaitQueue
 from repro.xen.event_channel import NOTIFY_STATS
 from repro.xen.grant_table import GrantError
 from repro.xen.page import SharedRegion
@@ -62,12 +63,14 @@ ENTRY_STREAM = 2
 
 
 class _ZeroCopySource:
-    """Pseudo-device for zero-copy inline injection at layer 3."""
+    """Pseudo-device for zero-copy inline injection at layer 3.  The
+    packet goes straight to ``ipv4.input``, which shows the device only
+    to the netfilter hooks, so the inline path charges no rx cost."""
 
     name = "xenloop-zerocopy"
 
-    def rx_cost(self, packet) -> float:
-        return 0.0
+
+_ZERO_COPY_SOURCE = _ZeroCopySource()
 
 
 class Channel:
@@ -100,7 +103,7 @@ class Channel:
         #: are available"; ``data`` is the entry joined into one bytes.
         self.waiting_list: deque[tuple[int, bytes]] = deque()
         self.waiting_bytes = 0
-        self._waiting_space_waiters: deque = deque()
+        self._waiting_space_waiters = WaitQueue(self.guest.sim)
         #: optional handler for ENTRY_STREAM entries (socket bypass);
         #: called as handler(payload_bytes) in drain-worker context.
         self.stream_handler = None
@@ -366,7 +369,7 @@ class Channel:
         if pushed:
             self.last_activity = guest.sim.now
             yield from self._signal_data(cost)
-            self._wake_waiting_space()
+            self._waiting_space_waiters.wake_all()
         elif cost:
             yield guest.exec(cost)
 
@@ -397,31 +400,10 @@ class Channel:
             if cost is not None:
                 yield guest.exec(cost)
 
-    def _wake_waiting_space(self) -> None:
-        while self._waiting_space_waiters:
-            waiter = self._waiting_space_waiters.popleft()
-            if not waiter.triggered:
-                waiter.succeed()
-
-    def _fail_waiting_space(self) -> None:
-        """Teardown path: waiters must learn the channel died, not be
-        woken as if space appeared (their next send would silently park
-        on a dead waiting list)."""
-        while self._waiting_space_waiters:
-            waiter = self._waiting_space_waiters.popleft()
-            if not waiter.triggered:
-                waiter.fail(
-                    ChannelDeadError(
-                        f"channel to dom{self.peer_domid} died while waiting for space"
-                    )
-                )
-
     def wait_waiting_space(self):
         """Event that fires when the waiting list drains a bit (used by
         the socket-bypass variant for sender flow control)."""
-        waiter = self.guest.sim.event(name="xl-waitspace")
-        self._waiting_space_waiters.append(waiter)
-        return waiter
+        return self._waiting_space_waiters.wait("xl-waitspace")
 
     # -- receive side ---------------------------------------------------
     def _on_event(self) -> None:
@@ -541,7 +523,6 @@ class Channel:
         types, or frames with no handler, are dropped)."""
         if msg_type == ENTRY_IPV4:
             packet = Packet.from_l3_bytes(data)
-            packet.meta["via"] = "xenloop"
             trace.adopt(packet, self.guest.sim)
             trace.mark(packet, "xenloop-fifo-pop", now)
             self.pkts_received += 1
@@ -578,13 +559,12 @@ class Channel:
             self._deliver(msg_type, bytes(data), now)
         else:
             packet = Packet.from_l3_bytes(data)
-            packet.meta["via"] = "xenloop-zerocopy"
             trace.adopt(packet, guest.sim)
             trace.mark(packet, "xenloop-fifo-pop", now)
             self.pkts_received += 1
             self.bytes_received += packet.l3_len
             # Protocol processing runs inline, with the FIFO space held...
-            yield from guest.stack.ipv4.input(packet, _ZeroCopySource())
+            yield from guest.stack.ipv4.input(packet, _ZERO_COPY_SOURCE)
             # ...and stays held until the application's read copies the
             # payload out of the sk_buff that points into the FIFO.
             yield guest.sim.timeout(guest.costs.zerocopy_hold)
@@ -611,7 +591,11 @@ class Channel:
         dropped = len(self.waiting_list)
         self.waiting_list.clear()
         self.waiting_bytes = 0
-        self._fail_waiting_space()
+        # Waiters must learn the channel died, not be woken as if space
+        # appeared (their next send would silently park on a dead list).
+        self._waiting_space_waiters.fail_all(
+            ChannelDeadError(f"channel to dom{self.peer_domid} died while waiting for space")
+        )
         return dropped
 
     def notify_stream_death(self) -> None:
@@ -669,7 +653,7 @@ class Channel:
             guest.machine.hypervisor.evtchn.close(self.port)
             self.port = None
         self.out_fifo = self.in_fifo = None
-        if self._drain_kick is not None and not self._drain_kick.triggered:
+        if not self._drain_kick.triggered:
             self._drain_kick.succeed()  # let the drain worker observe CLOSED
 
     def __repr__(self) -> str:  # pragma: no cover

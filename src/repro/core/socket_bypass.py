@@ -37,11 +37,11 @@ that handler with ``None``.
 from __future__ import annotations
 
 import struct
-from collections import deque
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.channel import Channel, ChannelDeadError, ChannelState, ENTRY_STREAM
 from repro.core.module import XenLoopModule
+from repro.net.tcp import StreamReceiver
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.addr import IPv4Addr
@@ -71,15 +71,19 @@ class BypassError(OSError):
     pass
 
 
-class BypassConnection:
+class BypassConnection(StreamReceiver):
     """A socket-compatible byte-stream endpoint over the XenLoop channel.
 
     Exposes the same blocking-generator API as
     :class:`repro.net.tcp.TcpConnection` (``send`` / ``recv`` /
     ``recv_exactly`` / ``close`` / ``established`` / ``closed_event`` /
     ``state``), so applications cannot tell which one ``connect`` or
-    ``accept`` handed them.
+    ``accept`` handed them.  The receive half is TCP's own
+    :class:`~repro.net.tcp.StreamReceiver`, minus the window update: the
+    FIFO's occupancy is the flow control.
     """
+
+    _EOF_ERROR = BypassError
 
     def __init__(self, module: "SocketBypassModule", channel: Channel, stream_id: int, port: int):
         self.module = module
@@ -96,13 +100,9 @@ class BypassConnection:
         self.state = "CONNECTING"
         self.established = sim.event(name="bypass-established")
         self.closed_event = sim.event(name="bypass-closed")
-        self._recv_buf: deque[bytes] = deque()
-        self._recv_bytes = 0
-        self._recv_waiters: deque = deque()
-        self.eof = False
+        self._init_receiver(self.guest)
         self._fin_sent = False
         self.bytes_sent = 0
-        self.bytes_received = 0
 
     # -- application API ------------------------------------------------
     def send(self, data: bytes):
@@ -143,46 +143,6 @@ class BypassConnection:
             offset += len(chunk)
         return len(data)
 
-    def recv(self, max_bytes: int):
-        """Blocking receive (generator); b"" on EOF."""
-        node = self.guest
-        yield node.exec(node.costs.syscall + node.costs.socket_layer)
-        while not self._recv_buf and not self.eof:
-            if self.state == "CLOSED" and not self._recv_buf:
-                return b""
-            waiter = node.sim.event(name="bypass-recv")
-            self._recv_waiters.append(waiter)
-            yield waiter
-        if not self._recv_buf:
-            return b""
-        chunks: list[bytes] = []
-        taken = 0
-        while self._recv_buf and taken < max_bytes:
-            head = self._recv_buf[0]
-            want = max_bytes - taken
-            if len(head) <= want:
-                chunks.append(self._recv_buf.popleft())
-                taken += len(head)
-            else:
-                chunks.append(head[:want])
-                self._recv_buf[0] = head[want:]
-                taken += want
-        self._recv_bytes -= taken
-        yield node.exec(node.costs.copy_cost(taken))  # kernel -> user
-        return b"".join(chunks)
-
-    def recv_exactly(self, n: int):
-        """Receive exactly ``n`` bytes (generator); raises on early EOF."""
-        parts: list[bytes] = []
-        got = 0
-        while got < n:
-            chunk = yield from self.recv(n - got)
-            if not chunk:
-                raise BypassError(f"stream closed after {got}/{n} bytes")
-            parts.append(chunk)
-            got += len(chunk)
-        return b"".join(parts)
-
     def close(self):
         """Half-close: send FIN; fully closed once both sides have."""
         if self.state in ("CLOSED",) or self._fin_sent:
@@ -199,39 +159,31 @@ class BypassConnection:
     # -- frame arrival (drain-worker context, synchronous) -----------------
     def on_data(self, payload: bytes) -> None:
         """Frame arrival (drain-worker context): buffer and wake readers."""
-        self._recv_buf.append(payload)
-        self._recv_bytes += len(payload)
-        self.bytes_received += len(payload)
-        self._wake()
+        self._deliver(payload)
+        self._wake_readers()
 
     def on_fin(self) -> None:
         """Peer FIN arrival: mark EOF and finish the close handshake."""
         self.eof = True
         if self._fin_sent:
             self._become_closed()
-        self._wake()
+        self._wake_readers()
 
     def on_channel_death(self) -> None:
         """The underlying channel died (teardown/migration): bypass
         streams have no fallback path and must error out."""
-        self.eof = True
         self._become_closed()
 
     def _become_closed(self) -> None:
         if self.state == "CLOSED":
             return
         self.state = "CLOSED"
+        # Nothing more can arrive: blocked readers must see EOF.
+        self.eof = True
         self.module.forget_stream(self)
         if not self.closed_event.triggered:
             self.closed_event.succeed()
-        self._wake()
-
-    def _wake(self) -> None:
-        while self._recv_waiters:
-            waiter = self._recv_waiters.popleft()
-            if not waiter.triggered:
-                waiter.succeed()
-                break
+        self._wake_readers()
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<BypassConnection sid={self.stream_id} {self.state}>"
@@ -268,31 +220,24 @@ class SocketBypassModule(XenLoopModule):
             self.bypass_fallbacks += 1
             return None
 
-        stream_id = self._alloc_stream_id()
+        stream_id = self._next_stream_id
+        self._next_stream_id += 2  # keep odd/even spaces disjoint per side
         conn = BypassConnection(self, channel, stream_id, dst_port)
         self._streams[(channel, stream_id)] = conn
         taken = yield from self.send_stream_frame(
             channel, stream_id, KIND_SYN, dst_port, b""
         )
-        if not taken:
-            self.forget_stream(conn)
-            self.bypass_fallbacks += 1
-            return None
-        result = yield guest.sim.any_of(
-            [conn.established, guest.sim.timeout(self.guest.costs.bootstrap_timeout * 4)]
-        )
-        if not conn.established.triggered or conn.state != "ESTABLISHED":
-            # no listener / peer refused: fall back to real TCP
+        if taken:
+            yield guest.sim.any_of(
+                [conn.established, guest.sim.timeout(guest.costs.bootstrap_timeout * 4)]
+            )
+        if conn.state != "ESTABLISHED":
+            # channel gone / no listener / peer refused: fall back to real TCP
             self.forget_stream(conn)
             self.bypass_fallbacks += 1
             return None
         self.bypass_connects += 1
         return conn
-
-    def _alloc_stream_id(self) -> int:
-        sid = self._next_stream_id
-        self._next_stream_id += 2  # keep odd/even spaces disjoint per side
-        return sid
 
     # -- frame plumbing --------------------------------------------------
     def send_stream_frame(
@@ -310,10 +255,9 @@ class SocketBypassModule(XenLoopModule):
         the FIFO as two views -- the application bytes are copied once,
         straight into the ring.  ``precharge`` is extra caller-side CPU
         work folded into the frame's first charge."""
-        taken = yield from channel.send_entry_parts(
+        return (yield from channel.send_entry_parts(
             ENTRY_STREAM, (_FRAME.pack(stream_id, kind, port), payload), precharge
-        )
-        return taken
+        ))
 
     def channel_created(self, channel: Channel) -> None:
         """Every new channel -- whichever handshake path created it --

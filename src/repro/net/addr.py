@@ -145,6 +145,13 @@ class IPv4Addr:
                 _IPV4_INTERN[data] = addr
         return addr
 
+    @classmethod
+    def interned(cls, text: str) -> "IPv4Addr":
+        """Parse dotted-quad ``text`` into the instance ``from_bytes``
+        hands out for the same address, so dict lookups keyed by a
+        configured address match parsed packets by identity."""
+        return cls.from_bytes(cls(text).to_bytes())
+
     def __eq__(self, other) -> bool:
         return isinstance(other, IPv4Addr) and self.value == other.value
 

@@ -142,7 +142,7 @@ class Ipv4Layer:
     def route(self, dst: IPv4Addr) -> tuple["NetDevice", Optional[IPv4Addr]]:
         """Return (device, next_hop_ip); next_hop None means local delivery."""
         stack = self.stack
-        if dst == stack.ip:
+        if dst.value == stack.ip.value:
             return stack.loopback, None
         dev = stack.primary_device()
         if dev is None:
@@ -169,7 +169,6 @@ class Ipv4Layer:
         hdr = IPv4Header(self.stack.ip, dst, proto, ident)
         packet = Packet(payload=payload, l4=l4, ip=hdr)
         packet.ip.total_length = packet.l3_len
-        packet.meta["ts_ip_out"] = node.sim.now
 
         netfilter = self.stack.netfilter
         if netfilter.active(HookPoint.POST_ROUTING):
@@ -219,7 +218,6 @@ class Ipv4Layer:
             frag = Packet(payload=chunk, ip=fhdr)
             frag.ip.total_length = frag.l3_len
             frag.eth = EthHeader(dst=dst_mac, src=dev.mac, ethertype=ETH_P_IP)
-            frag.meta["ts_ip_out"] = node.sim.now
             yield node.exec(costs.ip_fragment + dev.tx_cost(frag))
             yield dev.queue_xmit(frag)
             self.tx_packets += 1
@@ -246,7 +244,7 @@ class Ipv4Layer:
                     self.dropped += 1
                 return
 
-        if packet.ip.dst != self.stack.ip:
+        if packet.ip.dst.value != self.stack.ip.value:
             # Hosts are not routers in this model.
             self.dropped += 1
             return

@@ -53,11 +53,12 @@ from repro.net.packet import (
     TCP_SYN,
     TcpHeader,
 )
+from repro.sim.resources import WaitQueue
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.stack import NetworkStack
 
-__all__ = ["TcpConnection", "TcpLayer", "TcpListener"]
+__all__ = ["ByteQueue", "StreamReceiver", "TcpConnection", "TcpLayer", "TcpListener"]
 
 #: implicit window-scale shift applied to the 16-bit wire window field.
 WINDOW_SCALE = 3
@@ -94,7 +95,108 @@ _CC_ROLLUP = (
 )
 
 
-class TcpConnection:
+class ByteQueue:
+    """FIFO byte buffer kept as the chunks appended to it: ``take``
+    splits at most one chunk, and ``len()`` is the byte count."""
+
+    __slots__ = ("_chunks", "_nbytes")
+
+    def __init__(self):
+        self._chunks: deque[bytes] = deque()
+        self._nbytes = 0
+
+    def __len__(self) -> int:
+        return self._nbytes
+
+    def append(self, data: bytes) -> None:
+        """Queue ``data`` behind everything already buffered."""
+        self._chunks.append(data)
+        self._nbytes += len(data)
+
+    def take(self, n: int) -> bytes:
+        """Remove and return the oldest ``min(n, len(self))`` bytes."""
+        chunks = self._chunks
+        parts: list[bytes] = []
+        taken = 0
+        while chunks and taken < n:
+            head = chunks[0]
+            want = n - taken
+            if len(head) <= want:
+                parts.append(chunks.popleft())
+                taken += len(head)
+            else:
+                parts.append(head[:want])
+                chunks[0] = head[want:]
+                taken += want
+        self._nbytes -= taken
+        return b"".join(parts)
+
+
+class StreamReceiver:
+    """The receive half of a byte-stream socket, shared by
+    :class:`TcpConnection` and the socket-bypass stream so that readers
+    of either see the same semantics: buffer, blocked readers, ``recv``
+    and ``recv_exactly``."""
+
+    _EOF_ERROR: type = OSError  # what recv_exactly raises on early EOF
+
+    def _init_receiver(self, node) -> None:
+        self._rx_node = node
+        self._recv_buf = ByteQueue()
+        self._readers = WaitQueue(node.sim)
+        self.eof = False
+        self.bytes_received = 0
+
+    def recv(self, max_bytes: int):
+        """Blocking receive of up to ``max_bytes``; b"" signals EOF."""
+        node = self._rx_node
+        yield node.exec(node.costs.syscall + node.costs.socket_layer)
+        while not self._recv_buf and not self.eof:
+            yield self._readers.wait("stream-recv")
+        if not self._recv_buf:
+            return b""
+        was_shut = self._window_shut()
+        data = self._recv_buf.take(max_bytes)
+        yield node.exec(node.costs.copy_cost(len(data)))  # kernel->user
+        if was_shut and not self._window_shut():
+            # Window update: reopen a peer stalled on a zero window (real
+            # TCP relies on persist-timer probes; lossless paths let the
+            # receiver volunteer the update instead).
+            yield from self._send_pure_ack()
+        return data
+
+    def recv_exactly(self, n: int):
+        """Receive exactly ``n`` bytes (generator); raises on early EOF."""
+        parts: list[bytes] = []
+        got = 0
+        while got < n:
+            chunk = yield from self.recv(n - got)
+            if not chunk:
+                raise self._EOF_ERROR(f"connection closed after {got}/{n} bytes")
+            parts.append(chunk)
+            got += len(chunk)
+        return b"".join(parts)
+
+    def _window_shut(self) -> bool:
+        # TCP overrides this (and sends the update); a stream with no
+        # advertised window never has one to reopen.
+        return False
+
+    def _deliver(self, data: bytes) -> None:
+        self.bytes_received += len(data)
+        self._recv_buf.append(data)
+
+    def _wake_readers(self) -> None:
+        # One arrival wakes one reader (its payload is one reader's
+        # breakfast), but EOF/close is terminal: every blocked reader
+        # must wake or concurrent readers sleep forever.
+        if self.eof:
+            self._readers.wake_all()
+        else:
+            self._readers.wake_one()
+
+
+class TcpConnection(StreamReceiver):
     """One direction-symmetric TCP connection endpoint."""
 
     def __init__(
@@ -112,7 +214,8 @@ class TcpConnection:
         self.sndbuf = sndbuf
         self.rcvbuf = rcvbuf
 
-        sim = layer.stack.node.sim
+        node = layer.stack.node
+        sim = node.sim
         self.established = sim.event(name="tcp-established")
         self.closed_event = sim.event(name="tcp-closed")
 
@@ -120,9 +223,8 @@ class TcpConnection:
         self.snd_una = 0
         self.snd_nxt = 0
         self.peer_window = 65535 << WINDOW_SCALE
-        self._send_buf: deque[bytes] = deque()
-        self._send_buf_bytes = 0
-        self._send_space_waiters: deque = deque()
+        self._send_buf = ByteQueue()
+        self._send_space_waiters = WaitQueue(sim)
         self._pump_running = False
         self._fin_queued = False
         self._fin_sent = False
@@ -136,7 +238,7 @@ class TcpConnection:
 
         # Congestion control: slow start from IW10, AIMD, fast
         # retransmit.
-        costs = layer.stack.node.costs
+        costs = node.costs
         self._cwnd_cap = costs.tcp_window
         self.cwnd = INITIAL_WINDOW * costs.mss
         self.ssthresh = costs.tcp_window
@@ -152,15 +254,11 @@ class TcpConnection:
 
         # Receive side.
         self.rcv_nxt = 0
-        self._recv_buf: deque[bytes] = deque()
-        self._recv_buf_bytes = 0
-        self._recv_waiters: deque = deque()
+        self._init_receiver(node)
         self._ooo: dict[int, bytes] = {}
-        self.eof = False
 
         # Stats.
         self.bytes_sent = 0
-        self.bytes_received = 0
         self.segments_sent = 0
         self.segments_received = 0
         layer.conns_opened += 1
@@ -176,63 +274,16 @@ class TcpConnection:
         yield node.exec(node.costs.syscall + node.costs.socket_layer)
         offset = 0
         while offset < len(data):
-            while self._send_buf_bytes >= self.sndbuf:
-                waiter = node.sim.event(name="tcp-sndbuf")
-                self._send_space_waiters.append(waiter)
-                yield waiter
+            while len(self._send_buf) >= self.sndbuf:
+                yield self._send_space_waiters.wait("tcp-sndbuf")
                 if self.state == CLOSED:
                     raise OSError("connection closed while sending")
-            chunk = data[offset : offset + (self.sndbuf - self._send_buf_bytes)]
+            chunk = data[offset : offset + (self.sndbuf - len(self._send_buf))]
             yield node.exec(node.costs.copy_cost(len(chunk)))  # user->kernel
             self._send_buf.append(chunk)
-            self._send_buf_bytes += len(chunk)
             offset += len(chunk)
             self._kick_pump()
         return len(data)
-
-    def recv(self, max_bytes: int):
-        """Blocking receive of up to ``max_bytes``; b"" signals EOF."""
-        node = self.layer.stack.node
-        yield node.exec(node.costs.syscall + node.costs.socket_layer)
-        while not self._recv_buf and not self.eof:
-            waiter = node.sim.event(name="tcp-recv")
-            self._recv_waiters.append(waiter)
-            yield waiter
-        if not self._recv_buf:
-            return b""
-        was_zero_window = (self._advertised_window() >> WINDOW_SCALE) == 0
-        chunks: list[bytes] = []
-        taken = 0
-        while self._recv_buf and taken < max_bytes:
-            head = self._recv_buf[0]
-            want = max_bytes - taken
-            if len(head) <= want:
-                chunks.append(self._recv_buf.popleft())
-                taken += len(head)
-            else:
-                chunks.append(head[:want])
-                self._recv_buf[0] = head[want:]
-                taken += want
-        self._recv_buf_bytes -= taken
-        yield node.exec(node.costs.copy_cost(taken))  # kernel->user
-        if was_zero_window and (self._advertised_window() >> WINDOW_SCALE) > 0:
-            # Window update: reopen a peer stalled on a zero window (real
-            # TCP relies on persist-timer probes; lossless paths let the
-            # receiver volunteer the update instead).
-            yield from self._send_pure_ack()
-        return b"".join(chunks)
-
-    def recv_exactly(self, n: int):
-        """Receive exactly ``n`` bytes (generator); raises on early EOF."""
-        parts: list[bytes] = []
-        got = 0
-        while got < n:
-            chunk = yield from self.recv(n - got)
-            if not chunk:
-                raise OSError(f"connection closed after {got}/{n} bytes")
-            parts.append(chunk)
-            got += len(chunk)
-        return b"".join(parts)
 
     def close(self):
         """Close the send direction (generator); FIN goes out after the
@@ -275,22 +326,16 @@ class TcpConnection:
         return min(costs.mss, dev.mtu - 40)
 
     def _tx_pump(self):
-        node = self.layer.stack.node
-        costs = node.costs
+        costs = self.layer.stack.node.costs
         try:
             while True:
                 if self._send_buf and self._window_avail() > 0:
-                    size = min(self._eff_mss(), self._send_buf_bytes, self._window_avail())
-                    data = self._take_from_send_buf(size)
-                    hdr = self._make_header(TCP_ACK | TCP_PSH, seq=self.snd_nxt)
-                    self._retx_buf.append((self.snd_nxt, data, TCP_ACK | TCP_PSH))
-                    self.snd_nxt += len(data)
+                    size = min(self._eff_mss(), len(self._send_buf), self._window_avail())
+                    data = self._send_buf.take(size)
                     self.bytes_sent += len(data)
                     self.segments_sent += 1
-                    self._arm_retx()
-                    yield node.exec(costs.tcp_layer + costs.checksum_cost(len(data)))
-                    yield from self.layer.stack.ipv4.output(
-                        self.remote[0], IPPROTO_TCP, hdr, data
+                    yield from self._send_new(
+                        TCP_ACK | TCP_PSH, data, costs.tcp_layer + costs.checksum_cost(len(data))
                     )
                     self._wake_send_space()
                 elif (
@@ -299,22 +344,25 @@ class TcpConnection:
                     and not self._send_buf
                     and self._window_avail() > 0
                 ):
-                    hdr = self._make_header(TCP_ACK | TCP_FIN, seq=self.snd_nxt)
-                    self._retx_buf.append((self.snd_nxt, b"", TCP_ACK | TCP_FIN))
-                    self.snd_nxt += 1  # FIN consumes a sequence number
                     self._fin_sent = True
                     self.segments_sent += 1
-                    self._arm_retx()
-                    yield node.exec(costs.tcp_layer)
-                    yield from self.layer.stack.ipv4.output(
-                        self.remote[0], IPPROTO_TCP, hdr, b""
-                    )
+                    yield from self._send_new(TCP_ACK | TCP_FIN, b"", costs.tcp_layer)
                 else:
                     break
         finally:
             self._pump_running = False
             # Data may have been queued while the last output blocked.
             self._kick_pump()
+
+    def _send_new(self, flags: int, data: bytes, cost: float):
+        """Send the next segment of the sequence space and keep it for
+        retransmission (generator); a SYN or FIN consumes one number."""
+        hdr = self._make_header(flags, seq=self.snd_nxt)
+        self._retx_buf.append((self.snd_nxt, data, flags))
+        self.snd_nxt += len(data) or 1
+        self._arm_retx()
+        yield self.layer.stack.node.exec(cost)
+        yield from self.layer.stack.ipv4.output(self.remote[0], IPPROTO_TCP, hdr, data)
 
     # ------------------------------------------------------------------
     # Retransmission
@@ -355,12 +403,7 @@ class TcpConnection:
                         return
                     if seq + len(data) > self.snd_una + self.cwnd:
                         break
-                    hdr = self._make_header(flags, seq=seq)
-                    self.retransmissions += 1
-                    yield node.exec(costs.tcp_layer + costs.checksum_cost(len(data)))
-                    yield from self.layer.stack.ipv4.output(
-                        self.remote[0], IPPROTO_TCP, hdr, data
-                    )
+                    yield from self._resend(seq, data, flags)
                 self._retx_deadline = sim.now + costs.tcp_rto
         finally:
             self._retx_running = False
@@ -381,30 +424,15 @@ class TcpConnection:
             node = self.layer.stack.node
             self._retx_deadline = node.sim.now + node.costs.tcp_rto
 
-    def _take_from_send_buf(self, size: int) -> bytes:
-        chunks: list[bytes] = []
-        taken = 0
-        while taken < size:
-            head = self._send_buf[0]
-            want = size - taken
-            if len(head) <= want:
-                chunks.append(self._send_buf.popleft())
-                taken += len(head)
-            else:
-                chunks.append(head[:want])
-                self._send_buf[0] = head[want:]
-                taken += want
-        self._send_buf_bytes -= taken
-        return b"".join(chunks)
-
     def _wake_send_space(self) -> None:
-        while self._send_space_waiters and self._send_buf_bytes < self.sndbuf:
-            waiter = self._send_space_waiters.popleft()
-            if not waiter.triggered:
-                waiter.succeed()
+        if len(self._send_buf) < self.sndbuf:
+            self._send_space_waiters.wake_all()
 
     def _advertised_window(self) -> int:
-        return max(0, self.rcvbuf - self._recv_buf_bytes)
+        return max(0, self.rcvbuf - len(self._recv_buf))
+
+    def _window_shut(self) -> bool:
+        return (self._advertised_window() >> WINDOW_SCALE) == 0
 
     def _make_header(self, flags: int, seq: int) -> TcpHeader:
         return TcpHeader(
@@ -482,7 +510,7 @@ class TcpConnection:
                     # missing the segment right after this ACK -- resend
                     # it now, one hole per RTT, instead of waiting a
                     # full RTO per hole.
-                    yield from self._resend_head()
+                    yield from self._resend(*self._retx_buf[0])
                     self._retx_deadline = node.sim.now + costs.tcp_rto
             elif (
                 hdr.ack == self.snd_una
@@ -508,7 +536,7 @@ class TcpConnection:
             # Wake the blocked reader before generating the ACK -- the
             # wakeup is what the RR benchmarks' latency rides on.
             yield node.exec(costs.process_wakeup)
-            self._wake_receivers()
+            self._wake_readers()
             yield from self._send_pure_ack()
 
     def _rx_data(self, seq: int, data: bytes, fin: bool) -> bool:
@@ -603,14 +631,13 @@ class TcpConnection:
             self._recover_seq = self.snd_nxt
             self.fast_retransmits += 1
             self._set_cwnd(self.ssthresh + costs.tcp_dupack_threshold * mss)
-            yield from self._resend_head()
+            yield from self._resend(*self._retx_buf[0])
             self._retx_deadline = node.sim.now + costs.tcp_rto
 
-    def _resend_head(self):
-        """Retransmit the first unacked segment (generator)."""
+    def _resend(self, seq: int, data: bytes, flags: int):
+        """Retransmit one segment of the retransmit buffer (generator)."""
         node = self.layer.stack.node
         costs = node.costs
-        seq, data, flags = self._retx_buf[0]
         hdr = self._make_header(flags, seq=seq)
         self.retransmissions += 1
         yield node.exec(costs.tcp_layer + costs.checksum_cost(len(data)))
@@ -618,9 +645,7 @@ class TcpConnection:
 
     def _accept_data(self, data: bytes) -> None:
         self.rcv_nxt += len(data)
-        self.bytes_received += len(data)
-        self._recv_buf.append(data)
-        self._recv_buf_bytes += len(data)
+        self._deliver(data)
 
     def _drain_ooo(self) -> None:
         while True:
@@ -639,7 +664,7 @@ class TcpConnection:
             self.state = CLOSE_WAIT
         elif self.state == FIN_WAIT and self._fin_sent and self.snd_una >= self.snd_nxt:
             self._become_closed()
-        self._wake_receivers()
+        self._wake_readers()
 
     def _become_closed(self) -> None:
         if self.state == CLOSED:
@@ -652,23 +677,8 @@ class TcpConnection:
         self.layer._forget(self)
         if not self.closed_event.triggered:
             self.closed_event.succeed()
-        self._wake_receivers()
-        while self._send_space_waiters:
-            waiter = self._send_space_waiters.popleft()
-            if not waiter.triggered:
-                waiter.succeed()
-
-    def _wake_receivers(self) -> None:
-        # One segment wakes one reader (its payload is one reader's
-        # breakfast), but EOF/close is terminal: every blocked reader
-        # must wake or concurrent readers sleep forever.
-        wake_all = self.eof or self.state == CLOSED
-        while self._recv_waiters:
-            waiter = self._recv_waiters.popleft()
-            if not waiter.triggered:
-                waiter.succeed()
-                if not wake_all:
-                    break
+        self._wake_readers()
+        self._send_space_waiters.wake_all()
 
     def _send_pure_ack(self):
         node = self.layer.stack.node
@@ -703,7 +713,7 @@ class TcpListener:
         self.sndbuf = sndbuf
         self.rcvbuf = rcvbuf
         self._ready: deque[TcpConnection] = deque()
-        self._accept_waiters: deque = deque()
+        self._accept_waiters = WaitQueue(layer.stack.node.sim)
         self.closed = False
         self.backlog_drops = 0
 
@@ -712,9 +722,7 @@ class TcpListener:
         node = self.layer.stack.node
         yield node.exec(node.costs.syscall)
         while not self._ready:
-            waiter = node.sim.event(name=f"accept:{self.port}")
-            self._accept_waiters.append(waiter)
-            yield waiter
+            yield self._accept_waiters.wait(f"accept:{self.port}")
         return self._ready.popleft()
 
     def close(self) -> None:
@@ -733,11 +741,7 @@ class TcpListener:
             conn._become_closed()
             return
         self._ready.append(conn)
-        while self._accept_waiters:
-            waiter = self._accept_waiters.popleft()
-            if not waiter.triggered:
-                waiter.succeed()
-                break
+        self._accept_waiters.wake_one()
 
 
 class TcpLayer:
@@ -775,12 +779,7 @@ class TcpLayer:
         key = (remote[0], remote[1], local[1])
         self.connections[key] = conn
         conn.state = SYN_SENT
-        hdr = conn._make_header(TCP_SYN, seq=conn.snd_nxt)
-        conn._retx_buf.append((conn.snd_nxt, b"", TCP_SYN))
-        conn.snd_nxt += 1  # SYN consumes a sequence number
-        conn._arm_retx()
-        yield node.exec(node.costs.syscall + node.costs.tcp_layer)
-        yield from self.stack.ipv4.output(remote[0], IPPROTO_TCP, hdr, b"")
+        yield from conn._send_new(TCP_SYN, b"", node.costs.syscall + node.costs.tcp_layer)
         yield conn.established
         if conn.state == CLOSED:
             raise OSError(f"connection to {remote[0]}:{remote[1]} refused")
@@ -848,12 +847,7 @@ class TcpLayer:
         conn.state = SYN_RCVD
         conn.rcv_nxt = hdr.seq + 1
         conn.peer_window = hdr.window << WINDOW_SCALE
-        synack = conn._make_header(TCP_SYN | TCP_ACK, seq=conn.snd_nxt)
-        conn._retx_buf.append((conn.snd_nxt, b"", TCP_SYN | TCP_ACK))
-        conn.snd_nxt += 1
-        conn._arm_retx()
-        yield node.exec(node.costs.tcp_layer)
-        yield from self.stack.ipv4.output(remote[0], IPPROTO_TCP, synack, b"")
+        yield from conn._send_new(TCP_SYN | TCP_ACK, b"", node.costs.tcp_layer)
 
     def _deliver_to_accept_queue(self, conn: TcpConnection) -> None:
         listener = self.listeners.get(conn.local[1])

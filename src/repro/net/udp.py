@@ -8,6 +8,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.net.addr import IPv4Addr
 from repro.net.ethernet import IPPROTO_UDP
 from repro.net.packet import Packet, UdpHeader
+from repro.sim.resources import WaitQueue
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.stack import NetworkStack
@@ -32,7 +33,7 @@ class UdpSocket:
         self.rcvbuf = rcvbuf
         self.queue: deque[tuple[bytes, tuple[IPv4Addr, int]]] = deque()
         self.queued_bytes = 0
-        self._recv_waiters: deque = deque()
+        self._recv_waiters = WaitQueue(layer.stack.node.sim)
         self.drops = 0
         self.rx_msgs = 0
         self.rx_bytes = 0
@@ -64,9 +65,7 @@ class UdpSocket:
             raise OSError("socket is closed")
         node = self.layer.stack.node
         while not self.queue:
-            waiter = node.sim.event(name=f"udp-recv:{self.port}")
-            self._recv_waiters.append(waiter)
-            yield waiter
+            yield self._recv_waiters.wait(f"udp-recv:{self.port}")
         data, addr = self.queue.popleft()
         self.queued_bytes -= len(data)
         # kernel -> user copy plus syscall overhead.
@@ -83,11 +82,7 @@ class UdpSocket:
         self.queued_bytes += len(data)
         self.rx_msgs += 1
         self.rx_bytes += len(data)
-        while self._recv_waiters:
-            waiter = self._recv_waiters.popleft()
-            if not waiter.triggered:
-                waiter.succeed()
-                break
+        self._recv_waiters.wake_one()
         return True
 
     def close(self) -> None:

@@ -1,5 +1,7 @@
 """Shared-resource primitives built on the event engine.
 
+* :class:`WaitQueue` -- the one way a process parks until something
+  wakes it: FIFO waiters woken one at a time, all at once, or failed.
 * :class:`Store` -- FIFO item buffer with blocking get (and optional
   bounded capacity with blocking put).
 * :class:`CPUCores` -- the physical-CPU model: ``n`` identical cores
@@ -18,9 +20,56 @@ from typing import Any, Deque, Hashable, Optional
 
 from repro.sim.engine import IDLE, PENDING, PROCESSED, TRIGGERED, Event, Simulator
 
-__all__ = ["CPUCores", "Store"]
+__all__ = ["CPUCores", "Store", "WaitQueue"]
 
 _INF = float("inf")
+
+
+class WaitQueue:
+    """Processes parked until a waker releases them, oldest first.
+
+    Each wake is exactly one ``Event.succeed()``/``fail()``; a waiter
+    something else already triggered (an ``any_of`` loser) is skipped.
+    As a worker's kick it holds one sleeper, and a wake with nobody
+    parked does nothing.  ``len()`` counts parked waiters.
+    """
+
+    __slots__ = ("sim", "_waiters")
+
+    def __init__(self, sim: Simulator):
+        self.sim = sim
+        self._waiters: Deque[Event] = deque()
+
+    def __len__(self) -> int:
+        return len(self._waiters)
+
+    def wait(self, name: str = "") -> Event:
+        """Park: the returned event fires when a wake reaches it."""
+        ev = Event(self.sim, name)
+        self._waiters.append(ev)
+        return ev
+
+    def wake_one(self, value: Any = None) -> bool:
+        """Succeed the oldest untriggered waiter; False if none."""
+        waiters = self._waiters
+        while waiters:
+            ev = waiters.popleft()
+            if ev._state == PENDING:
+                ev.succeed(value)
+                return True
+        return False
+
+    def wake_all(self) -> None:
+        """Succeed every untriggered waiter."""
+        while self.wake_one():
+            pass
+
+    def fail_all(self, exc: BaseException) -> None:
+        """Fail every untriggered waiter with ``exc``."""
+        waiters, self._waiters = self._waiters, deque()
+        for ev in waiters:
+            if ev._state == PENDING:
+                ev.fail(exc)
 
 
 class Store:
@@ -37,7 +86,7 @@ class Store:
         self.sim = sim
         self.capacity = capacity
         self.items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
+        self._getters = WaitQueue(sim)
         self._putters: Deque[tuple[Event, Any]] = deque()
 
     def __len__(self) -> int:
@@ -46,9 +95,8 @@ class Store:
     def put(self, item: Any) -> Event:
         """Append an item; blocks (event pending) while a bounded store is full."""
         ev = Event(self.sim, "store.put")
-        if self._getters:
-            # Hand the item straight to the oldest waiting getter.
-            self._getters.popleft().succeed(item)
+        if self._getters.wake_one(item):
+            # Handed straight to the oldest waiting getter.
             ev.succeed()
         elif self.capacity is None or len(self.items) < self.capacity:
             self.items.append(item)
@@ -59,12 +107,10 @@ class Store:
 
     def get(self) -> Event:
         """Take the oldest item; the event fires when one is available."""
-        ev = Event(self.sim, "store.get")
-        if self.items:
-            ev.succeed(self.items.popleft())
-            self._admit_putter()
-        else:
-            self._getters.append(ev)
+        if not self.items:
+            return self._getters.wait("store.get")
+        ev = Event(self.sim, "store.get").succeed(self.items.popleft())
+        self._admit_putter()
         return ev
 
     def try_get(self) -> tuple[bool, Any]:

@@ -427,12 +427,12 @@ def _ip_allocator(spec: ClusterSpec):
         for gspec in mspec.guests:
             position += 1
             if gspec.ip:
-                ip = IPv4Addr(gspec.ip)
+                ip = IPv4Addr.interned(gspec.ip)
             elif position > 254:
                 raise ValueError(
                     f"cluster {spec.name!r}: auto-IP pool exhausted at "
                     f"guest position {position} (max 254)"
                 )
             else:
-                ip = IPv4Addr(f"10.0.0.{position}")
+                ip = IPv4Addr.interned(f"10.0.0.{position}")
             yield gspec, ip

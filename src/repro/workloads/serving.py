@@ -29,8 +29,9 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
+from repro.sim.resources import WaitQueue
 from repro.sim.stats import LogHistogram
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -172,7 +173,7 @@ def open_loop_rr(
 
     n_workers = len(clients) * conns_per_client
     queues: list[deque] = [deque() for _ in range(n_workers)]
-    waiters: list[Optional[object]] = [None] * n_workers
+    idle = [WaitQueue(sim) for _ in range(n_workers)]
     state = {"settled": 0, "generating": True}
 
     def _settle(n: int = 1) -> None:
@@ -184,10 +185,8 @@ def open_loop_rr(
         ):
             done.succeed()
             # Wake idle workers so they observe the exit condition.
-            for wid, waiter in enumerate(waiters):
-                if waiter is not None:
-                    waiters[wid] = None
-                    waiter.succeed()
+            for queue in idle:
+                queue.wake_one()
 
     def generator():
         for i in range(requests):
@@ -201,10 +200,7 @@ def open_loop_rr(
             wid = i % n_workers
             queues[wid].append(sim.now)
             probe.offered += 1
-            waiter = waiters[wid]
-            if waiter is not None:
-                waiters[wid] = None
-                waiter.succeed()
+            idle[wid].wake_one()
         state["generating"] = False
         _settle(0)  # all arrivals may already be settled
 
@@ -216,9 +212,7 @@ def open_loop_rr(
             if not queue:
                 if not state["generating"] and state["settled"] >= probe.offered:
                     break
-                event = sim.event()
-                waiters[wid] = event
-                yield event
+                yield idle[wid].wait()
                 continue
             t_arr = queue.popleft()
             try:

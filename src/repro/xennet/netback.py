@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 from repro import trace
 from repro.net.bridge import BridgePort
 from repro.net.packet import Packet
-from repro.sim.resources import Store
+from repro.sim.resources import Store, WaitQueue
 from repro.xen.event_channel import NOTIFY_STATS
 from repro.xennet.netfront import pages_for
 
@@ -62,7 +62,7 @@ class Netback:
         self.detached = False
 
         self._kick_name = f"{self.vif_name}-kick"
-        self._kick = dom0.sim.event(name=self._kick_name)
+        self._kick = WaitQueue(dom0.sim)
         self._worker = dom0.spawn(self._tx_drain_loop(), name=f"{self.vif_name}-netback")
         self.tx_packets = 0
         self.rx_packets = 0
@@ -82,8 +82,7 @@ class Netback:
         notifies can be suppressed that much earlier.
         """
         self.tx_ring.req_event_armed = False
-        if not self._kick.triggered:
-            self._kick.succeed()
+        self._kick.wake_one()
 
     #: max TX requests drained per charged burst; bounds how much
     #: latency the aggregated charge can shift onto the first packet.
@@ -106,8 +105,7 @@ class Netback:
                 if ring.has_requests:
                     ring.req_event_armed = False
                     continue
-                self._kick = dom0.sim.event(name=self._kick_name)
-                yield self._kick
+                yield self._kick.wait(self._kick_name)
                 ring.req_event_armed = False
                 # Credit-scheduler delay before Dom0's worker actually runs.
                 yield dom0.sim.timeout(costs.dom0_wakeup_latency)
@@ -201,8 +199,7 @@ class Netback:
         """Tear the netback down (guest shutdown or migration-out)."""
         self.detached = True
         self.bridge.remove_port(self.port)
-        if not self._kick.triggered:
-            self._kick.succeed()
+        self._kick.wake_one()
         if self.evtchn_port is not None:
             self.dom0.machine.hypervisor.evtchn.close(self.evtchn_port)
             self.evtchn_port = None

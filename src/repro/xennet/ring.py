@@ -14,6 +14,7 @@ from collections import deque
 from typing import Any, Deque, Optional
 
 from repro.sim.engine import Event, Simulator
+from repro.sim.resources import WaitQueue
 
 __all__ = ["RingFullError", "SlottedRing"]
 
@@ -47,7 +48,7 @@ class SlottedRing:
         self._responses: Deque[Any] = deque()
         #: slots held: queued requests + in-service + unconsumed responses.
         self.outstanding = 0
-        self._space_waiters: Deque[Event] = deque()
+        self._space_waiters = WaitQueue(sim)
         self.total_requests = 0
         # The shared-page "event indices" of the real ring protocol,
         # reduced to their boolean meaning: whether each side currently
@@ -97,12 +98,9 @@ class SlottedRing:
 
     def wait_space(self) -> Event:
         """Event firing once at least one slot is free."""
-        ev = self.sim.event(name="ring-space")
         if self.free_slots > 0:
-            ev.succeed()
-        else:
-            self._space_waiters.append(ev)
-        return ev
+            return self.sim.event(name="ring-space").succeed()
+        return self._space_waiters.wait("ring-space")
 
     def pop_response(self) -> Optional[Any]:
         """Producer: consume a response, freeing its slot."""
@@ -110,7 +108,7 @@ class SlottedRing:
             return None
         item = self._responses.popleft()
         self.outstanding -= 1
-        self._wake_space()
+        self._space_waiters.wake_one()
         return item
 
     # -- consumer side (e.g. netback) ----------------------------------------
@@ -133,10 +131,3 @@ class SlottedRing:
     def has_responses(self) -> bool:
         """Whether any responses await the producer."""
         return bool(self._responses)
-
-    def _wake_space(self) -> None:
-        while self._space_waiters and self.free_slots > 0:
-            ev = self._space_waiters.popleft()
-            if not ev.triggered:
-                ev.succeed()
-                break

@@ -121,6 +121,48 @@ class TestTransparency:
         assert module.stats()["bypass_streams"] == 0
 
 
+class TestConcurrentReaders:
+    """Two processes blocked in ``recv`` on one stream both see the end
+    of it, over TCP and over the bypass stream alike: EOF and close wake
+    every blocked reader, not just the oldest."""
+
+    @staticmethod
+    def _peer_close(scn, client, server):
+        scn.sim.process(client.close())
+
+    @staticmethod
+    def _abort(scn, client, server):
+        if isinstance(client, BypassConnection):
+            # The channel dies under the stream (module unload).
+            scn.sim.process(scn.xenloop_module(scn.node_a).unload())
+        else:
+            # The client vanishes without a trace; the server's next
+            # segment draws a RST from the client's stack.
+            client._become_closed()
+            scn.sim.process(server.send(b"?"))
+
+    @pytest.mark.parametrize("end", ["peer_close", "abort"])
+    @pytest.mark.parametrize("bypass", [False, True], ids=["tcp", "bypass"])
+    def test_every_blocked_reader_sees_the_end(self, bypass, end):
+        scn = scenarios.xenloop(FAST, socket_bypass=bypass)
+        scn.warmup(max_wait=10.0)
+        client, server = tcp_pair(scn, 7810)
+        assert isinstance(server, BypassConnection) == bypass
+        sim = scn.sim
+        got = {}
+
+        def reader(i):
+            got[i] = yield from server.recv(100)
+
+        for i in range(2):
+            sim.process(reader(i))
+        sim.run(until=sim.now + 0.01)
+        assert got == {}  # both parked on the empty stream
+        getattr(self, f"_{end}")(scn, client, server)
+        sim.run(until=sim.now + 1.0)
+        assert got == {0: b"", 1: b""}
+
+
 class TestPerformance:
     def test_rr_faster_than_base_xenloop(self):
         """The whole point: no transport/network processing on the path."""

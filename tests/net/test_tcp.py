@@ -8,6 +8,7 @@ from repro.calibration import DEFAULT_COSTS
 from repro.net.addr import IPv4Addr
 from repro.net.node import Node
 from repro.net.stack import NetworkStack
+from repro.net.tcp import ByteQueue
 from repro.sim.engine import Simulator
 from repro.sim.resources import CPUCores
 from tests.conftest import run_gen
@@ -186,7 +187,7 @@ class TestFlowControl:
         # send() blocks once SNDBUF fills and the closed window stops the pump
         assert "done" not in sent
         # receiver buffered roughly a window's worth, not everything
-        assert server._recv_buf_bytes <= 8192 + DEFAULT_COSTS.gso_max
+        assert len(server._recv_buf) <= 8192 + DEFAULT_COSTS.gso_max
 
     def test_window_reopens_when_app_reads(self, sim, host):
         client, server = connect_pair(sim, host, host, rcvbuf=8192)
@@ -317,6 +318,33 @@ def test_stream_integrity_property(chunks):
     sim.process(cli())
     proc = sim.process(srv())
     assert sim.run_until_complete(proc, timeout=120) == total
+
+
+_BYTE_QUEUE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), st.binary(max_size=40)),
+        st.tuples(st.just("take"), st.integers(0, 60)),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_BYTE_QUEUE_OPS)
+def test_byte_queue_matches_flat_buffer(ops):
+    """Any sequence of appends and takes returns the same bytes as one
+    flat buffer, and len() is the byte count."""
+    queue = ByteQueue()
+    model = bytearray()
+    for op, arg in ops:
+        if op == "append":
+            queue.append(arg)
+            model += arg
+        else:
+            assert queue.take(arg) == bytes(model[:arg])
+            del model[:arg]
+        assert len(queue) == len(model)
+    assert queue.take(len(model) + 1) == bytes(model)
 
 
 class TestListenerBacklog:

@@ -1,4 +1,4 @@
-"""Tests for Store and the CPU-core model."""
+"""Tests for WaitQueue, Store and the CPU-core model."""
 
 import math
 from collections import deque
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import Simulator
-from repro.sim.resources import CPUCores, Store
+from repro.sim.resources import CPUCores, Store, WaitQueue
 from tests.conftest import run_gen
 
 
@@ -99,6 +99,70 @@ class TestStore:
     def test_capacity_validation(self, sim):
         with pytest.raises(ValueError):
             Store(sim, capacity=0)
+
+
+class TestWaitQueue:
+    def test_wake_one_skips_an_already_triggered_waiter(self, sim):
+        queue = WaitQueue(sim)
+        raced = queue.wait("a")
+        parked = queue.wait("b")
+        raced.succeed("lost the race")  # e.g. the loser of an any_of
+        assert len(queue) == 2  # skipped ones count until a wake reaches them
+        assert queue.wake_one("item") is True
+        assert len(queue) == 0
+        sim.run()
+        assert raced.value == "lost the race"
+        assert parked.value == "item"
+
+    def test_wake_one_on_empty_queue_is_a_no_op(self, sim):
+        queue = WaitQueue(sim)
+        assert queue.wake_one() is False
+        sim.run()
+        assert sim.event_count == 0
+
+    def test_wake_one_is_fifo(self, sim):
+        queue = WaitQueue(sim)
+        woken = []
+
+        def waiter(i):
+            woken.append((i, (yield queue.wait())))
+
+        for i in range(3):
+            sim.process(waiter(i))
+        sim.run()
+        assert len(queue) == 3
+        queue.wake_one("x")
+        queue.wake_one("y")
+        sim.run()
+        assert woken == [(0, "x"), (1, "y")]
+        assert len(queue) == 1
+
+    def test_wake_all(self, sim):
+        queue = WaitQueue(sim)
+        waiters = [queue.wait() for _ in range(3)]
+        waiters[1].succeed("early")
+        queue.wake_all()
+        assert len(queue) == 0
+        sim.run()
+        assert [w.value for w in waiters] == [None, "early", None]
+
+    def test_fail_all(self, sim):
+        queue = WaitQueue(sim)
+        caught = []
+
+        def waiter():
+            try:
+                yield queue.wait()
+            except RuntimeError as exc:
+                caught.append(str(exc))
+
+        for _ in range(2):
+            sim.process(waiter())
+        sim.run()
+        queue.fail_all(RuntimeError("gone"))
+        sim.run()
+        assert caught == ["gone", "gone"]
+        assert len(queue) == 0
 
 
 class TestCPUCores:
