@@ -108,7 +108,7 @@ class Channel:
         #: called as handler(payload_bytes) in drain-worker context.
         self.stream_handler = None
 
-        self._drain_kick = self.guest.sim.event(name="xl-drain-kick")
+        self._drain_kick = WaitQueue(self.guest.sim)
         self._drain_worker = None
 
         # Statistics.
@@ -417,8 +417,7 @@ class Channel:
         in_fifo = self.in_fifo
         if in_fifo is not None:
             in_fifo.clear_consumer_waiting()
-        if not self._drain_kick.triggered:
-            self._drain_kick.succeed()
+        self._drain_kick.wake_one()
 
     def _start_drain_worker(self) -> None:
         if self._drain_worker is None:
@@ -508,8 +507,7 @@ class Channel:
             in_fifo.set_consumer_waiting()
             if not in_fifo.is_empty:
                 continue  # loop top clears the flag and drains
-            self._drain_kick = guest.sim.event(name="xl-drain-kick")
-            yield self._drain_kick
+            yield self._drain_kick.wait("xl-drain-kick")
 
     def _count_batch(self, entries: int) -> None:
         self.drain_batches += 1
@@ -653,8 +651,7 @@ class Channel:
             guest.machine.hypervisor.evtchn.close(self.port)
             self.port = None
         self.out_fifo = self.in_fifo = None
-        if not self._drain_kick.triggered:
-            self._drain_kick.succeed()  # let the drain worker observe CLOSED
+        self._drain_kick.wake_one()  # let the drain worker observe CLOSED
 
     def __repr__(self) -> str:  # pragma: no cover
         role = "listener" if self.is_listener else "connector"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro import trace
 from repro.net.ethernet import IPPROTO_ICMP
 from repro.net.packet import IcmpHeader, Packet
 
@@ -44,8 +45,6 @@ class IcmpLayer:
         hdr = packet.l4
         if not isinstance(hdr, IcmpHeader):
             return
-        from repro import trace
-
         trace.mark(packet, "icmp-deliver", node.sim.now)
         if hdr.icmp_type == IcmpHeader.ECHO_REQUEST:
             # Reply in kernel context with the same payload.

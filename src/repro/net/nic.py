@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+from repro import trace
 from repro.calibration import CostModel
 from repro.net.addr import MacAddr
 from repro.net.devices import NetDevice
@@ -61,8 +62,6 @@ class PhysNIC(NetDevice):
         sim = self.node.sim
         while True:
             packet = yield self._txq.get()
-            from repro import trace
-
             trace.mark(packet, "nic-wire-tx", sim.now)
             # Serialization onto the wire at line rate.
             yield sim.timeout(self.costs.wire_time(packet.wire_len))
@@ -77,8 +76,6 @@ class PhysNIC(NetDevice):
         timer.callbacks.append(lambda _ev: self._deliver(packet))
 
     def _deliver(self, packet: Packet) -> None:
-        from repro import trace
-
         trace.mark(packet, "nic-rx", self.node.sim.now)
         if self.promisc_handler is not None:
             self.rx_packets += 1

@@ -16,7 +16,7 @@ Fast-path design
 ----------------
 Profiling the paper workloads shows >90 % of wall-clock time inside the
 engine and its per-event allocations, so the hot paths are organised
-around four ideas:
+around five ideas:
 
 * **Immediate run queue.**  Zero-delay scheduling (``succeed()``,
   process init, bounces -- the overwhelming majority of
@@ -42,6 +42,13 @@ around four ideas:
   counts one event, otherwise it queues itself on the ready deque.
   Firing order, ``_seq`` and :attr:`Simulator.event_count` are
   therefore exactly those of the ``Event`` chain.
+* **Nothing on the calendar that nobody consumes.**  A wake with
+  nobody parked (``WaitQueue``) schedules nothing.  A ``Store.put``
+  that completes at once returns its event already processed (a
+  producer that yields it resumes through the processed-event path,
+  where the done Event would have fired), and a process exit no
+  callback awaits is marked processed instead of scheduling its
+  completion.
 * **No f-strings on hot constructors.**  Event/timeout names are static
   strings; pretty names are built lazily in ``__repr__`` only.
 
@@ -288,7 +295,11 @@ class Process(Event):
                 target = self.generator.throw(value)
         except StopIteration as stop:
             sim.active_process = prev
-            self.succeed(stop.value)
+            if self.callbacks:
+                self.succeed(stop.value)
+            else:  # an exit nobody awaits schedules nothing
+                self._state = PROCESSED
+                self._value = stop.value
             return
         except BaseException:
             sim.active_process = prev

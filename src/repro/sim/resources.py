@@ -93,16 +93,15 @@ class Store:
         return len(self.items)
 
     def put(self, item: Any) -> Event:
-        """Append an item; blocks (event pending) while a bounded store is full."""
+        """Append an item; blocks (event pending) while a bounded store is
+        full.  A put that completes at once returns its event processed."""
         ev = Event(self.sim, "store.put")
-        if self._getters.wake_one(item):
-            # Handed straight to the oldest waiting getter.
-            ev.succeed()
-        elif self.capacity is None or len(self.items) < self.capacity:
+        if not self._getters.wake_one(item):  # else: handed to the oldest getter
+            if self.capacity is not None and len(self.items) >= self.capacity:
+                self._putters.append((ev, item))
+                return ev
             self.items.append(item)
-            ev.succeed()
-        else:
-            self._putters.append((ev, item))
+        ev._state = PROCESSED
         return ev
 
     def get(self) -> Event:

@@ -26,7 +26,7 @@ from repro import trace
 from repro.net.devices import NetDevice
 from repro.net.packet import Packet
 from repro.sim.engine import Event
-from repro.sim.resources import Store
+from repro.sim.resources import Store, WaitQueue
 from repro.xen.event_channel import NOTIFY_STATS
 from repro.xen.page import PAGE_SIZE
 
@@ -94,7 +94,7 @@ class Netfront:
         self.suspended = False
         self._limbo: deque[tuple[Packet, Event]] = deque()
         self._txq: deque[tuple[Packet, Event]] = deque()
-        self._tx_kick = guest.sim.event(name="netfront-tx-kick")
+        self._tx_kick = WaitQueue(guest.sim)
         self._tx_worker = guest.spawn(self._tx_loop(), name="netfront-tx")
         self.tx_packets = 0
         self.rx_packets = 0
@@ -116,12 +116,8 @@ class Netfront:
             self._limbo.append((packet, done))
             return done
         self._txq.append((packet, done))
-        self._kick_tx()
+        self._tx_kick.wake_one()
         return done
-
-    def _kick_tx(self) -> None:
-        if not self._tx_kick.triggered:
-            self._tx_kick.succeed()
 
     def _tx_loop(self):
         guest = self.guest
@@ -144,8 +140,7 @@ class Netfront:
                     if ring.has_responses:
                         ring.rsp_event_armed = False
                         continue  # loop top reclaims them
-                self._tx_kick = guest.sim.event(name="netfront-tx-kick")
-                yield self._tx_kick
+                yield self._tx_kick.wait("netfront-tx-kick")
                 if ring is not None:
                     # Woken to transmit: completions go back to lazy
                     # reclaim in this loop.
@@ -241,4 +236,4 @@ class Netfront:
         while self._limbo:
             packet, done = self._limbo.popleft()
             self._txq.append((packet, done))
-        self._kick_tx()
+        self._tx_kick.wake_one()

@@ -55,5 +55,4 @@ def connect_vif(guest: "Domain") -> Netfront:
 
     # Record the connection in XenStore, as xend does.
     machine.xenstore.write(0, f"/local/domain/{guest.domid}/device/vif/0/mac", str(guest.mac))
-    netfront._kick_tx()
     return netfront

@@ -58,7 +58,7 @@ class TestCellGoldens:
             "loss": 0.0,
             "n_flows": 4,
             "duration": 0.002226619,
-            "events": 3806,
+            "events": 3580,
             "aggregate_mbps": 1883.71,
             "fairness": 0.952657,
             "retransmissions": 0,
@@ -89,7 +89,7 @@ class TestCellGoldens:
             "loss": 0.02,
             "n_flows": 4,
             "duration": 0.401048942,
-            "events": 4279,
+            "events": 4111,
             "aggregate_mbps": 10.458,
             "fairness": 0.746875,
             "retransmissions": 2,
@@ -121,7 +121,7 @@ class TestCellGoldens:
             "elephant_mbps": 261.839,
             "mice_mbps": 12.911,
             "fairness_elephants": 0.67905,
-            "events": 67977,
+            "events": 65617,
             "aggregate_mbps": 0.0,
             "fairness": 0.315582,
             "retransmissions": 10,

@@ -23,16 +23,16 @@ from repro.sim.snapshot import capture_state, state_digest
 
 #: name -> ((event_count, digest) after build, (event_count, digest) after warmup())
 PINNED = {
-    'xenloop_incast': ((0, 'd1b7fcb192c208074a28d71925249dc218f541e3f8256300512d4de6a67d8ddb'), (878, 'd3d7cc3ab438c7dae3a3f3404faa975b5b83f36b3db9cca634bb95aaf4e1490e')),
-    'xenloop_fairness': ((0, 'c8a61c63983c6fa89b1caf93abe8b55444092644c4d436bba3ebee724cd286ab'), (958, '400ddabd744c6e24702eb93902c1878063cfeaa0e40fef6565b621180c684283')),
-    'fault_matrix': ((0, '778775b9b59782e9f2b12b581e969f3a7d3c5d818f1078ac0ea4e356c53b4dd3'), (168, 'db88f68780d308320151b0ae63a3ca84e6ef41e991e6152320983e69a2db6be6')),
-    'xenloop_serving': ((0, 'f47738f3a87ab9208eba23d4722cfa38ced96c23f6491bc7e841b9adec3152cb'), (734, '172d8cfc5c46413e02440f505446e5150c26d5d5b14d54cb23b3d2566b9b0cd0')),
-    'inter_machine': ((0, '4b83c67dc56c78d5796c99d1845aa160c78891068a1b9045935a38b8c9bbb14c'), (89, '8e07bb7d2b149000ff4c94c41e7958839d5d6f0e38237f1cb1f58422289db24e')),
-    'native_loopback': ((0, 'aa88b1e92741223fe0ba2c7e2cadda0e233df1380c2ccf26cff7cec4ccdb211c'), (34, 'a65f28b0ef7537a572960b251347932563337b02576ad77bcfba4408451e7dc8')),
-    'netfront_netback': ((0, 'b9398f75203a0bd604bd06e0af5f3b381be7c8c8e0ef8c6c5705efff10dad9fb'), (155, 'dc92df19dbacc6522c5a6dfac8fb3bd88c13c1a00d5737eda5d165132498e88f')),
-    'xenloop': ((0, '033bfbba7dd0dcb05944426cdd7843db6e7caa688431e6790233902a6d592616'), (670, '11119f9311aec5af006e421975d785d4f152e3c87262f36426cceb7a696f54ed')),
-    'xenloop_mesh': ((0, 'b3ee15e52ba5add596eba256942253bf41bc8e7f165ce90afff3fb0677fcddac'), (189, '0ebf36fa467c1b25a90450ee1afa3e8d755027d1b9284b637d73787495de21d0')),
-    'migration_pair': ((0, 'cea5bd27c5140bcf6a7976de0668bf731435c943aae22dd1cc1c78e80281876b'), (225, '7c368c9d312a43cceb64e669251a2140f44ecd40b53729a93909ebc072e9cdc7')),
+    'xenloop_incast': ((0, 'f805b15bd0e6f479a8d297ea96e02662370877e84407c99d8afce03bacfdebbd'), (817, 'd9fa83aee0c5fa4cce9f713e3f592f86e525fcc528c90da434ec931998093a79')),
+    'xenloop_fairness': ((0, '11f3412e5f14ae6991c4e36f6a6102e14c36ea8c8100085573f6ab8040d07bda'), (884, '09a0ee0232a88b6365f4fb6bdd65866aeeb048dc39eabfb82ddd39a2a22496f5')),
+    'fault_matrix': ((0, 'ed548ef1be4f39f12e8ee27316ccb4bea9e8439bec52b92f12f1b3f87e481f23'), (159, '7b0fbbe08b8d0334429e4c7e52edf7e0fd7612b2e224d246e417f174fe1f2208')),
+    'xenloop_serving': ((0, 'b7f9ee545b3a135b067be81108791b03e97d14fe1a31f4b6e7dc258e72ec0609'), (693, 'e5112337ed3c1200f98cc274e9afe01a913fad3c2ef2fa25007e5f1a9ecca4e4')),
+    'inter_machine': ((0, '4b83c67dc56c78d5796c99d1845aa160c78891068a1b9045935a38b8c9bbb14c'), (80, '9b60413d94c7da5113e33de476ac1599a8cbece5b2c48b9182d7ba4575ed5f52')),
+    'native_loopback': ((0, 'aa88b1e92741223fe0ba2c7e2cadda0e233df1380c2ccf26cff7cec4ccdb211c'), (32, '5a75bc3b06ec7c038bac60c044124b81ba38369c690a46b528f6495c7782910d')),
+    'netfront_netback': ((0, '883f621dfa77311b3c3333fc684a7bd696f4c48a0dcb4eb0806ee780bedc1be5'), (148, '77622f0e1ee61946233a89c36faef246c83f51dbcb9e7894096064d1b09c345e')),
+    'xenloop': ((0, '048cfe1f6dd3327f478a55365e1cf8c7c5ab3f92b68c9d5187adf404dcc446bf'), (636, 'abba119edcba0f5b759ec1b6f04dab14e3b9afe115a865d51b1669c2f2128e06')),
+    'xenloop_mesh': ((0, 'cf3dfeab4d8eff650abf899ed904ea7ba6296cccee48a79b4e8cd7ea7c768ea5'), (177, 'c9dac84e2fb3e2f4cb0708086639ed2784aee247749d1f8e12b7ec99993253a6')),
+    'migration_pair': ((0, '163903314b207e51951f37173a32c0dff635ab4511f1381b670348e5e3b37567'), (208, '1fba7c0e52e6b979684433d3c10926fe1d208b2dd9e03faa33db7ba7ee492211')),
 }
 
 

@@ -72,7 +72,7 @@ class TestCellGoldens:
             "n_clients": 2,
             "churn": False,
             "loss": 0.0,
-            "events": 59991,
+            "events": 56314,
             "offered": 600,
             "completed": 600,
             "errors": 0,
@@ -105,7 +105,7 @@ class TestCellGoldens:
             "n_clients": 2,
             "churn": True,
             "loss": 0.0,
-            "events": 66673,
+            "events": 62445,
             "offered": 600,
             "completed": 600,
             "errors": 0,
@@ -135,7 +135,7 @@ class TestCellGoldens:
             "n_clients": 2,
             "churn": False,
             "loss": 0.01,
-            "events": 65140,
+            "events": 62687,
             "offered": 400,
             "completed": 400,
             "errors": 0,

@@ -222,6 +222,47 @@ class TestProcess:
             sim.run_until_complete(proc, timeout=10.0)
 
 
+class TestUnawaitedExit:
+    """A process exit nobody awaits puts no completion on the calendar;
+    the finished process behaves like any processed event."""
+
+    @staticmethod
+    def _child(sim):
+        yield sim.timeout(1.0)
+        return "done"
+
+    def test_leaves_no_completion_entry(self, sim):
+        proc = sim.process(self._child(sim))
+        sim.run()
+        assert sim.event_count == 2  # the start resume and the timeout
+        assert not proc.is_alive
+        assert proc.processed and proc.value == "done"
+
+    def test_awaited_exit_still_schedules_its_completion(self, sim):
+        child = sim.process(self._child(sim))
+
+        def parent():
+            return (yield child)
+
+        assert sim.run_until_complete(sim.process(parent())) == "done"
+        # two starts, the timeout and the child's completion; the
+        # parent's own exit is awaited by nobody
+        assert sim.event_count == 4
+
+    def test_finished_process_can_still_be_awaited(self, sim):
+        proc = sim.process(self._child(sim))
+        sim.run()
+
+        def late():
+            value = yield proc
+            fired = yield sim.any_of([proc, sim.timeout(5.0)])
+            return value, fired[proc], sim.now
+
+        assert sim.run_until_complete(sim.process(late())) == ("done", "done", 1.0)
+        assert sim.run_until_complete(proc) == "done"
+        assert proc.value == "done"
+
+
 class TestConditions:
     def test_any_of_first_wins(self, sim):
         a = sim.timeout(5.0, value="a")

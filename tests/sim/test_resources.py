@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import Event, Simulator
 from repro.sim.resources import CPUCores, Store, WaitQueue
 from tests.conftest import run_gen
 
@@ -99,6 +99,89 @@ class TestStore:
     def test_capacity_validation(self, sim):
         with pytest.raises(ValueError):
             Store(sim, capacity=0)
+
+
+class _EagerStore(Store):
+    """Reference ``put``: a put that completes at once still schedules
+    its done Event, whether or not anyone yields it."""
+
+    def put(self, item):
+        ev = Event(self.sim, "store.put")
+        if self._getters.wake_one(item):
+            ev.succeed()
+        elif self.capacity is None or len(self.items) < self.capacity:
+            self.items.append(item)
+            ev.succeed()
+        else:
+            self._putters.append((ev, item))
+        return ev
+
+
+#: one actor step: a yielded put, a fire-and-forget put, a blocking get,
+#: a non-blocking get or a sleep.
+_STEP = st.sampled_from(["put", "put_forget", "get", "try_get"]) | st.tuples(
+    st.just("sleep"), st.sampled_from([0.0, 0.5, 1.0])
+)
+_ACTOR = st.tuples(st.sampled_from([0.0, 0.5, 1.0]), st.lists(_STEP, max_size=8))
+
+
+def _store_log(cls, capacity, actors):
+    """Run ``actors`` against one store; return the interleaving log,
+    the engine's accounting and how many fire-and-forget puts completed
+    at once (a yielded one trades its done Event for a resume record)."""
+    sim = Simulator()
+    store = cls(sim, capacity)
+    log = []
+    unheard = 0
+
+    def actor(a, start, steps):
+        nonlocal unheard
+        yield sim.timeout(start)
+        for i, step in enumerate(steps):
+            result = None
+            if step in ("put", "put_forget"):
+                ev = store.put((a, i))
+                if step == "put":
+                    yield ev
+                else:
+                    unheard += ev.triggered
+            elif step == "get":
+                result = yield store.get()
+            elif step == "try_get":
+                result = store.try_get()
+            else:
+                yield sim.timeout(step[1])
+            log.append((a, i, result, sim.now))
+
+    for a, (start, steps) in enumerate(actors):
+        sim.process(actor(a, start, steps))
+    sim.run()
+    return log, list(store.items), sim.now, sim.event_count, sim._seq, unheard
+
+
+class TestNonBlockingPut:
+    """A put that completes at once schedules nothing, and every process
+    still runs in the order the eager put gave."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        capacity=st.sampled_from([None, 1, 2]),
+        actors=st.lists(_ACTOR, min_size=1, max_size=5),
+    )
+    def test_matches_eager_put(self, capacity, actors):
+        log, items, now, events, seq, unheard = _store_log(Store, capacity, actors)
+        ref = _store_log(_EagerStore, capacity, actors)
+        assert (log, items, now) == ref[:3]
+        assert ref[5] == unheard
+        assert ref[3] - events == unheard
+        assert ref[4] - seq == unheard
+
+    def test_put_to_free_space_schedules_nothing(self, sim):
+        store = Store(sim, capacity=1)
+        assert store.put("a").processed
+        assert not store.put("b").triggered  # full: blocks as before
+        sim.run()
+        assert sim.event_count == 0
 
 
 class TestWaitQueue:
